@@ -58,16 +58,13 @@ iasim CSV columns:
   W_plus, b, model, total_cost, optimal_cost, iterations, ratio.
 """
 
-ALGOS = (
-    "astar",
-    "idastar",
-    "wastar",
-    "ucs",
-    "spastar",
-    "hdastar",
-    "window",
-    "dovetail",
-)
+# Multi-worker engines: engine(problem, EngineConfig) -> Solution.
+PARALLEL_ENGINES = {
+    "spastar": spastar,
+    "hdastar": hdastar,
+    "window": parallel_window,
+}
+ALGOS = ("astar", "idastar", "wastar", "ucs", *PARALLEL_ENGINES, "dovetail")
 
 
 def default_seed() -> int:
@@ -157,6 +154,8 @@ def run_algorithm(problem, args):
             for w in args.weights.split(",")
         ]
         return dovetail(problem, weights, execution, args.node_limit)
+    if algo not in PARALLEL_ENGINES:
+        raise ConfigError(f"unknown algorithm {algo!r}")
     config = EngineConfig(
         workers=args.workers,
         strategy=args.hash,
@@ -167,13 +166,7 @@ def run_algorithm(problem, args):
         execution=execution,
         strategy_config=args.hash_config_data,
     )
-    if algo == "spastar":
-        return spastar(problem, config)
-    if algo == "hdastar":
-        return hdastar(problem, config)
-    if algo == "window":
-        return parallel_window(problem, config)
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    return PARALLEL_ENGINES[algo](problem, config)
 
 
 def make_record(solution, args, instance: str) -> dict:
@@ -245,6 +238,9 @@ def cmd_bench(args) -> int:
     seed = suite.get("seed", args.seed)
     problems = [_suite_problem(entry, seed) for entry in instances]
     algos = suite.get("algos", ["hdastar"])
+    for algo in algos:
+        if algo not in PARALLEL_ENGINES:
+            raise ConfigError(f"bench does not support algo {algo!r}")
     strategies = suite.get("strategies", ["zobrist"])
     workers = suite.get("workers", [2, 4])
     termination = suite.get("termination", "two-wave")
@@ -275,14 +271,7 @@ def cmd_bench(args) -> int:
                         seed=seed,
                         termination=termination,
                     )
-                    if algo == "hdastar":
-                        sol = hdastar(problem, config)
-                    elif algo == "spastar":
-                        sol = spastar(problem, config)
-                    elif algo == "window":
-                        sol = parallel_window(problem, config)
-                    else:
-                        raise ConfigError(f"bench does not support algo {algo!r}")
+                    sol = PARALLEL_ENGINES[algo](problem, config)
                     report = overheads(baseline, sol)
                     eff = (
                         efficiency_fraction(sol, c_star) if sol.solved else None

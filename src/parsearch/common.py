@@ -30,3 +30,7 @@ class NodeLimitExceeded(RuntimeError):
     def __init__(self, limit: int, where: str = "search"):
         self.limit = limit
         super().__init__(f"{where} exceeded node limit of {limit}")
+
+
+class SearchInvariantError(RuntimeError):
+    """A finished search broke one of its own correctness invariants."""

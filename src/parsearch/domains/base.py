@@ -8,7 +8,7 @@ immutable; the feature list of a state identifies it uniquely.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol, runtime_checkable
 
 State = Hashable
 Feature = tuple
@@ -75,12 +75,3 @@ def validate_path(
     if not problem.is_goal(path[-1]):
         raise ValueError("path does not end in a goal state")
     return cost
-
-
-def project_features(
-    features: list[Feature], projection: dict[Feature, Any] | None
-) -> list[Feature]:
-    """Apply a many-to-one feature projection (None means identity)."""
-    if projection is None:
-        return features
-    return [projection[f] for f in features]

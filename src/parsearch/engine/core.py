@@ -1,10 +1,12 @@
 """Shared engine machinery: config, incumbent cell, transports, runners.
 
-Engines run on one of two substrates with identical step logic:
+Every engine (SPA*, HDA*, parallel window) runs on one of two substrates
+with identical step logic:
 
-* interleaved (default): a schedule-controlled single-threaded driver picks
-  one action per tick (step a worker, or deliver one in-flight message) from
-  a seeded policy. Runs are fully deterministic and message delivery can be
+* interleaved (default): `run_interleaved`, the one seeded driver shared by
+  all engines, picks one action per tick (step a runnable worker, or
+  deliver one in-flight message of an engine with a transport) from a
+  seeded policy. Runs are fully deterministic and message delivery can be
   made adversarial, which the termination tests rely on.
 * threaded: one OS thread per worker, immediate message delivery through
   thread-safe mailboxes. Wall-clock oriented; counters are not reproducible.
@@ -64,19 +66,55 @@ class Incumbent:
     def __init__(self):
         self.cost = INF
         self.state = None
-        self.worker: int | None = None
-        self.updates = 0
         self._lock = threading.Lock()
 
-    def offer(self, cost: float, state, worker: int) -> bool:
+    def offer(self, cost: float, state) -> bool:
         with self._lock:
             if cost < self.cost:
                 self.cost = cost
                 self.state = state
-                self.worker = worker
-                self.updates += 1
                 return True
             return False
+
+
+class Engine:
+    """Runner interface shared by the multi-worker engines.
+
+    Subclasses define runnable(w) and step(w); a step returns whether the
+    worker did anything. Setting _stopped ends the run. Engines whose
+    workers exchange messages also set transport.
+    """
+
+    transport = None
+
+    def __init__(self, problem, config: EngineConfig | None = None):
+        self.problem = problem
+        self.config = config or EngineConfig()
+        self.p = self.config.workers
+        self._stopped = False
+        self._aborted = False
+
+    @property
+    def finished(self) -> bool:
+        return self._stopped or self._aborted
+
+    def abort(self) -> None:
+        self._aborted = True
+
+    def drive(self, policy=None):
+        """Run to the end on the configured substrate.
+
+        Returns (interleaved ticks, or None when threaded; wall seconds).
+        """
+        start = time.perf_counter()
+        if self.config.execution == "threaded":
+            run_threaded(self)
+            ticks = None
+        else:
+            ticks = run_interleaved(
+                self, self.config.seed, policy, self.config.max_ticks
+            )
+        return ticks, time.perf_counter() - start
 
 
 # Message envelopes: ("W", src, stamp, batch) with batch a list of
@@ -91,9 +129,6 @@ class DirectTransport:
 
     def send(self, src: int, dst: int, item) -> None:
         self.boxes[dst].append(item)
-
-    def pending_channels(self):
-        return []
 
     def in_flight_items(self):
         return []
@@ -173,16 +208,19 @@ class EagerWorkerPolicy:
 def run_interleaved(engine, seed: int, policy=None, max_ticks: int | None = None):
     """Drive an engine's workers step by step from a seeded schedule.
 
-    The engine exposes: p, transport (ChannelTransport), runnable(w),
-    step(w), finished. Raises RuntimeError on stall or tick exhaustion.
+    The engine is an Engine whose transport, if any, is a ChannelTransport.
+    Raises RuntimeError on stall or tick exhaustion.
     """
     policy = policy or SchedulePolicy(seed)
+    transport = engine.transport
     ticks = 0
     while not engine.finished:
         steps = [("step", w) for w in range(engine.p) if engine.runnable(w)]
-        delivers = [
-            ("deliver", c) for c in engine.transport.pending_channels()
-        ]
+        delivers = (
+            [("deliver", c) for c in transport.pending_channels()]
+            if transport is not None
+            else []
+        )
         if not steps and not delivers:
             raise RuntimeError(
                 "interleaver stalled: no runnable worker, nothing in flight"
@@ -191,7 +229,7 @@ def run_interleaved(engine, seed: int, policy=None, max_ticks: int | None = None
         if kind == "step":
             engine.step(arg)
         else:
-            engine.transport.deliver(arg)
+            transport.deliver(arg)
         ticks += 1
         if max_ticks is not None and ticks > max_ticks:
             raise RuntimeError(f"interleaver exceeded {max_ticks} ticks")

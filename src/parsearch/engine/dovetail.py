@@ -17,6 +17,7 @@ from parsearch.serial import (
     BestFirstSearch,
     Solution,
     merge_stats,
+    reconstruct_path,
 )
 
 DEFAULT_WEIGHTS = (1.0, 1.5, 2.0, 3.0, INF)
@@ -53,7 +54,7 @@ def dovetail(
             meta={"algorithm": "dovetail", "weights": list(weights)},
         )
     winner = searchers[winner_idx]
-    path = winner.reconstruct_path()
+    path = reconstruct_path(winner.goal_state, winner.table.entry)
     validate_path(problem, path)
     return Solution(
         winner.goal_cost,

@@ -11,20 +11,24 @@ from __future__ import annotations
 
 import random
 import time
-from heapq import heappop, heappush
 
-from parsearch.common import EPS, INF, NodeLimitExceeded
+from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem, validate_path
 from parsearch.engine.core import (
     ChannelTransport,
     DirectTransport,
+    Engine,
     EngineConfig,
     Incumbent,
-    run_interleaved,
-    run_threaded,
 )
 from parsearch.hashing import make_strategy
-from parsearch.serial import SearchStats, Solution, merge_stats
+from parsearch.serial import (
+    NodeTable,
+    SearchStats,
+    Solution,
+    merge_stats,
+    reconstruct_path,
+)
 from parsearch.termination import (
     ControlMessage,
     conclude,
@@ -43,10 +47,11 @@ class _Worker:
     def __init__(self, wid: int, engine: "HDAStar"):
         self.id = wid
         self.engine = engine
-        self.heap: list = []
-        self.seq = 0
-        self.open_tbl: dict = {}  # state -> (g, parent, h)
-        self.closed: dict = {}  # state -> (g, parent)
+        self.table = NodeTable(
+            engine.problem.h,
+            node_limit=engine.config.node_limit,
+            where=f"worker {wid}",
+        )
         self.out = [[] for _ in range(engine.p)]  # per-destination batches
         self.stats = SearchStats()
         self.rng = random.Random(engine.config.seed * 1_000_003 + wid)
@@ -65,29 +70,10 @@ class _Worker:
             return False
         if any(self.out):
             return False
-        return self.open_min_f() >= self.engine.incumbent.cost - EPS
-
-    def open_min_f(self) -> float:
-        heap = self.heap
-        tbl = self.open_tbl
-        while heap:
-            prio, neg_g, _, state = heap[0]
-            entry = tbl.get(state)
-            if entry is None or entry[0] != -neg_g:
-                heappop(heap)
-                continue
-            return prio
-        return INF
-
-    def push(self, state, g: float, parent, h: float) -> None:
-        self.open_tbl[state] = (g, parent, h)
-        heappush(self.heap, (g + h, -g, self.seq, state))
-        self.seq += 1
-        if len(self.open_tbl) > self.stats.max_open:
-            self.stats.max_open = len(self.open_tbl)
+        return self.table.min_f() >= self.engine.incumbent.cost - EPS
 
 
-class HDAStar:
+class HDAStar(Engine):
     """Decentralized A* engine (Algorithm: drain mailbox, then expand)."""
 
     def __init__(
@@ -98,9 +84,7 @@ class HDAStar:
         policy=None,
         on_detect_pass=None,
     ):
-        self.problem = problem
-        self.config = config or EngineConfig()
-        self.p = self.config.workers
+        super().__init__(problem, config)
         if strategy is None:
             strategy = make_strategy(
                 self.config.strategy,
@@ -117,8 +101,6 @@ class HDAStar:
             self.transport = DirectTransport(self.p)
         self.incumbent = Incumbent()
         self.workers = [_Worker(w, self) for w in range(self.p)]
-        self._stopped = False
-        self._aborted = False
         self.detect_in_flight = False
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
@@ -126,17 +108,10 @@ class HDAStar:
         self.last_detect_time = 0.0
         seed_rng = random.Random(self.config.seed ^ 0x5EED)
         root = problem.initial
-        owner = self.strategy.owner(root, self.p, seed_rng)
-        self.workers[owner].push(root, 0.0, None, problem.h(root))
+        owner = self.workers[self.strategy.owner(root, self.p, seed_rng)]
+        owner.table.insert(root, 0.0, None, owner.stats)
 
     # -- runner interface ----------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        return self._stopped or self._aborted
-
-    def abort(self) -> None:
-        self._aborted = True
 
     def runnable(self, w: int) -> bool:
         if self.finished:
@@ -144,18 +119,16 @@ class HDAStar:
         if self.transport.boxes[w]:
             return True
         worker = self.workers[w]
-        if worker.open_min_f() < self.incumbent.cost - EPS:
+        if worker.table.min_f() < self.incumbent.cost - EPS:
             return True
         if any(worker.out):
             return True
-        if (
+        return (
             w == 0
             and not self.detect_in_flight
             and self._work_since_detect
             and worker.quiescent
-        ):
-            return True
-        return False
+        )
 
     def step(self, w: int) -> bool:
         """One loop iteration of worker w: drain mailbox fully, then expand."""
@@ -180,7 +153,7 @@ class HDAStar:
         burst = self.config.burst if self.config.execution == "interleaved" else 1
         expanded_any = False
         for _ in range(burst):
-            if worker.open_min_f() >= self.incumbent.cost - EPS:
+            if worker.table.min_f() >= self.incumbent.cost - EPS:
                 break
             self._expand(worker)
             expanded_any = True
@@ -205,26 +178,7 @@ class HDAStar:
             assert self.strategy.owner(state, self.p) == worker.id, (
                 "state inserted at a non-owner worker"
             )
-        stats = worker.stats
-        closed_entry = worker.closed.get(state)
-        if closed_entry is not None:
-            if g1 < closed_entry[0] - EPS:
-                del worker.closed[state]
-                stats.reopened += 1
-                worker.push(state, g1, parent, self.problem.h(state))
-            else:
-                stats.duplicates += 1
-            return
-        open_entry = worker.open_tbl.get(state)
-        if open_entry is not None:
-            if g1 < open_entry[0] - EPS:
-                worker.push(state, g1, parent, open_entry[2])
-            else:
-                stats.duplicates += 1
-            return
-        worker.push(state, g1, parent, self.problem.h(state))
-        if len(worker.open_tbl) + len(worker.closed) > self.config.node_limit:
-            raise NodeLimitExceeded(self.config.node_limit, f"worker {worker.id}")
+        worker.table.insert(state, g1, parent, worker.stats)
 
     def _receive_work(self, worker: _Worker, item) -> None:
         _, _src, stamp, batch = item
@@ -238,24 +192,13 @@ class HDAStar:
             self._insert(worker, state, g1, parent)
 
     def _expand(self, worker: _Worker) -> None:
-        heap = worker.heap
-        tbl = worker.open_tbl
-        while True:
-            _, neg_g, _, state = heappop(heap)
-            entry = tbl.get(state)
-            if entry is not None and entry[0] == -neg_g:
-                break
-        g, parent, h = entry
-        del tbl[state]
-        worker.closed[state] = (g, parent)
-        self._work_since_detect = True
         stats = worker.stats
-        stats.expanded += 1
-        stats.expanded_f.append(g + h)
+        state, g, h = worker.table.pop(stats)
+        self._work_since_detect = True
         if worker.trace is not None:
             worker.trace.append((state, g, g + h))
         if self.problem.is_goal(state):
-            self.incumbent.offer(g, state, worker.id)
+            self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
         for succ, cost in self.problem.expand(state):
             stats.generated += 1
@@ -268,8 +211,6 @@ class HDAStar:
                 buf.append((succ, g1, state))
                 if len(buf) >= batch_size:
                     self._flush(worker, owner)
-        if len(worker.open_tbl) + len(worker.closed) > self.config.node_limit:
-            raise NodeLimitExceeded(self.config.node_limit, f"worker {worker.id}")
 
     def _flush(self, worker: _Worker, dst: int) -> bool:
         buf = worker.out[dst]
@@ -364,58 +305,32 @@ class HDAStar:
                 if g1 + self.problem.h(state) < bound:
                     bad.append((state, g1))
         for worker in self.workers:
-            mf = worker.open_min_f()
+            mf = worker.table.min_f()
             if mf < bound:
                 bad.append((f"open[{worker.id}]", mf))
         return bad
 
-    def _lookup_entry(self, state):
-        """Best (g, parent) for a state across all workers' tables."""
+    def _best_entry(self, state):
+        """The entry with the least g for a state across all workers."""
         best = None
         for worker in self.workers:
-            for tbl in (worker.closed, worker.open_tbl):
-                entry = tbl.get(state)
-                if entry is not None and (best is None or entry[0] < best[0]):
-                    best = (entry[0], entry[1])
+            entry = worker.table.entry(state)
+            if entry is not None and (best is None or entry[0] < best[0]):
+                best = entry
         return best
 
-    def _reconstruct(self) -> list:
-        state = self.incumbent.state
-        if state is None:
-            return []
-        path = [state]
-        seen = {state}
-        while True:
-            entry = self._lookup_entry(state)
-            if entry is None:
-                raise RuntimeError("broken parent chain during reconstruction")
-            parent = entry[1]
-            if parent is None:
-                break
-            if parent in seen:
-                raise RuntimeError("cycle in parent chain during reconstruction")
-            seen.add(parent)
-            path.append(parent)
-            state = parent
-        path.reverse()
-        return path
-
     def run(self) -> Solution:
-        start = time.perf_counter()
-        if self.config.execution == "interleaved":
-            ticks = run_interleaved(
-                self, self.config.seed, self.policy, self.config.max_ticks
-            )
-        else:
-            run_threaded(self)
-            ticks = None
-        wall = time.perf_counter() - start
+        ticks, wall = self.drive(self.policy)
         # Post-termination invariants: nothing pending, counters balanced.
-        assert not self.improving_work_pending(), "premature termination"
+        if self.improving_work_pending():
+            raise SearchInvariantError("premature termination")
         sent = sum(w.stats.sent for w in self.workers)
         received = sum(w.stats.received for w in self.workers)
-        assert sent == received, f"triplet conservation violated: {sent} != {received}"
-        path = self._reconstruct()
+        if sent != received:
+            raise SearchInvariantError(
+                f"triplet conservation violated: {sent} != {received}"
+            )
+        path = reconstruct_path(self.incumbent.state, self._best_entry)
         if path:
             validate_path(self.problem, path)
         per_worker = [w.stats for w in self.workers]

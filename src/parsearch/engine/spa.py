@@ -8,143 +8,71 @@ nothing on the open list beats the incumbent.
 
 from __future__ import annotations
 
-import random
 import threading
-import time
-from heapq import heappop, heappush
 
-from parsearch.common import EPS, INF, NodeLimitExceeded
+from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem, validate_path
-from parsearch.engine.core import EngineConfig, Incumbent, run_threaded
-from parsearch.serial import SearchStats, Solution, merge_stats
+from parsearch.engine.core import Engine, EngineConfig, Incumbent
+from parsearch.serial import (
+    NodeTable,
+    SearchStats,
+    Solution,
+    merge_stats,
+    reconstruct_path,
+)
 
 
-class SPAStar:
+class SPAStar(Engine):
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
-        self.problem = problem
-        self.config = config or EngineConfig()
-        self.p = self.config.workers
+        super().__init__(problem, config)
         self.incumbent = Incumbent()
         self.lock = threading.Lock()
-        self.heap: list = []
-        self.open_tbl: dict = {}
-        self.closed: dict = {}
-        self.seq = 0
-        self.idle = [False] * self.p
+        self.table = NodeTable(
+            problem.h, node_limit=self.config.node_limit, where="shared lists"
+        )
+        # A worker is idle unless it holds a popped node whose successors are
+        # not yet inserted.
+        self.idle = [True] * self.p
         self.stats = [SearchStats() for _ in range(self.p)]
         self.traces = (
             [[] for _ in range(self.p)] if self.config.record_trace else None
         )
-        self._stopped = False
-        self._aborted = False
-        root = problem.initial
-        self._push(root, 0.0, None, problem.h(root))
+        self.table.insert(problem.initial, 0.0, None, self.stats[0])
 
-    @property
-    def finished(self) -> bool:
-        return self._stopped or self._aborted
-
-    def abort(self) -> None:
-        self._aborted = True
-
-    def _push(self, state, g, parent, h) -> None:
-        self.open_tbl[state] = (g, parent, h)
-        heappush(self.heap, (g + h, -g, self.seq, state))
-        self.seq += 1
-
-    def _open_min_f(self) -> float:
-        while self.heap:
-            prio, neg_g, _, state = self.heap[0]
-            entry = self.open_tbl.get(state)
-            if entry is None or entry[0] != -neg_g:
-                heappop(self.heap)
-                continue
-            return prio
-        return INF
+    def runnable(self, w: int) -> bool:
+        return not self.finished
 
     def step(self, w: int) -> bool:
         """Pop, expand, reinsert; False when there was nothing to expand."""
         if self.finished:
             return False
         stats = self.stats[w]
+        table = self.table
         with self.lock:
-            if self._open_min_f() >= self.incumbent.cost - EPS:
+            if table.min_f() >= self.incumbent.cost - EPS:
                 self.idle[w] = True
                 if all(self.idle):
                     self._stopped = True
                 return False
             self.idle[w] = False
-            _, neg_g, _, state = heappop(self.heap)
-            g, parent, h = self.open_tbl.pop(state)
-            self.closed[state] = (g, parent)
-        stats.expanded += 1
-        stats.expanded_f.append(g + h)
+            state, g, h = table.pop(stats)
         if self.traces is not None:
             self.traces[w].append((state, g, g + h))
         if self.problem.is_goal(state):
-            self.incumbent.offer(g, state, w)
+            self.incumbent.offer(g, state)
         successors = self.problem.expand(state)
         stats.generated += len(successors)
-        evaluated = [
-            (succ, g + cost, self.problem.h(succ)) for succ, cost in successors
-        ]
         with self.lock:
-            for succ, g1, h1 in evaluated:
-                closed_entry = self.closed.get(succ)
-                if closed_entry is not None:
-                    if g1 < closed_entry[0] - EPS:
-                        del self.closed[succ]
-                        stats.reopened += 1
-                        self._push(succ, g1, state, h1)
-                    else:
-                        stats.duplicates += 1
-                    continue
-                open_entry = self.open_tbl.get(succ)
-                if open_entry is not None:
-                    if g1 < open_entry[0] - EPS:
-                        self._push(succ, g1, state, h1)
-                    else:
-                        stats.duplicates += 1
-                    continue
-                self._push(succ, g1, state, h1)
-            if len(self.open_tbl) > stats.max_open:
-                stats.max_open = len(self.open_tbl)
-            if len(self.open_tbl) + len(self.closed) > self.config.node_limit:
-                raise NodeLimitExceeded(self.config.node_limit, "shared lists")
+            for succ, cost in successors:
+                table.insert(succ, g + cost, state, stats)
+            self.idle[w] = True
         return True
 
-    def _run_interleaved(self) -> None:
-        # All workers share one open list; step a random one per tick. With a
-        # single execution context, a False step means the open list is
-        # pruned and nothing is mid-expansion, so the search is over.
-        rng = random.Random(self.config.seed)
-        while not self.finished:
-            if not self.step(rng.randrange(self.p)):
-                self._stopped = True
-
-    def _reconstruct(self) -> list:
-        state = self.incumbent.state
-        if state is None:
-            return []
-        path = [state]
-        while True:
-            g, parent = self.closed.get(state, self.open_tbl.get(state, (None, None)))[:2]
-            if parent is None:
-                break
-            path.append(parent)
-            state = parent
-        path.reverse()
-        return path
-
     def run(self) -> Solution:
-        start = time.perf_counter()
-        if self.config.execution == "threaded":
-            run_threaded(self)
-        else:
-            self._run_interleaved()
-        wall = time.perf_counter() - start
-        assert self._open_min_f() >= self.incumbent.cost - EPS
-        path = self._reconstruct()
+        _, wall = self.drive()
+        if self.table.min_f() < self.incumbent.cost - EPS:
+            raise SearchInvariantError("premature termination: open beats incumbent")
+        path = reconstruct_path(self.incumbent.state, self.table.entry)
         if path:
             validate_path(self.problem, path)
         stats = merge_stats(self.stats)

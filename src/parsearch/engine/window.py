@@ -10,28 +10,23 @@ bound before declaring the best solution optimal.
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 
 from parsearch.common import EPS, INF
 from parsearch.domains.base import SearchProblem, validate_path
-from parsearch.engine.core import EngineConfig, run_threaded
+from parsearch.engine.core import Engine, EngineConfig
 from parsearch.serial import BoundedDFS, SearchStats, Solution, merge_stats
 
 
-class ParallelWindow:
+class ParallelWindow(Engine):
     CHUNK = 256  # DFS events advanced per step
 
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
-        self.problem = problem
-        self.config = config or EngineConfig()
-        self.p = self.config.workers
+        super().__init__(problem, config)
         self.lock = threading.Lock()
         self.claimed: list[float] = []
         self.exceeds: set[float] = set()
         self.running: dict[int, float] = {}
-        self.completed: dict[float, float | None] = {}
         self.solutions: list[tuple[float, list, float]] = []
         self.incumbent_log: list[float] = []  # goal costs in discovery order
         self.solution_logs: dict[float, list[float]] = {}  # per claimed bound
@@ -39,15 +34,6 @@ class ParallelWindow:
         self.stats = [SearchStats() for _ in range(self.p)]
         self.result_cost = INF
         self.result_path: list = []
-        self._stopped = False
-        self._aborted = False
-
-    @property
-    def finished(self) -> bool:
-        return self._stopped or self._aborted
-
-    def abort(self) -> None:
-        self._aborted = True
 
     def _peek_claim(self) -> float | None:
         if not self.claimed:
@@ -107,9 +93,6 @@ class ParallelWindow:
             with self.lock:
                 self.exceeds.update(dfs.exceed_values)
                 self.running.pop(w, None)
-                self.completed[bound] = (
-                    dfs.best_cost if dfs.best_cost < INF else None
-                )
                 self.incumbent_log.extend(dfs.solution_log)
                 self.solution_logs[bound] = list(dfs.solution_log)
                 if dfs.best_cost < INF:
@@ -118,21 +101,8 @@ class ParallelWindow:
             self.slots[w] = None
         return True
 
-    def _run_interleaved(self) -> None:
-        rng = random.Random(self.config.seed)
-        while not self.finished:
-            runnable = [w for w in range(self.p) if self.runnable(w)]
-            if not runnable:
-                raise RuntimeError("parallel window stalled")
-            self.step(rng.choice(runnable))
-
     def run(self) -> Solution:
-        start = time.perf_counter()
-        if self.config.execution == "threaded":
-            run_threaded(self)
-        else:
-            self._run_interleaved()
-        wall = time.perf_counter() - start
+        _, wall = self.drive()
         if self.result_path:
             validate_path(self.problem, self.result_path)
         stats = merge_stats(self.stats)

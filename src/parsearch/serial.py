@@ -10,11 +10,26 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from types import SimpleNamespace
 
-from parsearch.common import EPS, INF, ConfigError, NodeLimitExceeded
+from parsearch.common import (
+    EPS,
+    INF,
+    ConfigError,
+    NodeLimitExceeded,
+    SearchInvariantError,
+)
 from parsearch.domains.base import SearchProblem, State, validate_path
 
 DEFAULT_NODE_LIMIT = 10_000_000
+
+# The scalar SearchStats fields, in record order. Merging sums them, except
+# the peaks, which it maximizes.
+COUNTERS = (
+    "expanded", "generated", "reopened", "duplicates", "max_open", "wall_time",
+    "sent", "received", "sent_batches", "received_batches",
+)
+PEAKS = ("max_open", "wall_time")
 
 
 @dataclass
@@ -35,38 +50,16 @@ class SearchStats:
     # f = g + h of every expanded node, for efficiency-fraction reporting.
     expanded_f: array = field(default_factory=lambda: array("d"))
 
-    def count_f_below(self, threshold: float) -> int:
-        t = threshold - EPS
-        return sum(1 for f in self.expanded_f if f < t)
-
     def to_dict(self) -> dict:
-        return {
-            "expanded": self.expanded,
-            "generated": self.generated,
-            "reopened": self.reopened,
-            "duplicates": self.duplicates,
-            "max_open": self.max_open,
-            "wall_time": self.wall_time,
-            "sent": self.sent,
-            "received": self.received,
-            "sent_batches": self.sent_batches,
-            "received_batches": self.received_batches,
-        }
+        return {name: getattr(self, name) for name in COUNTERS}
 
 
 def merge_stats(parts: list[SearchStats]) -> SearchStats:
     total = SearchStats()
+    for name in COUNTERS:
+        values = [getattr(total, name)] + [getattr(s, name) for s in parts]
+        setattr(total, name, max(values) if name in PEAKS else sum(values))
     for s in parts:
-        total.expanded += s.expanded
-        total.generated += s.generated
-        total.reopened += s.reopened
-        total.duplicates += s.duplicates
-        total.max_open = max(total.max_open, s.max_open)
-        total.wall_time = max(total.wall_time, s.wall_time)
-        total.sent += s.sent
-        total.received += s.received
-        total.sent_batches += s.sent_batches
-        total.received_batches += s.received_batches
         total.expanded_f.extend(s.expanded_f)
     return total
 
@@ -84,13 +77,139 @@ class Solution:
         return self.cost < INF
 
 
-class BestFirstSearch:
-    """Steppable best-first search with the full reopening branch.
+class NodeTable:
+    """Open and closed lists of one best-first search.
 
-    Priority is g + weight*h (or plain h for weight=inf). The open list is a
-    binary heap keyed by (priority, -g, insertion sequence): ties on priority
-    prefer the larger g, remaining ties are FIFO. A g-value that matches the
-    stored one within EPS counts as a duplicate, never as an improvement.
+    `open` maps state -> (g, parent, h) and `closed` maps state -> (g,
+    parent); a state sits in at most one of them. The open list is a lazy
+    binary heap of (g + weight*h, -g, insertion sequence, state) entries
+    (plain h for weight=inf): ties on priority prefer the larger g,
+    remaining ties are FIFO, and entries superseded by a cheaper insert are
+    skipped when they surface. A g-value that matches the stored one within
+    EPS counts as a duplicate, never as an improvement.
+    """
+
+    def __init__(
+        self,
+        h,
+        weight: float = 1.0,
+        node_limit: int = DEFAULT_NODE_LIMIT,
+        where: str = "search",
+    ):
+        self.h = h
+        self.weight = weight
+        self.node_limit = node_limit
+        self.where = where  # names the table in NodeLimitExceeded
+        self.open: dict = {}
+        self.closed: dict = {}
+        self.heap: list = []
+        self.seq = 0
+
+    def insert(self, state: State, g: float, parent, stats: SearchStats) -> None:
+        """Record a path of cost g to `state` via `parent`.
+
+        A new state is opened; a cheaper path reopens a closed state or
+        replaces an open entry; anything else is counted as a duplicate.
+        h is computed only for new and reopened states.
+        """
+        open_tbl = self.open
+        entry = self.closed.get(state)
+        if entry is not None:
+            if g >= entry[0] - EPS:
+                stats.duplicates += 1
+                return
+            del self.closed[state]
+            stats.reopened += 1
+            h = self.h(state)
+        else:
+            entry = open_tbl.get(state)
+            if entry is None:
+                h = self.h(state)
+            elif g < entry[0] - EPS:
+                h = entry[2]
+            else:
+                stats.duplicates += 1
+                return
+        open_tbl[state] = (g, parent, h)
+        weight = self.weight
+        priority = h if weight == INF else g + weight * h
+        heappush(self.heap, (priority, -g, self.seq, state))
+        self.seq += 1
+        n = len(open_tbl)
+        if n > stats.max_open:
+            stats.max_open = n
+        if n + len(self.closed) > self.node_limit:
+            raise NodeLimitExceeded(self.node_limit, self.where)
+
+    def pop(self, stats: SearchStats):
+        """Close the best open entry and count its expansion.
+
+        Returns (state, g, h), or None when the open list is empty.
+        """
+        heap = self.heap
+        open_tbl = self.open
+        while heap:
+            _, neg_g, _, state = heappop(heap)
+            entry = open_tbl.get(state)
+            if entry is not None and entry[0] == -neg_g:
+                g, parent, h = entry
+                del open_tbl[state]
+                self.closed[state] = (g, parent)
+                stats.expanded += 1
+                stats.expanded_f.append(g + h)
+                return state, g, h
+        return None
+
+    def min_f(self) -> float:
+        """Priority of the best open entry (INF when open is empty)."""
+        heap = self.heap
+        open_tbl = self.open
+        while heap:
+            prio, neg_g, _, state = heap[0]
+            entry = open_tbl.get(state)
+            if entry is not None and entry[0] == -neg_g:
+                return prio
+            heappop(heap)
+        return INF
+
+    def entry(self, state: State):
+        """(g, parent, ...) of a closed or open state, or None."""
+        entry = self.closed.get(state)
+        return entry if entry is not None else self.open.get(state)
+
+
+def reconstruct_path(goal: State | None, entry_of) -> list:
+    """Follow parent links from `goal` back to the root.
+
+    `entry_of(state)` returns a (g, parent, ...) entry or None. Raises
+    SearchInvariantError on a missing link or a cycle.
+    """
+    if goal is None:
+        return []
+    path = [goal]
+    seen = {goal}
+    state = goal
+    while True:
+        entry = entry_of(state)
+        if entry is None:
+            raise SearchInvariantError("broken parent chain during reconstruction")
+        parent = entry[1]
+        if parent is None:
+            break
+        if parent in seen:
+            raise SearchInvariantError("cycle in parent chain during reconstruction")
+        seen.add(parent)
+        path.append(parent)
+        state = parent
+    path.reverse()
+    return path
+
+
+class BestFirstSearch:
+    """Steppable best-first search (A*, weighted A*, greedy) on a NodeTable.
+
+    Priority is g + weight*h (or plain h for weight=inf); see NodeTable for
+    tie-breaking and the reopening branch.
     """
 
     def __init__(
@@ -103,99 +222,41 @@ class BestFirstSearch:
         if weight < 1.0:
             raise ConfigError("weight must be >= 1 (or inf)")
         self.problem = problem
-        self.weight = weight
-        self.node_limit = node_limit
         self.stats = SearchStats()
         self.trace: list | None = [] if record_trace else None
         self.goal_state: State | None = None
         self.goal_cost = INF
-        self._heap: list = []
-        self._seq = 0
-        # state -> (g, parent, h) for open entries / closed nodes.
-        self._open: dict = {}
-        self._closed: dict = {}
-        h0 = problem.h(problem.initial)
-        self._push(problem.initial, 0.0, None, h0)
-
-    def _priority(self, g: float, h: float) -> float:
-        if self.weight == INF:
-            return h
-        return g + self.weight * h
-
-    def _push(self, state: State, g: float, parent, h: float) -> None:
-        self._open[state] = (g, parent, h)
-        heappush(self._heap, (self._priority(g, h), -g, self._seq, state))
-        self._seq += 1
-        if len(self._open) > self.stats.max_open:
-            self.stats.max_open = len(self._open)
+        self.table = NodeTable(problem.h, weight, node_limit)
+        self.table.insert(problem.initial, 0.0, None, self.stats)
 
     def step(self) -> bool:
         """Expand one node. Returns False once the search has finished."""
         if self.goal_cost < INF:
             return False
-        heap = self._heap
-        open_tbl = self._open
-        while heap:
-            _, neg_g, _, state = heappop(heap)
-            entry = open_tbl.get(state)
-            if entry is None or entry[0] != -neg_g:
-                continue  # stale heap entry
-            g, parent, h = entry
-            del open_tbl[state]
-            self._closed[state] = (g, parent)
-            self.stats.expanded += 1
-            self.stats.expanded_f.append(g + h)
-            if self.trace is not None:
-                self.trace.append((state, g, g + h))
-            if self.problem.is_goal(state):
-                self.goal_state = state
-                self.goal_cost = g
-                return False
-            for succ, cost in self.problem.expand(state):
-                self.stats.generated += 1
-                g1 = g + cost
-                closed_entry = self._closed.get(succ)
-                if closed_entry is not None:
-                    if g1 < closed_entry[0] - EPS:
-                        del self._closed[succ]
-                        self.stats.reopened += 1
-                        self._push(succ, g1, state, self.problem.h(succ))
-                    else:
-                        self.stats.duplicates += 1
-                    continue
-                open_entry = open_tbl.get(succ)
-                if open_entry is not None:
-                    if g1 < open_entry[0] - EPS:
-                        self._push(succ, g1, state, open_entry[2])
-                    else:
-                        self.stats.duplicates += 1
-                    continue
-                self._push(succ, g1, state, self.problem.h(succ))
-            if len(open_tbl) + len(self._closed) > self.node_limit:
-                raise NodeLimitExceeded(self.node_limit)
-            return True
-        return False
-
-    def reconstruct_path(self) -> list:
-        if self.goal_state is None:
-            return []
-        path = [self.goal_state]
-        state = self.goal_state
-        while True:
-            _, parent = self._closed[state]
-            if parent is None:
-                break
-            path.append(parent)
-            state = parent
-        path.reverse()
-        return path
+        stats = self.stats
+        node = self.table.pop(stats)
+        if node is None:
+            return False
+        state, g, h = node
+        if self.trace is not None:
+            self.trace.append((state, g, g + h))
+        if self.problem.is_goal(state):
+            self.goal_state = state
+            self.goal_cost = g
+            return False
+        successors = self.problem.expand(state)
+        stats.generated += len(successors)
+        insert = self.table.insert
+        for succ, cost in successors:
+            insert(succ, g + cost, state, stats)
+        return True
 
     def run(self) -> Solution:
         start = time.perf_counter()
         while self.step():
             pass
         self.stats.wall_time = time.perf_counter() - start
-        path = self.reconstruct_path()
+        path = reconstruct_path(self.goal_state, self.table.entry)
         if path:
             validate_path(self.problem, path)
         sol = Solution(self.goal_cost, path, self.stats)
@@ -225,33 +286,16 @@ def wastar(
     return sol
 
 
-class _ZeroHeuristic:
-    """View of a problem with h forced to zero (uniform-cost search)."""
-
-    def __init__(self, problem: SearchProblem):
-        self._problem = problem
-        self.initial = problem.initial
-
-    def is_goal(self, state):
-        return self._problem.is_goal(state)
-
-    def expand(self, state):
-        return self._problem.expand(state)
-
-    def h(self, state):
-        return 0.0
-
-    def features(self, state):
-        return self._problem.features(state)
-
-    def canonical_bytes(self, state):
-        return self._problem.canonical_bytes(state)
-
-
 def uniform_cost_oracle(
     problem: SearchProblem, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> Solution:
-    sol = BestFirstSearch(_ZeroHeuristic(problem), 1.0, node_limit).run()
+    blind = SimpleNamespace(  # the problem with h forced to zero
+        initial=problem.initial,
+        is_goal=problem.is_goal,
+        expand=problem.expand,
+        h=lambda state: 0.0,
+    )
+    sol = BestFirstSearch(blind, 1.0, node_limit).run()
     sol.meta["algorithm"] = "uniform_cost"
     return sol
 
@@ -316,42 +360,8 @@ class BoundedDFS:
         self._path.append(state)
         self._on_path.add(state)
 
-    def step(self) -> bool:
-        """Advance by one node event; False once the iteration is over."""
-        if self.done:
-            return False
-        if not self._stack:
-            self.done = True
-            return False
-        frame = self._stack[-1]
-        state, g, succs, idx = frame
-        if succs is None:
-            succs = self.problem.expand(state)
-            frame[2] = succs
-            self.expanded += 1
-            self.generated += len(succs)
-            if self.expanded > self.expansion_limit:
-                raise NodeLimitExceeded(self.expansion_limit, "IDA* iteration")
-        if idx < len(succs):
-            frame[3] = idx + 1
-            succ, cost = succs[idx]
-            if succ not in self._on_path:
-                self._enter(succ, g + cost)
-        else:
-            self._stack.pop()
-            self._path.pop()
-            self._on_path.discard(state)
-        if self.done or not self._stack:
-            self.done = True
-            return False
-        return True
-
     def run_chunk(self, n: int) -> bool:
-        """Advance up to n node events with the hot loop hoisted into locals.
-
-        Semantically identical to calling step() n times; returns False once
-        the iteration is over.
-        """
+        """Advance up to n node events; False once the iteration is over."""
         if self.done:
             return False
         problem = self.problem

@@ -147,6 +147,16 @@ class TestBench:
         path.write_text(json.dumps({"instances": []}))
         assert run_cli("bench", "--suite", str(path)) == 3
 
+    def test_serial_or_unknown_algo_exit_three(self, tmp_path):
+        for algo in ("astar", "nosuch"):
+            suite = {
+                "instances": [{"domain": "tile", "gen": {"n": 3, "seed": 1}}],
+                "algos": ["hdastar", algo],
+            }
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps(suite))
+            assert run_cli("bench", "--suite", str(path)) == 3, algo
+
     def test_unparseable_instance_aborts(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1 9\n.\n")

@@ -1,6 +1,10 @@
 """Parallel engine behavior: cost agreement, degeneration, adversarial cases."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from parsearch.domains import (
     goal_state,
     missorder_graph,
     random_scramble,
+    random_solvable,
     validate_path,
 )
 from parsearch.engine import (
@@ -23,6 +28,28 @@ from parsearch.engine import (
 )
 from parsearch.engine.hda import HDAStar
 from parsearch.serial import astar, idastar
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_reopen_branch_serial_and_single_worker_engines():
+    # The inconsistent h(a) = 4 makes A* close c at g=3 before the cheaper
+    # path through a (g=2) is found, so c is reopened exactly once.
+    g = ExplicitGraph(
+        [("s", "a", 1), ("s", "c", 3), ("a", "c", 1), ("c", "t", 5)],
+        "s",
+        {"t"},
+        h_values={"a": 4},
+    )
+    for sol in (
+        astar(g),
+        spastar(g, EngineConfig(workers=1)),
+        hdastar(g, EngineConfig(workers=1)),
+    ):
+        assert sol.cost == 7.0
+        assert sol.path == ["s", "a", "c", "t"]
+        assert sol.stats.reopened == 1
 
 
 class MappedStrategy:
@@ -68,6 +95,19 @@ class TestSPAStar:
         sol = spastar(missorder_graph(), EngineConfig(workers=2, seed=5))
         assert sol.cost == 2.0
 
+    def test_threaded_idle_flags_under_fast_switching(self, tile_suite_small, tile3_bfs):
+        # More workers than cores and a tiny switch interval: a lost idle
+        # flag update would stop the search early, which the post-run check
+        # or the cost comparison catches.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for p in tile_suite_small:
+                sol = spastar(p, EngineConfig(workers=8, execution="threaded"))
+                assert sol.cost == tile3_bfs[p.initial]
+        finally:
+            sys.setswitchinterval(old)
+
 
 class TestHDAStar:
     def test_matches_oracle_across_strategies(self, tile_suite_small, tile3_bfs):
@@ -87,13 +127,49 @@ class TestHDAStar:
                 assert sol.cost == want, strategy
 
     def test_single_worker_trace_byte_identical(self, tile_suite_small):
-        for p in tile_suite_small[:5]:
+        extra = [TilePuzzle(random_solvable(3, 40 + s)) for s in range(10)]
+        for p in tile_suite_small[:5] + extra:
             serial = astar(p, record_trace=True)
-            par = hdastar(p, EngineConfig(workers=1, record_trace=True))
-            assert par.cost == serial.cost
             a = json.dumps(serial.meta["trace"]).encode()
-            b = json.dumps(par.meta["trace"][0]).encode()
-            assert a == b
+            for engine in (hdastar, spastar):
+                par = engine(p, EngineConfig(workers=1, record_trace=True))
+                assert par.cost == serial.cost
+                b = json.dumps(par.meta["trace"][0]).encode()
+                assert a == b, engine.__name__
+
+    def test_post_run_check_survives_optimized_python(self):
+        # The detection-pass hook plants an improving triplet; the post-run
+        # check must catch it even under -O, which strips assert statements.
+        script = """
+from parsearch.common import SearchInvariantError
+from parsearch.domains import ExplicitGraph
+from parsearch.engine import EngineConfig
+from parsearch.engine.hda import HDAStar
+
+g = ExplicitGraph([("s", "a", 1), ("a", "t", 1)], "s", {"t"})
+
+def plant(engine):
+    engine.transport.boxes[0].append(("W", 1, 0, [("s", 0.0, None)]))
+
+print("debug:", __debug__)
+try:
+    HDAStar(g, EngineConfig(workers=2, seed=1), on_detect_pass=plant).run()
+except SearchInvariantError as exc:
+    print("raised:", exc)
+else:
+    print("not raised")
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "debug: False" in out.stdout
+        assert "raised: premature termination" in out.stdout
 
     def test_missorder_forces_reopen_and_stays_optimal(self):
         g = missorder_graph()
