@@ -46,7 +46,7 @@ class PinnedOwners:
     def key(self, state):
         return self.assign[state]
 
-    def owner(self, state, p, rng=None):
+    def owner(self, state, p, rng=None, key=None):
         return self.assign[state] % p
 
 

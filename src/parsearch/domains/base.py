@@ -4,6 +4,12 @@ A problem exposes an initial state, a goal predicate, a successor function
 with nonnegative edge costs, an admissible heuristic, and a feature view of
 each state used by the hashing strategies. States must be hashable and
 immutable; the feature list of a state identifies it uniquely.
+
+A domain whose moves change few of many features may also define the
+optional hook `feature_delta(parent, child)`: the features removed from and
+added to the parent's feature multiset by the move, whose Zobrist bit strings
+xor the parent's key into the child's. Tile puzzles define it; domains with
+only a few features per state do not, as a full recompute is cheaper there.
 """
 
 from __future__ import annotations

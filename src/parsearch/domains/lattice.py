@@ -52,7 +52,7 @@ class LatticeProblem:
         return 0.0
 
     def features(self, state: tuple[int, ...]) -> list[Feature]:
-        return [(i, x) for i, x in enumerate(state)]
+        return list(enumerate(state))
 
     def canonical_bytes(self, state: tuple[int, ...]) -> bytes:
         return b"".join(x.to_bytes(4, "little") for x in state)

@@ -78,6 +78,18 @@ class TilePuzzle:
     def canonical_bytes(self, state: tuple[int, ...]) -> bytes:
         return bytes(state)
 
+    def feature_delta(
+        self, parent: tuple[int, ...], child: tuple[int, ...]
+    ) -> tuple[Feature, ...]:
+        """Features to xor out of and into the parent's key for one move.
+
+        The blank moves from cell b to cell j and tile t from j to b.
+        """
+        b = parent.index(0)
+        j = child.index(0)
+        t = parent[j]
+        return ((b, 0), (j, t), (b, t), (j, 0))
+
     # Hooks used by the hashing strategies.
 
     def abstraction_features(self, state: tuple[int, ...]) -> list[Feature]:

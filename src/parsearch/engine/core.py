@@ -118,7 +118,8 @@ class Engine:
 
 
 # Message envelopes: ("W", src, stamp, batch) with batch a list of
-# (state, g, parent) triplets, or ("C", ControlMessage).
+# (state, g, parent, key) work triplets, key being the state's hash key
+# (or None when the strategy needs none), or ("C", ControlMessage).
 
 
 class DirectTransport:

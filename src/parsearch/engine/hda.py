@@ -3,6 +3,9 @@
 Every generated state is routed to the worker that owns it under the
 configured hash strategy; the owner alone inserts it, detects duplicates,
 and may reopen it from its closed list when a cheaper path arrives later.
+A state's hash key is derived from its parent's key once, when the state is
+generated, and travels with it: in the (state, g, parent, key) work
+triplet and in the owner's open list.
 Sends are non-blocking and batched per destination; termination is proved
 by message counting (see `parsearch.termination`).
 """
@@ -93,6 +96,11 @@ class HDAStar(Engine):
                 self.config.strategy_config,
             )
         self.strategy = strategy
+        # Strategies defined outside parsearch.hashing may lack child_key;
+        # their keys are recomputed per successor.
+        self._child_key = getattr(strategy, "child_key", None) or (
+            lambda parent, parent_key, child: strategy.key(child)
+        )
         self.policy = policy
         self.on_detect_pass = on_detect_pass
         if self.config.execution == "interleaved":
@@ -108,8 +116,9 @@ class HDAStar(Engine):
         self.last_detect_time = 0.0
         seed_rng = random.Random(self.config.seed ^ 0x5EED)
         root = problem.initial
-        owner = self.workers[self.strategy.owner(root, self.p, seed_rng)]
-        owner.table.insert(root, 0.0, None, owner.stats)
+        key = self.strategy.key(root)
+        owner = self.workers[self.strategy.owner(root, self.p, seed_rng, key)]
+        owner.table.insert(root, 0.0, None, owner.stats, key)
 
     # -- runner interface ----------------------------------------------------
 
@@ -173,42 +182,45 @@ class HDAStar(Engine):
 
     # -- search mechanics ----------------------------------------------------
 
-    def _insert(self, worker: _Worker, state, g1: float, parent) -> None:
-        if self.strategy.deterministic:
-            assert self.strategy.owner(state, self.p) == worker.id, (
-                "state inserted at a non-owner worker"
-            )
-        worker.table.insert(state, g1, parent, worker.stats)
-
     def _receive_work(self, worker: _Worker, item) -> None:
         _, _src, stamp, batch = item
         self._work_since_detect = True
+        stats = worker.stats
         worker.received_msgs += 1
-        worker.stats.received_batches += 1
-        worker.stats.received += len(batch)
+        stats.received_batches += 1
+        stats.received += len(batch)
         if stamp > worker.max_received_stamp:
             worker.max_received_stamp = stamp
-        for state, g1, parent in batch:
-            self._insert(worker, state, g1, parent)
+        strategy = self.strategy
+        owner = strategy.owner if strategy.deterministic else None
+        insert = worker.table.insert
+        for state, g1, parent, key in batch:
+            if owner is not None and owner(state, self.p, None, key) != worker.id:
+                raise SearchInvariantError("state delivered to a non-owner worker")
+            insert(state, g1, parent, stats, key)
 
     def _expand(self, worker: _Worker) -> None:
         stats = worker.stats
-        state, g, h = worker.table.pop(stats)
+        table = worker.table
+        state, g, h, key = table.pop(stats)
         self._work_since_detect = True
         if worker.trace is not None:
             worker.trace.append((state, g, g + h))
         if self.problem.is_goal(state):
             self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
+        child_key = self._child_key
+        owner_of = self.strategy.owner
         for succ, cost in self.problem.expand(state):
             stats.generated += 1
             g1 = g + cost
-            owner = self.strategy.owner(succ, self.p, worker.rng)
+            k = child_key(state, key, succ)
+            owner = owner_of(succ, self.p, worker.rng, k)
             if owner == worker.id:
-                self._insert(worker, succ, g1, state)
+                table.insert(succ, g1, state, stats, k)
             else:
                 buf = worker.out[owner]
-                buf.append((succ, g1, state))
+                buf.append((succ, g1, state, k))
                 if len(buf) >= batch_size:
                     self._flush(worker, owner)
 
@@ -301,7 +313,8 @@ class HDAStar(Engine):
         for item in items:
             if item[0] != "W":
                 continue
-            for state, g1, parent in item[3]:
+            for triplet in item[3]:
+                state, g1 = triplet[0], triplet[1]
                 if g1 + self.problem.h(state) < bound:
                     bad.append((state, g1))
         for worker in self.workers:

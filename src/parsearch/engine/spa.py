@@ -55,7 +55,7 @@ class SPAStar(Engine):
                     self._stopped = True
                 return False
             self.idle[w] = False
-            state, g, h = table.pop(stats)
+            state, g, h, _ = table.pop(stats)
         if self.traces is not None:
             self.traces[w].append((state, g, g + h))
         if self.problem.is_goal(state):

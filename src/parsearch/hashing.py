@@ -4,6 +4,13 @@ Available strategies: Zobrist, abstract Zobrist (Zobrist over projected
 features), multiplicative, abstraction-based, hyperplane (lattices only),
 and random. Keys are 64-bit; duplicate detection always compares full
 states, never keys alone.
+
+Keys are carried, not cached: `child_key(parent, parent_key, child)`
+derives a successor's key from its parent's, and `owner(state, p, rng,
+key)` routes with that key. Zobrist and abstract Zobrist update the parent's
+key incrementally when the domain has a `feature_delta(parent, child)` hook;
+every other strategy, and every domain without the hook, recomputes the key
+from the child's features. No strategy keeps memory per state.
 """
 
 from __future__ import annotations
@@ -50,40 +57,41 @@ def _stable_mix(acc: int, obj) -> int:
     raise ConfigError(f"feature component {obj!r} has no stable encoding")
 
 
-class ZobristTable:
+class ZobristTable(dict):
     """Feature -> preinitialized 64-bit random bit string.
 
     Entries are derived deterministically from the seed by a counter-based
-    generator, so the table never depends on insertion order. Passing an
-    explicit feature universe freezes the table: looking up a feature
-    outside it is a configuration error.
+    generator, so the table never depends on insertion order; `table[f]`
+    fills a missing entry on first use. Passing an explicit feature universe
+    freezes the table: looking up a feature outside it is a configuration
+    error.
     """
 
     def __init__(self, seed: int = 42, universe: Iterable[Feature] | None = None):
+        super().__init__()
         self.seed = seed
         self._base = splitmix64(seed & MASK64)
-        self._cache: dict = {}
         self._frozen = False
         if universe is not None:
             for f in universe:
-                self._cache[f] = splitmix64(_stable_mix(self._base, f))
+                self[f]  # filled by __missing__
             self._frozen = True
 
-    def bits(self, feature: Feature) -> int:
-        entry = self._cache.get(feature)
-        if entry is None:
-            if self._frozen:
-                raise ConfigError(f"unknown feature {feature!r}")
-            entry = splitmix64(_stable_mix(self._base, feature))
-            self._cache[feature] = entry
+    def __missing__(self, feature: Feature) -> int:
+        if self._frozen:
+            raise ConfigError(f"unknown feature {feature!r}")
+        entry = splitmix64(_stable_mix(self._base, feature))
+        self[feature] = entry
         return entry
+
+    bits = dict.__getitem__
 
 
 def zobrist_key(table: ZobristTable, features: Iterable[Feature]) -> int:
     """xor of the table's bit strings over the feature list."""
     key = 0
     for f in features:
-        key ^= table.bits(f)
+        key ^= table[f]
     return key
 
 
@@ -95,9 +103,9 @@ def zobrist_update(
 ) -> int:
     """Incremental key after a move; equals a full recompute."""
     for f in removed:
-        key ^= table.bits(f)
+        key ^= table[f]
     for f in added:
-        key ^= table.bits(f)
+        key ^= table[f]
     return key
 
 
@@ -112,10 +120,10 @@ def azh_key(
     key = 0
     if callable(projection):
         for f in features:
-            key ^= table.bits(projection(f))
+            key ^= table[projection(f)]
     else:
         for f in features:
-            key ^= table.bits(projection[f])
+            key ^= table[projection[f]]
     return key
 
 
@@ -164,7 +172,11 @@ def hyperplane_plane(coords: tuple[int, ...], d, zkey: int) -> int:
     Integer d: floor(sum(x)/d). Unit-fraction d = 1/m: m*sum(x) + (Z mod m),
     which interleaves m Zobrist-selected sub-planes per coordinate sum.
     """
-    d = normalize_thickness(d)
+    return _plane(coords, normalize_thickness(d), zkey)
+
+
+def _plane(coords: tuple[int, ...], d: int | Fraction, zkey: int | None) -> int:
+    """hyperplane_plane for an already normalized d; integer d ignores zkey."""
     total = sum(coords)
     if isinstance(d, int):
         return total // d
@@ -188,31 +200,56 @@ def hyperplane_fanout_bound(n: int, d) -> int:
 # --- strategy objects -------------------------------------------------------
 
 
-class ZobristStrategy:
-    name = "zobrist"
+class Strategy:
+    """Defaults shared by the strategy objects.
+
+    A strategy defines `key(state)`. `child_key` derives a successor's key
+    (here: a full recompute) and `owner` maps a state to a worker in
+    [0, p), using `key` when the caller passes one. `rng` is drawn from only
+    by non-deterministic strategies.
+    """
+
     deterministic = True
+
+    def child_key(self, parent: State, parent_key, child: State):
+        return self.key(child)
+
+    def owner(self, state: State, p: int, rng=None, key=None) -> int:
+        if key is None:
+            key = self.key(state)
+        return key % p
+
+
+class ZobristStrategy(Strategy):
+    name = "zobrist"
 
     def __init__(self, problem: SearchProblem, seed: int = 42):
         self.problem = problem
         self.table = ZobristTable(seed)
-        self._cache: dict = {}
+        self._features = problem.features
+        self._delta = getattr(problem, "feature_delta", None)
 
     def key(self, state: State) -> int:
-        k = self._cache.get(state)
-        if k is None:
-            k = zobrist_key(self.table, self.problem.features(state))
-            self._cache[state] = k
-        return k
+        return zobrist_key(self.table, self._features(state))
 
-    def owner(self, state: State, p: int, rng=None) -> int:
-        return self.key(state) % p
+    def child_key(self, parent: State, parent_key: int, child: State) -> int:
+        # Inlined loops: this runs once per generated state.
+        table = self.table
+        delta = self._delta
+        if delta is None:
+            key = 0
+            for f in self._features(child):
+                key ^= table[f]
+            return key
+        for f in delta(parent, child):
+            parent_key ^= table[f]
+        return parent_key
 
 
-class AbstractZobristStrategy:
+class AbstractZobristStrategy(Strategy):
     """Zobrist over projected features: trades balance for locality."""
 
     name = "azh"
-    deterministic = True
 
     def __init__(
         self,
@@ -225,24 +262,24 @@ class AbstractZobristStrategy:
         if projection is None and hasattr(problem, "default_projection"):
             projection = problem.default_projection()
         self.projection = projection  # None means identity
-        self._cache: dict = {}
+        self._delta = getattr(problem, "feature_delta", None)
 
     def key(self, state: State) -> int:
-        k = self._cache.get(state)
-        if k is None:
-            k = azh_key(self.table, self.projection, self.problem.features(state))
-            self._cache[state] = k
-        return k
+        return azh_key(self.table, self.projection, self.problem.features(state))
 
-    def owner(self, state: State, p: int, rng=None) -> int:
-        return self.key(state) % p
+    def child_key(self, parent: State, parent_key: int, child: State) -> int:
+        if self._delta is None:
+            return self.key(child)
+        # Projection commutes with xor: project only the changed features.
+        return parent_key ^ azh_key(
+            self.table, self.projection, self._delta(parent, child)
+        )
 
 
-class MultiplicativeStrategy:
+class MultiplicativeStrategy(Strategy):
     """Golden-ratio multiplicative hash over a folded state key."""
 
     name = "mult"
-    deterministic = True
 
     def __init__(self, problem: SearchProblem, a: float = GOLDEN_FRAC):
         self.problem = problem
@@ -251,11 +288,13 @@ class MultiplicativeStrategy:
     def key(self, state: State) -> int:
         return fold_key(self.problem.canonical_bytes(state))
 
-    def owner(self, state: State, p: int, rng=None) -> int:
-        return mult_owner(self.key(state), p, self.a)
+    def owner(self, state: State, p: int, rng=None, key=None) -> int:
+        if key is None:
+            key = self.key(state)
+        return mult_owner(key, p, self.a)
 
 
-class AbstractionStrategy:
+class AbstractionStrategy(Strategy):
     """Owner from the Zobrist key of the state's abstract projection.
 
     Any two states with the same abstract state share an owner. Domains
@@ -264,30 +303,20 @@ class AbstractionStrategy:
     """
 
     name = "abstraction"
-    deterministic = True
 
     def __init__(self, problem: SearchProblem, seed: int = 42):
         self.problem = problem
         self.table = ZobristTable(seed)
         self._abstract = getattr(problem, "abstraction_features", problem.features)
-        self._cache: dict = {}
 
     def key(self, state: State) -> int:
-        k = self._cache.get(state)
-        if k is None:
-            k = zobrist_key(self.table, self._abstract(state))
-            self._cache[state] = k
-        return k
-
-    def owner(self, state: State, p: int, rng=None) -> int:
-        return self.key(state) % p
+        return zobrist_key(self.table, self._abstract(state))
 
 
-class HyperplaneStrategy:
+class HyperplaneStrategy(Strategy):
     """Lattice-only owner function bounding each state's successor fan-out."""
 
     name = "hyperplane"
-    deterministic = True
 
     def __init__(self, problem: SearchProblem, d=1, seed: int = 42):
         initial = problem.initial
@@ -305,11 +334,20 @@ class HyperplaneStrategy:
     def key(self, state: State) -> int:
         return zobrist_key(self.table, self.problem.features(state))
 
-    def owner(self, state: State, p: int, rng=None) -> int:
-        return hyperplane_owner(state, self.d, p, self.key(state))
+    def child_key(self, parent: State, parent_key, child: State):
+        # An integer-thickness plane depends on the coordinate sum alone.
+        return None if isinstance(self.d, int) else self.key(child)
+
+    def owner(self, state: State, p: int, rng=None, key=None) -> int:
+        if p < 1:
+            raise ConfigError("worker count must be >= 1")
+        d = self.d
+        if key is None and not isinstance(d, int):
+            key = self.key(state)
+        return _plane(state, d, key) % p
 
 
-class RandomStrategy:
+class RandomStrategy(Strategy):
     """Uniform random owner per send; duplicates may land anywhere."""
 
     name = "random"
@@ -322,7 +360,10 @@ class RandomStrategy:
     def key(self, state: State) -> int:
         return fold_key(self.problem.canonical_bytes(state))
 
-    def owner(self, state: State, p: int, rng=None) -> int:
+    def child_key(self, parent: State, parent_key, child: State) -> None:
+        return None  # the owner is drawn, never derived from a key
+
+    def owner(self, state: State, p: int, rng=None, key=None) -> int:
         if p < 1:
             raise ConfigError("worker count must be >= 1")
         return (rng or self._fallback).randrange(p)

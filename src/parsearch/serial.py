@@ -80,13 +80,15 @@ class Solution:
 class NodeTable:
     """Open and closed lists of one best-first search.
 
-    `open` maps state -> (g, parent, h) and `closed` maps state -> (g,
-    parent); a state sits in at most one of them. The open list is a lazy
-    binary heap of (g + weight*h, -g, insertion sequence, state) entries
-    (plain h for weight=inf): ties on priority prefer the larger g,
-    remaining ties are FIFO, and entries superseded by a cheaper insert are
-    skipped when they surface. A g-value that matches the stored one within
-    EPS counts as a duplicate, never as an improvement.
+    `open` maps state -> (g, parent, h, key) and `closed` maps state -> (g,
+    parent); a state sits in at most one of them. `key` is an opaque value
+    the caller passes to `insert` and gets back from `pop` (HDA* workers
+    carry the state's hash key in it); the table never reads it. The open
+    list is a lazy binary heap of (g + weight*h, -g, insertion sequence,
+    state) entries (plain h for weight=inf): ties on priority prefer the
+    larger g, remaining ties are FIFO, and entries superseded by a cheaper
+    insert are skipped when they surface. A g-value that matches the stored
+    one within EPS counts as a duplicate, never as an improvement.
     """
 
     def __init__(
@@ -105,7 +107,9 @@ class NodeTable:
         self.heap: list = []
         self.seq = 0
 
-    def insert(self, state: State, g: float, parent, stats: SearchStats) -> None:
+    def insert(
+        self, state: State, g: float, parent, stats: SearchStats, key=None
+    ) -> None:
         """Record a path of cost g to `state` via `parent`.
 
         A new state is opened; a cheaper path reopens a closed state or
@@ -130,7 +134,7 @@ class NodeTable:
             else:
                 stats.duplicates += 1
                 return
-        open_tbl[state] = (g, parent, h)
+        open_tbl[state] = (g, parent, h, key)
         weight = self.weight
         priority = h if weight == INF else g + weight * h
         heappush(self.heap, (priority, -g, self.seq, state))
@@ -144,7 +148,7 @@ class NodeTable:
     def pop(self, stats: SearchStats):
         """Close the best open entry and count its expansion.
 
-        Returns (state, g, h), or None when the open list is empty.
+        Returns (state, g, h, key), or None when the open list is empty.
         """
         heap = self.heap
         open_tbl = self.open
@@ -152,12 +156,12 @@ class NodeTable:
             _, neg_g, _, state = heappop(heap)
             entry = open_tbl.get(state)
             if entry is not None and entry[0] == -neg_g:
-                g, parent, h = entry
+                g, parent, h, key = entry
                 del open_tbl[state]
                 self.closed[state] = (g, parent)
                 stats.expanded += 1
                 stats.expanded_f.append(g + h)
-                return state, g, h
+                return state, g, h, key
         return None
 
     def min_f(self) -> float:
@@ -237,7 +241,7 @@ class BestFirstSearch:
         node = self.table.pop(stats)
         if node is None:
             return False
-        state, g, h = node
+        state, g, h, _ = node
         if self.trace is not None:
             self.trace.append((state, g, g + h))
         if self.problem.is_goal(state):

@@ -64,7 +64,7 @@ class MappedStrategy:
     def key(self, state):
         return self.assign[state]
 
-    def owner(self, state, p, rng=None):
+    def owner(self, state, p, rng=None, key=None):
         return self.assign[state] % p
 
 
@@ -170,6 +170,95 @@ else:
         assert out.returncode == 0, out.stderr
         assert "debug: False" in out.stdout
         assert "raised: premature termination" in out.stdout
+
+    def test_non_owner_delivery_raises_under_optimized_python(self):
+        # A triplet planted in a non-owner's mailbox must be refused on
+        # receipt, also under -O, which strips assert statements.
+        script = """
+from parsearch.common import SearchInvariantError
+from parsearch.domains import TilePuzzle, random_scramble
+from parsearch.engine import EngineConfig
+from parsearch.engine.hda import HDAStar
+
+puzzle = TilePuzzle(random_scramble(3, 12, 1))
+engine = HDAStar(puzzle, EngineConfig(workers=2, seed=1))
+state = puzzle.expand(puzzle.initial)[0][0]
+key = engine.strategy.key(state)
+wrong = 1 - engine.strategy.owner(state, 2)
+engine.transport.boxes[wrong].append(
+    ("W", 1 - wrong, 0, [(state, 1.0, puzzle.initial, key)])
+)
+print("debug:", __debug__)
+try:
+    engine.step(wrong)
+except SearchInvariantError as exc:
+    print("raised:", exc)
+else:
+    print("not raised")
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "debug: False" in out.stdout
+        assert "raised: state delivered to a non-owner worker" in out.stdout
+
+    def test_carried_keys_equal_recomputed_keys(self):
+        from parsearch.domains import LatticeProblem
+
+        lattice = LatticeProblem((4, 5, 3))
+        problems = [
+            TilePuzzle(random_solvable(3, 5)),
+            TilePuzzle(random_scramble(4, 30, 2)),
+            lattice,
+        ]
+        runs = [(p, t, {}) for p in problems for t in ("zobrist", "azh", "mult")]
+        runs.append((lattice, "hyperplane", {"d": "1/2"}))
+        for problem, token, strategy_config in runs:
+            cfg = EngineConfig(
+                workers=4, strategy=token, seed=6, strategy_config=strategy_config
+            )
+            eng = HDAStar(problem, cfg)
+            key = eng.strategy.key
+            sent = []
+            send = eng.transport.send
+
+            def record(src, dst, item, send=send):
+                if item[0] == "W":
+                    sent.extend(item[3])
+                send(src, dst, item)
+
+            eng.transport.send = record
+            sol = eng.run()
+            assert sol.cost == astar(problem).cost
+            assert sent, token
+            for state, _g, _parent, k in sent:
+                assert k == key(state), (token, state)
+            entries = [e for w in eng.workers for e in w.table.open.items()]
+            for state, (_g, _parent, _h, k) in entries:
+                assert k == key(state), (token, state)
+
+    def test_strategies_keep_no_per_state_memory(self):
+        p = TilePuzzle(random_scramble(4, 30, 4))
+        for token in ("zobrist", "azh", "mult", "abstraction", "random"):
+            eng = HDAStar(p, EngineConfig(workers=4, strategy=token, seed=2))
+            eng.run()
+            seen = set()
+            for w in eng.workers:
+                seen.update(w.table.open)
+                seen.update(w.table.closed)
+            strategy = eng.strategy
+            for name, value in vars(strategy).items():
+                if isinstance(value, (dict, set)):
+                    assert not any(k in seen for k in value), (token, name)
+            table = getattr(strategy, "table", None)
+            if table is not None:
+                assert len(table) <= 16 * 16, token
 
     def test_missorder_forces_reopen_and_stays_optimal(self):
         g = missorder_graph()

@@ -91,6 +91,18 @@ class TestZobrist:
             assert key == zobrist_key(t, p.features(succ))
             state = succ
 
+    def test_tile_feature_delta_equals_full_recompute(self):
+        p = TilePuzzle(goal_state(4))
+        t = ZobristTable(42)
+        rng = random.Random(10)
+        state = random_solvable(4, rng)
+        key = zobrist_key(t, p.features(state))
+        for _ in range(10_000):
+            succ = rng.choice(p.expand(state))[0]
+            key ^= zobrist_key(t, p.feature_delta(state, succ))
+            assert key == zobrist_key(t, p.features(succ))
+            state = succ
+
 
 class TestAbstractZobrist:
     def test_identity_projection_degenerates_to_zobrist(self):
@@ -157,6 +169,16 @@ class TestHyperplane:
         for s in p.all_states():
             owners = {strat.owner(t, 64) for t, _ in p.expand(s)}
             assert len(owners) <= hyperplane_fanout_bound(2, 1)
+
+    def test_integer_thickness_needs_no_key(self):
+        lattice = LatticeProblem((4, 4, 4))
+        for d in (1, 2):
+            strat = HyperplaneStrategy(lattice, d=d)
+            for s in lattice.all_states():
+                for t, _ in lattice.expand(s):
+                    assert strat.child_key(s, None, t) is None
+                assert strat.owner(s, 7) == hyperplane_owner(s, d, 7, zkey=0)
+            assert len(strat.table) == 0
 
     def test_fractional_thickness_parsing(self):
         strat = HyperplaneStrategy(LatticeProblem((3, 3)), d="1/3")
