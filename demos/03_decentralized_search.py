@@ -14,6 +14,7 @@ the final cost is still optimal.
 from parsearch.domains import TilePuzzle, missorder_graph, random_solvable
 from parsearch.engine import EagerWorkerPolicy, EngineConfig
 from parsearch.engine.hda import HDAStar, hdastar
+from parsearch.hashing import Strategy
 from parsearch.metrics import efficiency_fraction, overheads
 from parsearch.serial import astar
 
@@ -36,9 +37,8 @@ print()
 print("Expansion misordering (4-node digraph, h==0):")
 
 
-class PinnedOwners:
+class PinnedOwners(Strategy):
     name = "pinned"
-    deterministic = True
 
     def __init__(self, assign):
         self.assign = assign

@@ -6,10 +6,9 @@ Subcommands:
   iasim   iterative-allocation cost simulation (CSV)
 
 Exit codes: 0 solved, 1 unsolvable, 2 resource limit exceeded, 3 usage or
-input error. Engines run on the deterministic interleaved substrate by
-default so that every counter in the output is reproducible for a fixed
-seed; pass --threads for real OS threads (wall-clock oriented, counters not
-reproducible). PARSEARCH_SEED overrides the default seed.
+input error. Engines run on the deterministic interleaved substrate, so
+every counter in the output is reproducible for a fixed seed.
+PARSEARCH_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ def build_problem(args) -> tuple[object, str]:
 def run_algorithm(problem, args):
     """Dispatch one run; returns a Solution."""
     algo = args.algo
-    execution = "threaded" if args.threads else "interleaved"
     if algo == "astar":
         return astar(problem, node_limit=args.node_limit)
     if algo == "ucs":
@@ -153,7 +151,7 @@ def run_algorithm(problem, args):
             INF if w.strip() in ("inf", "infinity") else float(w)
             for w in args.weights.split(",")
         ]
-        return dovetail(problem, weights, execution, args.node_limit)
+        return dovetail(problem, weights, node_limit=args.node_limit)
     if algo not in PARALLEL_ENGINES:
         raise ConfigError(f"unknown algorithm {algo!r}")
     config = EngineConfig(
@@ -163,7 +161,6 @@ def run_algorithm(problem, args):
         seed=args.seed,
         node_limit=args.node_limit,
         termination=args.termination,
-        execution=execution,
         strategy_config=args.hash_config_data,
     )
     return PARALLEL_ENGINES[algo](problem, config)
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--termination", default="two-wave", choices=["two-wave", "time"])
     solve.add_argument("--node-limit", type=int, default=10_000_000)
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--threads", action="store_true", help="real OS threads")
     solve.add_argument("--out", help="write run record JSON here")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")

@@ -1,21 +1,18 @@
-"""Shared engine machinery: config, incumbent cell, transports, runners.
+"""Shared engine machinery: config, incumbent cell, transport, driver.
 
-Every engine (SPA*, HDA*, parallel window) runs on one of two substrates
-with identical step logic:
-
-* interleaved (default): `run_interleaved`, the one seeded driver shared by
-  all engines, picks one action per tick (step a runnable worker, or
-  deliver one in-flight message of an engine with a transport) from a
-  seeded policy. Runs are fully deterministic and message delivery can be
-  made adversarial, which the termination tests rely on.
-* threaded: one OS thread per worker, immediate message delivery through
-  thread-safe mailboxes. Wall-clock oriented; counters are not reproducible.
+Every engine (SPA*, HDA*, parallel window) defines `runnable(w)` and
+`step(w)` and runs on one substrate: `run_interleaved`, a seeded driver that
+picks one action per tick (step a runnable worker, or deliver one in-flight
+message of an engine with a `ChannelTransport`) from a schedule policy. A
+step runs to completion before the next action, so it is atomic with
+respect to every other worker and no engine state needs a lock. Runs are
+fully deterministic, and message delivery can be made adversarial, which
+the termination tests rely on.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,12 +34,8 @@ class EngineConfig:
     seed: int = 42
     node_limit: int = DEFAULT_NODE_LIMIT
     termination: str = "two-wave"  # "two-wave" | "time"
-    execution: str = "interleaved"  # "interleaved" | "threaded"
     record_trace: bool = False
-    flush_interval: float = 0.001  # threaded: flush partial batches (s)
-    detection_interval: float = 0.0005  # threaded: min gap between checks (s)
-    max_ticks: int | None = None  # interleaved: safety valve
-    burst: int = 16  # interleaved: expansions per scheduler tick
+    burst: int = 16  # HDA*: expansions per scheduler tick
     strategy_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -54,8 +47,6 @@ class EngineConfig:
             raise ConfigError("batch size must be >= 1")
         if self.termination not in ("two-wave", "time"):
             raise ConfigError("termination must be 'two-wave' or 'time'")
-        if self.execution not in ("interleaved", "threaded"):
-            raise ConfigError("execution must be 'interleaved' or 'threaded'")
         if self.burst < 1:
             raise ConfigError("burst must be >= 1")
 
@@ -66,23 +57,21 @@ class Incumbent:
     def __init__(self):
         self.cost = INF
         self.state = None
-        self._lock = threading.Lock()
 
     def offer(self, cost: float, state) -> bool:
-        with self._lock:
-            if cost < self.cost:
-                self.cost = cost
-                self.state = state
-                return True
-            return False
+        if cost < self.cost:
+            self.cost = cost
+            self.state = state
+            return True
+        return False
 
 
 class Engine:
     """Runner interface shared by the multi-worker engines.
 
-    Subclasses define runnable(w) and step(w); a step returns whether the
-    worker did anything. Setting _stopped ends the run. Engines whose
-    workers exchange messages also set transport.
+    Subclasses define step(w), which returns whether the worker did
+    anything, and may narrow runnable(w). Setting finished ends the run.
+    Engines whose workers exchange messages also set transport.
     """
 
     transport = None
@@ -91,48 +80,24 @@ class Engine:
         self.problem = problem
         self.config = config or EngineConfig()
         self.p = self.config.workers
-        self._stopped = False
-        self._aborted = False
+        self.finished = False
 
-    @property
-    def finished(self) -> bool:
-        return self._stopped or self._aborted
-
-    def abort(self) -> None:
-        self._aborted = True
+    def runnable(self, w: int) -> bool:
+        return True
 
     def drive(self, policy=None):
-        """Run to the end on the configured substrate.
+        """Run to the end on the interleaved driver.
 
-        Returns (interleaved ticks, or None when threaded; wall seconds).
+        Returns (scheduler ticks, wall seconds).
         """
         start = time.perf_counter()
-        if self.config.execution == "threaded":
-            run_threaded(self)
-            ticks = None
-        else:
-            ticks = run_interleaved(
-                self, self.config.seed, policy, self.config.max_ticks
-            )
+        ticks = run_interleaved(self, self.config.seed, policy)
         return ticks, time.perf_counter() - start
 
 
 # Message envelopes: ("W", src, stamp, batch) with batch a list of
 # (state, g, parent, key) work triplets, key being the state's hash key
 # (or None when the strategy needs none), or ("C", ControlMessage).
-
-
-class DirectTransport:
-    """Immediate delivery into per-worker mailboxes (threaded mode)."""
-
-    def __init__(self, p: int):
-        self.boxes = [deque() for _ in range(p)]
-
-    def send(self, src: int, dst: int, item) -> None:
-        self.boxes[dst].append(item)
-
-    def in_flight_items(self):
-        return []
 
 
 class ChannelTransport:
@@ -206,11 +171,11 @@ class EagerWorkerPolicy:
         return min(delivers)
 
 
-def run_interleaved(engine, seed: int, policy=None, max_ticks: int | None = None):
+def run_interleaved(engine, seed: int, policy=None):
     """Drive an engine's workers step by step from a seeded schedule.
 
     The engine is an Engine whose transport, if any, is a ChannelTransport.
-    Raises RuntimeError on stall or tick exhaustion.
+    Raises RuntimeError on a stall.
     """
     policy = policy or SchedulePolicy(seed)
     transport = engine.transport
@@ -232,31 +197,4 @@ def run_interleaved(engine, seed: int, policy=None, max_ticks: int | None = None
         else:
             transport.deliver(arg)
         ticks += 1
-        if max_ticks is not None and ticks > max_ticks:
-            raise RuntimeError(f"interleaver exceeded {max_ticks} ticks")
     return ticks
-
-
-def run_threaded(engine, idle_sleep: float = 0.0002):
-    """One OS thread per worker; loops step(w) until the engine finishes."""
-    errors: list[BaseException] = []
-
-    def loop(w: int) -> None:
-        try:
-            while not engine.finished:
-                if not engine.step(w):
-                    time.sleep(idle_sleep)
-        except BaseException as exc:  # propagate OOM etc. to the caller
-            errors.append(exc)
-            engine.abort()
-
-    threads = [
-        threading.Thread(target=loop, args=(w,), daemon=True)
-        for w in range(engine.p)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]

@@ -1,13 +1,13 @@
 """Dovetailing portfolio: weighted A* under several weights at once.
 
-Each weight runs on its own worker with no information exchange; the first
-search to return a solution wins and cancels the rest. The result carries
+Each weight runs as its own searcher, with no information exchange; the
+searchers take one expansion each in turn, and the first to return a
+solution wins and cancels the rest. The result carries
 the winning weight and is optimal only when that weight is 1.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from parsearch.common import INF, ConfigError
@@ -26,7 +26,7 @@ DEFAULT_WEIGHTS = (1.0, 1.5, 2.0, 3.0, INF)
 def dovetail(
     problem: SearchProblem,
     weights=DEFAULT_WEIGHTS,
-    execution: str = "interleaved",
+    *,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> Solution:
     weights = tuple(weights)
@@ -37,10 +37,7 @@ def dovetail(
             raise ConfigError("weights must be >= 1 (or inf)")
     start = time.perf_counter()
     searchers = [BestFirstSearch(problem, w, node_limit) for w in weights]
-    if execution == "threaded":
-        winner_idx = _race_threaded(searchers)
-    else:
-        winner_idx = _race_interleaved(searchers)
+    winner_idx = _race_interleaved(searchers)
     wall = time.perf_counter() - start
     per_worker = [s.stats for s in searchers]
     stats = merge_stats(per_worker)
@@ -81,36 +78,3 @@ def _race_interleaved(searchers) -> int | None:
                     return idx
                 active.remove(idx)  # exhausted without a solution
     return None
-
-
-def _race_threaded(searchers) -> int | None:
-    done = threading.Event()
-    results: list[int] = []
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-
-    def loop(idx: int) -> None:
-        s = searchers[idx]
-        try:
-            while not done.is_set():
-                if not s.step():
-                    if s.goal_cost < INF:
-                        with lock:
-                            results.append(idx)
-                        done.set()
-                    return
-        except BaseException as exc:
-            errors.append(exc)
-            done.set()
-
-    threads = [
-        threading.Thread(target=loop, args=(i,), daemon=True)
-        for i in range(len(searchers))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors and not results:
-        raise errors[0]
-    return results[0] if results else None

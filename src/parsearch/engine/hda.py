@@ -13,13 +13,11 @@ by message counting (see `parsearch.termination`).
 from __future__ import annotations
 
 import random
-import time
 
 from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem, validate_path
 from parsearch.engine.core import (
     ChannelTransport,
-    DirectTransport,
     Engine,
     EngineConfig,
     Incumbent,
@@ -59,7 +57,6 @@ class _Worker:
         self.stats = SearchStats()
         self.rng = random.Random(engine.config.seed * 1_000_003 + wid)
         self.trace: list | None = [] if engine.config.record_trace else None
-        self.last_flush = time.monotonic()
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -77,7 +74,11 @@ class _Worker:
 
 
 class HDAStar(Engine):
-    """Decentralized A* engine (Algorithm: drain mailbox, then expand)."""
+    """Decentralized A* engine (Algorithm: drain mailbox, then expand).
+
+    The work distribution is the configured strategy token, or an explicit
+    `strategy` object; a custom strategy subclasses `hashing.Strategy`.
+    """
 
     def __init__(
         self,
@@ -96,24 +97,15 @@ class HDAStar(Engine):
                 self.config.strategy_config,
             )
         self.strategy = strategy
-        # Strategies defined outside parsearch.hashing may lack child_key;
-        # their keys are recomputed per successor.
-        self._child_key = getattr(strategy, "child_key", None) or (
-            lambda parent, parent_key, child: strategy.key(child)
-        )
         self.policy = policy
         self.on_detect_pass = on_detect_pass
-        if self.config.execution == "interleaved":
-            self.transport = ChannelTransport(self.p)
-        else:
-            self.transport = DirectTransport(self.p)
+        self.transport = ChannelTransport(self.p)
         self.incumbent = Incumbent()
         self.workers = [_Worker(w, self) for w in range(self.p)]
         self.detect_in_flight = False
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
         self.waves = 0  # wave/ring traversals launched
-        self.last_detect_time = 0.0
         seed_rng = random.Random(self.config.seed ^ 0x5EED)
         root = problem.initial
         key = self.strategy.key(root)
@@ -123,8 +115,6 @@ class HDAStar(Engine):
     # -- runner interface ----------------------------------------------------
 
     def runnable(self, w: int) -> bool:
-        if self.finished:
-            return False
         if self.transport.boxes[w]:
             return True
         worker = self.workers[w]
@@ -141,8 +131,6 @@ class HDAStar(Engine):
 
     def step(self, w: int) -> bool:
         """One loop iteration of worker w: drain mailbox fully, then expand."""
-        if self.finished:
-            return False
         worker = self.workers[w]
         did = False
         box = self.transport.boxes[w]
@@ -155,24 +143,16 @@ class HDAStar(Engine):
                 self._handle_control(worker, item[1])
             if self.finished:
                 return True
-        # Threaded mode drains before every expansion, so expand one node per
-        # step. In interleaved mode no message can arrive mid-step (the
-        # scheduler is the only deliverer), so a burst of expansions is
-        # equivalent to that many drain-then-expand iterations.
-        burst = self.config.burst if self.config.execution == "interleaved" else 1
+        # No message can arrive mid-step (the scheduler is the only
+        # deliverer), so a burst of expansions is equivalent to that many
+        # drain-then-expand iterations.
         expanded_any = False
-        for _ in range(burst):
+        for _ in range(self.config.burst):
             if worker.table.min_f() >= self.incumbent.cost - EPS:
                 break
             self._expand(worker)
             expanded_any = True
-            if self.finished:
-                return True
         if expanded_any:
-            if self.config.execution == "threaded":
-                now = time.monotonic()
-                if now - worker.last_flush >= self.config.flush_interval:
-                    self._flush_all(worker)
             return True
         if self._flush_all(worker):
             did = True
@@ -209,7 +189,7 @@ class HDAStar(Engine):
         if self.problem.is_goal(state):
             self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
-        child_key = self._child_key
+        child_key = self.strategy.child_key
         owner_of = self.strategy.owner
         for succ, cost in self.problem.expand(state):
             stats.generated += 1
@@ -240,21 +220,15 @@ class HDAStar(Engine):
         for dst in range(self.p):
             if worker.out[dst]:
                 did = self._flush(worker, dst) or did
-        worker.last_flush = time.monotonic()
         return did
 
     # -- termination ----------------------------------------------------------
 
     def _maybe_initiate(self, worker: _Worker) -> bool:
-        if self.detect_in_flight or self.finished:
+        if self.detect_in_flight or not self._work_since_detect:
             return False
-        if not self._work_since_detect or not worker.quiescent:
+        if not worker.quiescent:
             return False
-        if self.config.execution == "threaded":
-            now = time.monotonic()
-            if now - self.last_detect_time < self.config.detection_interval:
-                return False
-            self.last_detect_time = now
         self._work_since_detect = False
         self.rounds += 1
         if self.p == 1:
@@ -295,7 +269,7 @@ class HDAStar(Engine):
         if self.on_detect_pass is not None:
             self.on_detect_pass(self)
         self.detect_in_flight = False
-        self._stopped = True
+        self.finished = True
 
     # -- results ---------------------------------------------------------------
 
@@ -360,7 +334,7 @@ class HDAStar(Engine):
                 "workers": self.p,
                 "batch_size": self.config.batch_size,
                 "termination": self.config.termination,
-                "execution": self.config.execution,
+                "execution": "interleaved",
                 "seed": self.config.seed,
                 "detection_rounds": self.rounds,
                 "detection_waves": self.waves,

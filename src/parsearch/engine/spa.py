@@ -1,14 +1,14 @@
-"""Simple parallel A*: one shared open/closed list under an exclusive lock.
+"""Simple parallel A*: one shared open/closed list.
 
-Workers repeatedly pop a globally best node, expand it outside the lock,
-and insert the successors back under the lock. A worker that finds a goal
-lowers the shared incumbent; the search ends when every worker is idle and
-nothing on the open list beats the incumbent.
+A worker's step pops a globally best node, expands it and inserts the
+successors back into the shared lists. The driver runs one step at a time,
+so a step is atomic, as if the whole of it held the survey's exclusive lock.
+A worker that finds a goal lowers the shared incumbent; the search ends as
+soon as nothing on the open list beats the incumbent, because at that check
+every other worker is idle.
 """
 
 from __future__ import annotations
-
-import threading
 
 from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem, validate_path
@@ -26,46 +26,31 @@ class SPAStar(Engine):
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
         self.incumbent = Incumbent()
-        self.lock = threading.Lock()
         self.table = NodeTable(
             problem.h, node_limit=self.config.node_limit, where="shared lists"
         )
-        # A worker is idle unless it holds a popped node whose successors are
-        # not yet inserted.
-        self.idle = [True] * self.p
         self.stats = [SearchStats() for _ in range(self.p)]
         self.traces = (
             [[] for _ in range(self.p)] if self.config.record_trace else None
         )
         self.table.insert(problem.initial, 0.0, None, self.stats[0])
 
-    def runnable(self, w: int) -> bool:
-        return not self.finished
-
     def step(self, w: int) -> bool:
         """Pop, expand, reinsert; False when there was nothing to expand."""
-        if self.finished:
+        table = self.table
+        if table.min_f() >= self.incumbent.cost - EPS:
+            self.finished = True
             return False
         stats = self.stats[w]
-        table = self.table
-        with self.lock:
-            if table.min_f() >= self.incumbent.cost - EPS:
-                self.idle[w] = True
-                if all(self.idle):
-                    self._stopped = True
-                return False
-            self.idle[w] = False
-            state, g, h, _ = table.pop(stats)
+        state, g, h, _ = table.pop(stats)
         if self.traces is not None:
             self.traces[w].append((state, g, g + h))
         if self.problem.is_goal(state):
             self.incumbent.offer(g, state)
         successors = self.problem.expand(state)
         stats.generated += len(successors)
-        with self.lock:
-            for succ, cost in successors:
-                table.insert(succ, g + cost, state, stats)
-            self.idle[w] = True
+        for succ, cost in successors:
+            table.insert(succ, g + cost, state, stats)
         return True
 
     def run(self) -> Solution:
@@ -85,7 +70,7 @@ class SPAStar(Engine):
             meta={
                 "algorithm": "spastar",
                 "workers": self.p,
-                "execution": self.config.execution,
+                "execution": "interleaved",
                 "seed": self.config.seed,
             },
         )

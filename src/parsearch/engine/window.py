@@ -10,8 +10,6 @@ bound before declaring the best solution optimal.
 
 from __future__ import annotations
 
-import threading
-
 from parsearch.common import EPS, INF
 from parsearch.domains.base import SearchProblem, validate_path
 from parsearch.engine.core import Engine, EngineConfig
@@ -23,7 +21,6 @@ class ParallelWindow(Engine):
 
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
-        self.lock = threading.Lock()
         self.claimed: list[float] = []
         self.exceeds: set[float] = set()
         self.running: dict[int, float] = {}
@@ -43,8 +40,6 @@ class ParallelWindow(Engine):
         return min(candidates) if candidates else None
 
     def runnable(self, w: int) -> bool:
-        if self.finished:
-            return False
         if self.slots[w] is not None:
             return True
         if self._peek_claim() is not None:
@@ -52,28 +47,25 @@ class ParallelWindow(Engine):
         return not self.running  # a step is needed to conclude the search
 
     def _try_finish(self) -> None:
-        """Lock held. Finish when the wait-for-lower-bounds rule allows it."""
+        """Finish when the wait-for-lower-bounds rule allows it."""
         if self.solutions:
             cost, path, bound = min(self.solutions, key=lambda s: (s[0], s[2]))
             if not any(rb < bound - EPS for rb in self.running.values()):
                 self.result_cost = cost
                 self.result_path = path
-                self._stopped = True
+                self.finished = True
         elif not self.running and self._peek_claim() is None:
-            self._stopped = True  # space exhausted below every claimed bound
+            self.finished = True  # space exhausted below every claimed bound
 
     def step(self, w: int) -> bool:
-        if self.finished:
-            return False
         slot = self.slots[w]
         if slot is None:
-            with self.lock:
-                bound = self._peek_claim()
-                if bound is None:
-                    self._try_finish()
-                    return False
-                self.claimed.append(bound)
-                self.running[w] = bound
+            bound = self._peek_claim()
+            if bound is None:
+                self._try_finish()
+                return False
+            self.claimed.append(bound)
+            self.running[w] = bound
             dfs = BoundedDFS(
                 self.problem,
                 bound,
@@ -90,14 +82,13 @@ class ParallelWindow(Engine):
             stats.expanded += dfs.expanded
             stats.generated += dfs.generated
             stats.iteration_expansions.append(dfs.expanded)
-            with self.lock:
-                self.exceeds.update(dfs.exceed_values)
-                self.running.pop(w, None)
-                self.incumbent_log.extend(dfs.solution_log)
-                self.solution_logs[bound] = list(dfs.solution_log)
-                if dfs.best_cost < INF:
-                    self.solutions.append((dfs.best_cost, dfs.best_path, bound))
-                self._try_finish()
+            self.exceeds.update(dfs.exceed_values)
+            self.running.pop(w, None)
+            self.incumbent_log.extend(dfs.solution_log)
+            self.solution_logs[bound] = list(dfs.solution_log)
+            if dfs.best_cost < INF:
+                self.solutions.append((dfs.best_cost, dfs.best_path, bound))
+            self._try_finish()
             self.slots[w] = None
         return True
 
@@ -118,7 +109,7 @@ class ParallelWindow(Engine):
                 "bounds": sorted(self.claimed),
                 "first_incumbent": self.incumbent_log[0] if self.incumbent_log else None,
                 "solution_logs": self.solution_logs,
-                "execution": self.config.execution,
+                "execution": "interleaved",
                 "seed": self.config.seed,
             },
         )

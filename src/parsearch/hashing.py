@@ -127,6 +127,18 @@ def azh_key(
     return key
 
 
+def _mult_fixed(a: float) -> int:
+    """Validate a multiplier in [0, 1) and quantize it to 64 fractional bits."""
+    if not 0.0 <= a < 1.0:
+        raise ConfigError("multiplier must lie in [0, 1)")
+    return int(a * TWO64)
+
+
+def _mult_slot(kappa: int, p: int, a_fixed: int) -> int:
+    """floor(p * frac(kappa * a)) for a quantized multiplier a."""
+    return (p * (((kappa & MASK64) * a_fixed) & MASK64)) >> 64
+
+
 def mult_owner(kappa: int, p: int, a: float = GOLDEN_FRAC) -> int:
     """floor(p * frac(kappa * a)) computed in 64-bit fixed point.
 
@@ -136,11 +148,7 @@ def mult_owner(kappa: int, p: int, a: float = GOLDEN_FRAC) -> int:
     """
     if p < 1:
         raise ConfigError("worker count must be >= 1")
-    if not 0.0 <= a < 1.0:
-        raise ConfigError("multiplier must lie in [0, 1)")
-    a_fixed = int(a * TWO64)
-    frac_fixed = ((kappa & MASK64) * a_fixed) & MASK64
-    return (p * frac_fixed) >> 64
+    return _mult_slot(kappa, p, _mult_fixed(a))
 
 
 def normalize_thickness(d) -> int | Fraction:
@@ -277,21 +285,28 @@ class AbstractZobristStrategy(Strategy):
 
 
 class MultiplicativeStrategy(Strategy):
-    """Golden-ratio multiplicative hash over a folded state key."""
+    """Golden-ratio multiplicative hash over a folded state key.
+
+    The multiplier is validated and quantized once, here; `owner` then
+    computes the same fixed-point product as `mult_owner`.
+    """
 
     name = "mult"
 
     def __init__(self, problem: SearchProblem, a: float = GOLDEN_FRAC):
         self.problem = problem
         self.a = a
+        self._a_fixed = _mult_fixed(a)
 
     def key(self, state: State) -> int:
         return fold_key(self.problem.canonical_bytes(state))
 
     def owner(self, state: State, p: int, rng=None, key=None) -> int:
+        if p < 1:
+            raise ConfigError("worker count must be >= 1")
         if key is None:
             key = self.key(state)
-        return mult_owner(key, p, self.a)
+        return _mult_slot(key, p, self._a_fixed)
 
 
 class AbstractionStrategy(Strategy):

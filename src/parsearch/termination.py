@@ -132,35 +132,35 @@ def conclude(msg: ControlMessage, view: TerminationView) -> str:
     raise ValueError(f"unknown control kind {msg.kind!r}")
 
 
-# --- synchronous forms (unit tests, shared-memory engines) ------------------
+# --- synchronous forms: one whole check driven in place (unit tests, p=1) ---
+
+
+def _around(msg: ControlMessage, workers: Sequence[TerminationView]) -> ControlMessage:
+    """Carry a control message once around the ring, back to its initiator."""
+    p = len(workers)
+    worker = (msg.initiator + 1) % p
+    while worker != msg.initiator:
+        _, msg = on_control(msg, worker, workers[worker], p)
+        worker = (worker + 1) % p
+    return msg
 
 
 def two_wave_check(workers: Sequence[TerminationView]) -> bool:
-    """Two sampling passes: received counters first, sent counters second.
+    """Both waves of the two-wave method, initiated by worker 0.
 
     True iff every worker reports local quiescence in both waves and the
     accumulated sent count of the second wave equals the accumulated
     received count of the first.
     """
-    r_star = 0
-    for view in workers:
-        if not view.quiescent:
-            return False
-        r_star += view.received_msgs
-    s_star = 0
-    for view in workers:
-        if not view.quiescent:
-            return False
-        s_star += view.sent_msgs
-    return s_star == r_star
+    initiator = workers[0]
+    msg = _around(start_two_wave(0, initiator), workers)
+    if conclude(msg, initiator) != "wave2":
+        return False
+    msg = _around(start_second_wave(msg, initiator), workers)
+    return conclude(msg, initiator) == "pass"
 
 
 def time_ring_check(workers: Sequence[TerminationView], initiator: int = 0) -> bool:
     """One control ring of the time algorithm over all workers."""
-    p = len(workers)
-    msg = start_time_ring(initiator, workers[initiator])
-    worker = (initiator + 1) % p
-    while worker != initiator:
-        _, msg = on_control(msg, worker, workers[worker], p)
-        worker = (worker + 1) % p
+    msg = _around(start_time_ring(initiator, workers[initiator]), workers)
     return conclude(msg, workers[initiator]) == "pass"

@@ -27,6 +27,7 @@ from parsearch.engine import (
     spastar,
 )
 from parsearch.engine.hda import HDAStar
+from parsearch.hashing import Strategy
 from parsearch.serial import astar, idastar
 
 
@@ -52,11 +53,10 @@ def test_reopen_branch_serial_and_single_worker_engines():
         assert sol.stats.reopened == 1
 
 
-class MappedStrategy:
+class MappedStrategy(Strategy):
     """Test-only ownership: an explicit state -> worker map."""
 
     name = "mapped"
-    deterministic = True
 
     def __init__(self, assign):
         self.assign = assign
@@ -70,13 +70,18 @@ class MappedStrategy:
 
 class TestSPAStar:
     def test_single_worker_matches_serial_expanded_set(self, tile_suite_small):
+        # A step is atomic under the driver, so at any worker count SPA*
+        # expands exactly serial A*'s nodes; a stop while another worker
+        # still held a popped node would lose expansions here.
         for p in tile_suite_small[:5]:
             serial = astar(p, record_trace=True)
-            par = spastar(p, EngineConfig(workers=1, record_trace=True))
-            assert par.cost == serial.cost
             serial_set = {s for s, _, _ in serial.meta["trace"]}
-            par_set = {s for s, _, _ in par.meta["trace"][0]}
-            assert serial_set == par_set
+            for workers in (1, 4):
+                par = spastar(p, EngineConfig(workers=workers, record_trace=True))
+                assert par.cost == serial.cost
+                par_set = {s for trace in par.meta["trace"] for s, _, _ in trace}
+                assert serial_set == par_set, workers
+                assert par.stats.expanded == serial.stats.expanded, workers
 
     def test_matches_oracle(self, tile_suite_small, tile3_bfs):
         for p in tile_suite_small:
@@ -85,28 +90,9 @@ class TestSPAStar:
                 assert sol.cost == tile3_bfs[p.initial]
                 validate_path(p, sol.path)
 
-    def test_threaded_mode(self, tile_suite_small):
-        p = tile_suite_small[0]
-        want = astar(p).cost
-        sol = spastar(p, EngineConfig(workers=4, execution="threaded"))
-        assert sol.cost == want
-
     def test_missorder_graph(self):
         sol = spastar(missorder_graph(), EngineConfig(workers=2, seed=5))
         assert sol.cost == 2.0
-
-    def test_threaded_idle_flags_under_fast_switching(self, tile_suite_small, tile3_bfs):
-        # More workers than cores and a tiny switch interval: a lost idle
-        # flag update would stop the search early, which the post-run check
-        # or the cost comparison catches.
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for p in tile_suite_small:
-                sol = spastar(p, EngineConfig(workers=8, execution="threaded"))
-                assert sol.cost == tile3_bfs[p.initial]
-        finally:
-            sys.setswitchinterval(old)
 
 
 class TestHDAStar:
@@ -300,13 +286,6 @@ else:
         assert EngineConfig(workers=4).batch_size == 10
         assert EngineConfig(workers=16).batch_size == 100
 
-    def test_threaded_both_terminations(self, tile_suite_small):
-        p = tile_suite_small[3]
-        want = astar(p).cost
-        for term in ("two-wave", "time"):
-            cfg = EngineConfig(workers=4, execution="threaded", termination=term)
-            assert hdastar(p, cfg).cost == want
-
     def test_node_limit(self):
         p = TilePuzzle(random_scramble(4, 60, 3))
         with pytest.raises(NodeLimitExceeded):
@@ -369,11 +348,6 @@ class TestParallelWindow:
             sol = parallel_window(g, EngineConfig(workers=workers))
             assert sol.cost == INF
 
-    def test_threaded(self, tile_suite_small):
-        p = tile_suite_small[4]
-        sol = parallel_window(p, EngineConfig(workers=2, execution="threaded"))
-        assert sol.cost == astar(p).cost
-
 
 class TestDovetail:
     def test_weight_one_only_is_optimal(self, tile_suite_small, tile3_bfs):
@@ -399,10 +373,6 @@ class TestDovetail:
         g = ExplicitGraph([("s", "a", 1)], "s", {"t"})
         sol = dovetail(g)
         assert sol.cost == INF
-
-    def test_threaded_race(self, tile_suite_small):
-        sol = dovetail(tile_suite_small[0], execution="threaded")
-        assert sol.solved
 
     def test_rejects_empty_weights(self):
         with pytest.raises(Exception):

@@ -152,6 +152,21 @@ class TestMultiplicative:
         with pytest.raises(ConfigError):
             mult_owner(1, 4, 1.5)
 
+    def test_strategy_owner_equals_reference(self):
+        problem = TilePuzzle(goal_state(3))
+        rng = random.Random(9)
+        keys = [rng.getrandbits(64) for _ in range(10_000)]
+        for a in (GOLDEN_FRAC, 0.3):
+            strat = make_strategy("mult", problem, config={"multiplier": str(a)})
+            for p in range(1, 65):
+                for k in keys:
+                    assert strat.owner(None, p, key=k) == mult_owner(k, p, a)
+
+    def test_bad_multiplier_rejected_at_construction(self):
+        problem = TilePuzzle(goal_state(3))
+        with pytest.raises(ConfigError):
+            make_strategy("mult", problem, config={"multiplier": "1.5"})
+
 
 class TestHyperplane:
     def test_integer_thickness_reference_values(self):
