@@ -3,7 +3,7 @@
 A ravenous solver is re-run with geometrically growing hardware allocation
 unit (HAU) counts until it succeeds. Failing iterations last at most E
 hours; the first allocation at or above the minimal width succeeds and runs
-for the makespan T(v). Costs follow either a continuous model (pay exactly
+for the makespan T. Costs follow either a continuous model (pay exactly
 duration * HAUs) or a discrete model (per-HAU billing in whole hours, with
 optional reuse of spare paid-up time across iterations).
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from parsearch.common import ConfigError
 
@@ -28,13 +27,13 @@ class SolverProfile:
     """Cost-relevant behavior of one (problem, solver) pair.
 
     min_width: smallest HAU count that solves the problem (monotone: any
-    larger count also solves it). makespan: hours for a successful run as a
-    function of the HAU count (a constant works too). fail_time: hours a
-    failing iteration runs before exhausting memory (the max iteration time).
+    larger count also solves it). makespan: hours for a successful run.
+    fail_time: hours a failing iteration runs before exhausting memory (the
+    max iteration time).
     """
 
     min_width: int
-    makespan: Callable[[int], float] | float = 1.0
+    makespan: float = 1.0
     fail_time: float = 1.0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SolverProfile:
     def duration(self, width: int) -> float:
         if width < self.min_width:
             return self.fail_time
-        if callable(self.makespan):
-            return float(self.makespan(width))
         return float(self.makespan)
 
     def solves(self, width: int) -> bool:
@@ -112,10 +109,8 @@ def ia_total_cost(
                 f"allocation exceeded max width {max_width} without success"
             )
         duration = profile.duration(width)
-        if model.kind == "continuous":
-            total += duration * width
-        elif not model.spare_reuse:
-            total += _ceil(duration) * width
+        if model.kind == "continuous" or not model.spare_reuse:
+            total += single_run_cost(width, duration, model)
         else:
             end = now + duration
             pool = [g for g in pool if g[1] > now + _CEIL_EPS]

@@ -89,53 +89,55 @@ def _parse_cell(text: str) -> tuple[int, int]:
     return int(x), int(y)
 
 
-def build_problem(args) -> tuple[object, str]:
+def build_problem(
+    domain: str,
+    gen: str | None,
+    file: str | None,
+    start: str | None,
+    goal: str | None,
+    seed: int,
+) -> tuple[object, str]:
     """Construct the search problem named by --domain/--file/--gen."""
-    domain = args.domain
     if domain == "tile":
-        gen = _parse_kv(args.gen or "n=3,seed=1")
+        gen = _parse_kv(gen or "n=3,seed=1")
         n = int(gen.get("n", 3))
-        seed = int(gen.get("seed", args.seed))
+        seed = int(gen.get("seed", seed))
         if "depth" in gen:
             state = random_scramble(n, int(gen["depth"]), seed)
         else:
             state = random_solvable(n, seed)
         return TilePuzzle(state, n), f"tile-n{n}-s{seed}"
     if domain == "grid":
-        if args.file:
-            grid = parse_grid(Path(args.file).read_text())
-            name = Path(args.file).name
+        if file:
+            grid = parse_grid(Path(file).read_text())
+            name = Path(file).name
         else:
-            gen = _parse_kv(args.gen or "w=16,h=16,fill=0.25,seed=1")
+            gen = _parse_kv(gen or "w=16,h=16,fill=0.25,seed=1")
             w, h = int(gen.get("w", 16)), int(gen.get("h", 16))
             fill = float(gen.get("fill", 0.25))
-            seed = int(gen.get("seed", args.seed))
+            seed = int(gen.get("seed", seed))
             conn = int(gen.get("conn", 8))
             grid = random_grid(w, h, fill, seed, conn)
             name = f"grid-{w}x{h}-s{seed}"
-        start = _parse_cell(args.start) if args.start else (0, 0)
-        goal = (
-            _parse_cell(args.goal)
-            if args.goal
-            else (grid.width - 1, grid.height - 1)
-        )
-        if not args.file:
+        start = _parse_cell(start) if start else (0, 0)
+        goal = _parse_cell(goal) if goal else (grid.width - 1, grid.height - 1)
+        if not file:
             blocked = set(grid.blocked) - {start, goal}
             grid = type(grid)(grid.width, grid.height, frozenset(blocked), grid.connectivity)
         return GridProblem(grid, start, goal), name
     if domain == "graph":
-        if not args.file:
+        if not file:
             raise ConfigError("graph domain requires --file")
-        graph = parse_graph(Path(args.file).read_text())
-        return graph, Path(args.file).name
+        graph = parse_graph(Path(file).read_text())
+        return graph, Path(file).name
     if domain == "lattice":
-        gen = _parse_kv(args.gen or "dims=4x4")
+        gen = _parse_kv(gen or "dims=4x4")
         dims = tuple(int(d) for d in gen.get("dims", "4x4").split("x"))
         return LatticeProblem(dims), f"lattice-{gen.get('dims', '4x4')}"
     raise ConfigError(f"unknown domain {domain!r}")
 
 
-def run_algorithm(problem, args):
+def run_algorithm(problem, args, strategy_config: dict):
     """Dispatch one run; returns a Solution."""
     algo = args.algo
     if algo == "astar":
@@ -161,7 +163,7 @@ def run_algorithm(problem, args):
         seed=args.seed,
         node_limit=args.node_limit,
         termination=args.termination,
-        strategy_config=args.hash_config_data,
+        strategy_config=strategy_config,
     )
     return PARALLEL_ENGINES[algo](problem, config)
 
@@ -200,8 +202,13 @@ def make_record(solution, args, instance: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    problem, instance = build_problem(args)
-    solution = run_algorithm(problem, args)
+    strategy_config = {}
+    if args.hash_config:
+        strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
+    problem, instance = build_problem(
+        args.domain, args.gen, args.file, args.start, args.goal, args.seed
+    )
+    solution = run_algorithm(problem, args, strategy_config)
     record = make_record(solution, args, instance)
     print(
         f"{record['algorithm']} on {instance}: "
@@ -214,34 +221,61 @@ def cmd_solve(args) -> int:
     return 0 if solution.solved else 1
 
 
-def _suite_problem(entry: dict, seed: int):
-    ns = argparse.Namespace(
-        domain=entry["domain"],
-        gen=",".join(f"{k}={v}" for k, v in entry.get("gen", {}).items()) or None,
-        file=entry.get("file"),
-        start=entry.get("start"),
-        goal=entry.get("goal"),
-        seed=seed,
+def _suite_list(suite: dict, key: str, default: list) -> list:
+    value = suite.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"suite {key!r} must be a non-empty list")
+    return value
+
+
+def _suite_problem(entry, seed: int):
+    """Build one suite instance: {"domain", "gen", "file", "start", "goal",
+    "name"}, all strings except "gen", an object of generator fields."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("domain"), str):
+        raise ConfigError(f"suite instance {entry!r} is not an object with a domain")
+    gen = entry.get("gen", {})
+    fields = [entry.get(key) for key in ("file", "start", "goal", "name")]
+    if not isinstance(gen, dict) or not all(
+        f is None or isinstance(f, str) for f in fields
+    ):
+        raise ConfigError(f"suite instance {entry!r} has a malformed field")
+    file, start, goal, name = fields
+    gen_text = ",".join(f"{k}={v}" for k, v in gen.items()) or None
+    problem, auto_name = build_problem(
+        entry["domain"], gen_text, file, start, goal, seed
     )
-    problem, auto_name = build_problem(ns)
-    return problem, entry.get("name", auto_name)
+    return problem, auto_name if name is None else name
 
 
 def cmd_bench(args) -> int:
     suite = json.loads(Path(args.suite).read_text())
-    instances = suite.get("instances", [])
-    if not instances:
-        raise ConfigError("suite lists no instances")
+    if not isinstance(suite, dict):
+        raise ConfigError("suite must be a JSON object")
     seed = suite.get("seed", args.seed)
-    problems = [_suite_problem(entry, seed) for entry in instances]
-    algos = suite.get("algos", ["hdastar"])
-    for algo in algos:
-        if algo not in PARALLEL_ENGINES:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("suite seed must be an integer")
+    problems = [
+        _suite_problem(entry, seed) for entry in _suite_list(suite, "instances", [])
+    ]
+    strategies = _suite_list(suite, "strategies", ["zobrist"])
+    workers = _suite_list(suite, "workers", [2, 4])
+    # (algo, strategy, workers, config) cells, validated before any run.
+    cells = []
+    for algo in _suite_list(suite, "algos", ["hdastar"]):
+        if not isinstance(algo, str) or algo not in PARALLEL_ENGINES:
             raise ConfigError(f"bench does not support algo {algo!r}")
-    strategies = suite.get("strategies", ["zobrist"])
-    workers = suite.get("workers", [2, 4])
-    termination = suite.get("termination", "two-wave")
-    batch = suite.get("batch")
+        for strategy in strategies if algo == "hdastar" else [""]:
+            if strategy and strategy not in STRATEGY_TOKENS:
+                raise ConfigError(f"unknown strategy {strategy!r}")
+            for p in workers:
+                config = EngineConfig(
+                    workers=p,
+                    strategy=strategy or "zobrist",
+                    batch_size=suite.get("batch"),
+                    seed=seed,
+                    termination=suite.get("termination", "two-wave"),
+                )
+                cells.append((algo, strategy, p, config))
     rows = []
     for problem, name in problems:
         baseline = astar(problem)
@@ -257,23 +291,11 @@ def cmd_bench(args) -> int:
                 efficiency_fraction(baseline, c_star) if baseline.solved else None,
             )
         )
-        for algo in algos:
-            strat_list = strategies if algo == "hdastar" else [""]
-            for strategy in strat_list:
-                for p in workers:
-                    config = EngineConfig(
-                        workers=p,
-                        strategy=strategy or "zobrist",
-                        batch_size=batch,
-                        seed=seed,
-                        termination=termination,
-                    )
-                    sol = PARALLEL_ENGINES[algo](problem, config)
-                    report = overheads(baseline, sol)
-                    eff = (
-                        efficiency_fraction(sol, c_star) if sol.solved else None
-                    )
-                    rows.append(csv_row(name, algo, strategy, p, sol, report, eff))
+        for algo, strategy, p, config in cells:
+            sol = PARALLEL_ENGINES[algo](problem, config)
+            report = overheads(baseline, sol)
+            eff = efficiency_fraction(sol, c_star) if sol.solved else None
+            rows.append(csv_row(name, algo, strategy, p, sol, report, eff))
     text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
@@ -325,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--start", help="grid start cell x,y")
     solve.add_argument("--goal", help="grid goal cell x,y")
     solve.add_argument("--algo", default="astar", choices=ALGOS)
-    solve.add_argument("--hash", default="zobrist")
+    solve.add_argument("--hash", default="zobrist", choices=STRATEGY_TOKENS)
     solve.add_argument("--hash-config", help="key = value strategy config file")
     solve.add_argument("--workers", type=int, default=1)
     solve.add_argument("--batch", type=int, default=None)
@@ -362,20 +384,6 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     if getattr(args, "seed", None) is None:
         args.seed = default_seed()
-    if hasattr(args, "hash") and args.hash not in STRATEGY_TOKENS:
-        print(f"error: unknown --hash token {args.hash!r}", file=sys.stderr)
-        print(f"expected one of: {', '.join(STRATEGY_TOKENS)}", file=sys.stderr)
-        return 3
-    if getattr(args, "hash_config", None):
-        try:
-            args.hash_config_data = parse_strategy_config(
-                Path(args.hash_config).read_text()
-            )
-        except (OSError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    elif hasattr(args, "hash"):
-        args.hash_config_data = {}
     try:
         if args.command == "solve":
             return cmd_solve(args)
@@ -387,8 +395,9 @@ def main(argv=None) -> int:
     except NodeLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
-        # covers ConfigError, ParseError, JSON decoding, bad instances
+    except (ValueError, OSError) as exc:
+        # covers ConfigError, ParseError, JSON decoding, bad instances and
+        # unreadable input files
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

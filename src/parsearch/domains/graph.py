@@ -10,6 +10,8 @@ File format, one directive per line ('#' starts a comment):
 
 from __future__ import annotations
 
+import math
+
 from parsearch.common import ParseError
 from parsearch.domains.base import Feature, State
 
@@ -25,8 +27,8 @@ class ExplicitGraph:
         self.adj: dict[str, list[tuple[str, float]]] = {}
         self.nodes: set[str] = set()
         for u, v, cost in edges:
-            if cost < 0:
-                raise ValueError(f"negative edge cost on {u} -> {v}")
+            if not cost >= 0:  # also rejects NaN
+                raise ValueError(f"edge cost on {u} -> {v} must be >= 0")
             self.adj.setdefault(u, []).append((v, float(cost)))
             self.nodes.add(u)
             self.nodes.add(v)
@@ -39,6 +41,9 @@ class ExplicitGraph:
         self.initial = start
         self.goals = frozenset(goals)
         self.h_values = dict(h_values or {})
+        for u, value in self.h_values.items():
+            if math.isnan(value):
+                raise ValueError(f"heuristic value of {u} is NaN")
 
     def is_goal(self, state: State) -> bool:
         return state in self.goals
@@ -72,15 +77,18 @@ def parse_graph(text: str) -> ExplicitGraph:
             goals.add(tok[1])
         elif tok[0] == "h" and len(tok) == 3:
             try:
-                h_values[tok[1]] = float(tok[2])
+                value = float(tok[2])
             except ValueError:
                 raise ParseError("bad heuristic value", lineno) from None
+            if math.isnan(value):
+                raise ParseError("heuristic value is NaN", lineno)
+            h_values[tok[1]] = value
         elif len(tok) == 3:
             try:
                 cost = float(tok[2])
             except ValueError:
                 raise ParseError("bad edge cost", lineno) from None
-            if cost < 0:
+            if not cost >= 0:  # also rejects NaN
                 raise ParseError("edge cost must be >= 0", lineno)
             edges.append((tok[0], tok[1], cost))
         else:

@@ -18,6 +18,8 @@ SQRT2 = math.sqrt(2.0)
 _STRAIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+BLOCK_SIZE = 4  # side of the square cell blocks of the abstraction
+
 
 @dataclass(frozen=True)
 class GridMap:
@@ -94,13 +96,7 @@ def octile_h(a: tuple[int, int], b: tuple[int, int], connectivity: int = 8) -> f
 class GridProblem:
     """SearchProblem over a GridMap between two traversable cells."""
 
-    def __init__(
-        self,
-        grid: GridMap,
-        start: tuple[int, int],
-        goal: tuple[int, int],
-        block_size: int = 4,
-    ):
+    def __init__(self, grid: GridMap, start: tuple[int, int], goal: tuple[int, int]):
         if not grid.traversable(start):
             raise ValueError("start blocked")
         if not grid.traversable(goal):
@@ -108,7 +104,6 @@ class GridProblem:
         self.grid = grid
         self.initial = start
         self.goal = goal
-        self.block_size = block_size
 
     def is_goal(self, state: State) -> bool:
         return state == self.goal
@@ -126,15 +121,13 @@ class GridProblem:
         return state[0].to_bytes(4, "little") + state[1].to_bytes(4, "little")
 
     def abstraction_features(self, state: tuple[int, int]) -> list[Feature]:
-        k = self.block_size
-        return [(state[0] // k, state[1] // k)]
+        return [(state[0] // BLOCK_SIZE, state[1] // BLOCK_SIZE)]
 
     def default_projection(self) -> dict[Feature, Feature]:
-        k = self.block_size
         proj = {}
         for x in range(self.grid.width):
             for y in range(self.grid.height):
-                proj[(x, y)] = (x // k, y // k)
+                proj[(x, y)] = (x // BLOCK_SIZE, y // BLOCK_SIZE)
         return proj
 
 

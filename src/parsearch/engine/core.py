@@ -26,6 +26,11 @@ def default_batch_size(workers: int) -> int:
     return 10 if workers < 16 else 100
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1")
+
+
 @dataclass
 class EngineConfig:
     workers: int = 1
@@ -39,16 +44,13 @@ class EngineConfig:
     strategy_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        _check_count("workers", self.workers)
         if self.batch_size is None:
             self.batch_size = default_batch_size(self.workers)
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+        _check_count("batch size", self.batch_size)
         if self.termination not in ("two-wave", "time"):
             raise ConfigError("termination must be 'two-wave' or 'time'")
-        if self.burst < 1:
-            raise ConfigError("burst must be >= 1")
+        _check_count("burst", self.burst)
 
 
 class Incumbent:
@@ -69,9 +71,9 @@ class Incumbent:
 class Engine:
     """Runner interface shared by the multi-worker engines.
 
-    Subclasses define step(w), which returns whether the worker did
-    anything, and may narrow runnable(w). Setting finished ends the run.
-    Engines whose workers exchange messages also set transport.
+    Subclasses define step(w) and may narrow runnable(w). Setting finished
+    ends the run. Engines whose workers exchange messages also set
+    transport.
     """
 
     transport = None
@@ -129,6 +131,9 @@ class ChannelTransport:
 class SchedulePolicy:
     """Seeded random action policy with a fixed delivery bias.
 
+    A policy's `choose(steps, delivers)` gets the runnable worker ids and
+    the pending channel keys and returns ("step", w) or ("deliver", c).
+
     The default bias favors delivery, modeling a low-latency network where
     sent batches arrive promptly relative to expansion work; starving
     delivery instead makes workers chase stale local nodes and blows up
@@ -142,10 +147,11 @@ class SchedulePolicy:
     def choose(self, steps: list, delivers: list):
         if steps and delivers:
             if self.rng.random() < self.delivery_bias:
-                return self.rng.choice(delivers)
-            return self.rng.choice(steps)
-        pool = steps or delivers
-        return self.rng.choice(pool)
+                return "deliver", self.rng.choice(delivers)
+            return "step", self.rng.choice(steps)
+        if steps:
+            return "step", self.rng.choice(steps)
+        return "deliver", self.rng.choice(delivers)
 
 
 class AdversarialPolicy(SchedulePolicy):
@@ -167,8 +173,8 @@ class EagerWorkerPolicy:
 
     def choose(self, steps: list, delivers: list):
         if steps:
-            return min(steps)
-        return min(delivers)
+            return "step", min(steps)
+        return "deliver", min(delivers)
 
 
 def run_interleaved(engine, seed: int, policy=None):
@@ -181,12 +187,8 @@ def run_interleaved(engine, seed: int, policy=None):
     transport = engine.transport
     ticks = 0
     while not engine.finished:
-        steps = [("step", w) for w in range(engine.p) if engine.runnable(w)]
-        delivers = (
-            [("deliver", c) for c in transport.pending_channels()]
-            if transport is not None
-            else []
-        )
+        steps = [w for w in range(engine.p) if engine.runnable(w)]
+        delivers = transport.pending_channels() if transport is not None else []
         if not steps and not delivers:
             raise RuntimeError(
                 "interleaver stalled: no runnable worker, nothing in flight"

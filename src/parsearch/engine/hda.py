@@ -122,43 +122,37 @@ class HDAStar(Engine):
             return True
         if any(worker.out):
             return True
-        return (
-            w == 0
-            and not self.detect_in_flight
-            and self._work_since_detect
-            and worker.quiescent
-        )
+        # Worker w is quiescent here: nothing else is left for it to do.
+        return w == 0 and not self.detect_in_flight and self._work_since_detect
 
-    def step(self, w: int) -> bool:
-        """One loop iteration of worker w: drain mailbox fully, then expand."""
+    def step(self, w: int) -> None:
+        """One loop iteration of worker w: drain mailbox fully, then expand
+        or, with nothing below the incumbent, flush and maybe detect."""
         worker = self.workers[w]
-        did = False
         box = self.transport.boxes[w]
         while box:
             item = box.popleft()
-            did = True
             if item[0] == "W":
                 self._receive_work(worker, item)
             else:
                 self._handle_control(worker, item[1])
             if self.finished:
-                return True
-        # No message can arrive mid-step (the scheduler is the only
-        # deliverer), so a burst of expansions is equivalent to that many
-        # drain-then-expand iterations.
-        expanded_any = False
-        for _ in range(self.config.burst):
-            if worker.table.min_f() >= self.incumbent.cost - EPS:
-                break
-            self._expand(worker)
-            expanded_any = True
-        if expanded_any:
-            return True
-        if self._flush_all(worker):
-            did = True
+                return
+        table = worker.table
+        if table.min_f() < self.incumbent.cost - EPS:
+            # No message can arrive mid-step (the scheduler is the only
+            # deliverer), so a burst of expansions is equivalent to that
+            # many drain-then-expand iterations.
+            for _ in range(self.config.burst):
+                self._expand(worker)
+                if table.min_f() >= self.incumbent.cost - EPS:
+                    break
+            return
+        for dst, buf in enumerate(worker.out):
+            if buf:
+                self._flush(worker, dst)
         if w == 0:
-            did = self._maybe_initiate(worker) or did
-        return did
+            self._maybe_initiate(worker)
 
     # -- search mechanics ----------------------------------------------------
 
@@ -204,31 +198,21 @@ class HDAStar(Engine):
                 if len(buf) >= batch_size:
                     self._flush(worker, owner)
 
-    def _flush(self, worker: _Worker, dst: int) -> bool:
+    def _flush(self, worker: _Worker, dst: int) -> None:
+        """Send worker's non-empty batch for dst."""
         buf = worker.out[dst]
-        if not buf:
-            return False
         worker.sent_msgs += 1
         worker.stats.sent_batches += 1
         worker.stats.sent += len(buf)
         self.transport.send(worker.id, dst, ("W", worker.id, worker.clock, list(buf)))
         buf.clear()
-        return True
-
-    def _flush_all(self, worker: _Worker) -> bool:
-        did = False
-        for dst in range(self.p):
-            if worker.out[dst]:
-                did = self._flush(worker, dst) or did
-        return did
 
     # -- termination ----------------------------------------------------------
 
-    def _maybe_initiate(self, worker: _Worker) -> bool:
+    def _maybe_initiate(self, worker: _Worker) -> None:
+        """Start a detection round at a quiescent worker 0."""
         if self.detect_in_flight or not self._work_since_detect:
-            return False
-        if not worker.quiescent:
-            return False
+            return
         self._work_since_detect = False
         self.rounds += 1
         if self.p == 1:
@@ -240,7 +224,7 @@ class HDAStar(Engine):
                 ok = time_ring_check([worker])
             if ok:
                 self._detection_passed()
-            return True
+            return
         if self.config.termination == "two-wave":
             msg = start_two_wave(0, worker)
         else:
@@ -248,7 +232,6 @@ class HDAStar(Engine):
         self.waves += 1
         self.detect_in_flight = True
         self.transport.send(0, 1, ("C", msg))
-        return True
 
     def _handle_control(self, worker: _Worker, msg: ControlMessage) -> None:
         if worker.id == msg.initiator:

@@ -35,12 +35,12 @@ class SPAStar(Engine):
         )
         self.table.insert(problem.initial, 0.0, None, self.stats[0])
 
-    def step(self, w: int) -> bool:
-        """Pop, expand, reinsert; False when there was nothing to expand."""
+    def step(self, w: int) -> None:
+        """Pop, expand, reinsert; finish when nothing beats the incumbent."""
         table = self.table
         if table.min_f() >= self.incumbent.cost - EPS:
             self.finished = True
-            return False
+            return
         stats = self.stats[w]
         state, g, h, _ = table.pop(stats)
         if self.traces is not None:
@@ -51,7 +51,6 @@ class SPAStar(Engine):
         stats.generated += len(successors)
         for succ, cost in successors:
             table.insert(succ, g + cost, state, stats)
-        return True
 
     def run(self) -> Solution:
         _, wall = self.drive()

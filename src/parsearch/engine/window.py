@@ -25,8 +25,9 @@ class ParallelWindow(Engine):
         self.exceeds: set[float] = set()
         self.running: dict[int, float] = {}
         self.solutions: list[tuple[float, list, float]] = []
-        self.incumbent_log: list[float] = []  # goal costs in discovery order
-        self.solution_logs: dict[float, list[float]] = {}  # per claimed bound
+        # Goal costs per claimed bound, in discovery order; bounds in
+        # completion order.
+        self.solution_logs: dict[float, list[float]] = {}
         self.slots: list = [None] * self.p
         self.stats = [SearchStats() for _ in range(self.p)]
         self.result_cost = INF
@@ -57,13 +58,13 @@ class ParallelWindow(Engine):
         elif not self.running and self._peek_claim() is None:
             self.finished = True  # space exhausted below every claimed bound
 
-    def step(self, w: int) -> bool:
+    def step(self, w: int) -> None:
         slot = self.slots[w]
         if slot is None:
             bound = self._peek_claim()
             if bound is None:
                 self._try_finish()
-                return False
+                return
             self.claimed.append(bound)
             self.running[w] = bound
             dfs = BoundedDFS(
@@ -71,10 +72,9 @@ class ParallelWindow(Engine):
                 bound,
                 find_best=True,
                 expansion_limit=self.config.node_limit,
-                collect_exceeds=True,
             )
             self.slots[w] = (bound, dfs)
-            return True
+            return
         bound, dfs = slot
         dfs.run_chunk(self.CHUNK)
         if dfs.done:
@@ -84,16 +84,17 @@ class ParallelWindow(Engine):
             stats.iteration_expansions.append(dfs.expanded)
             self.exceeds.update(dfs.exceed_values)
             self.running.pop(w, None)
-            self.incumbent_log.extend(dfs.solution_log)
-            self.solution_logs[bound] = list(dfs.solution_log)
+            self.solution_logs[bound] = dfs.solution_log
             if dfs.best_cost < INF:
                 self.solutions.append((dfs.best_cost, dfs.best_path, bound))
             self._try_finish()
             self.slots[w] = None
-        return True
 
     def run(self) -> Solution:
         _, wall = self.drive()
+        first_incumbent = next(
+            (log[0] for log in self.solution_logs.values() if log), None
+        )
         if self.result_path:
             validate_path(self.problem, self.result_path)
         stats = merge_stats(self.stats)
@@ -107,7 +108,7 @@ class ParallelWindow(Engine):
                 "algorithm": "parallel_window",
                 "workers": self.p,
                 "bounds": sorted(self.claimed),
-                "first_incumbent": self.incumbent_log[0] if self.incumbent_log else None,
+                "first_incumbent": first_incumbent,
                 "solution_logs": self.solution_logs,
                 "execution": "interleaved",
                 "seed": self.config.seed,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from parsearch.common import ConfigError
 from parsearch.domains.base import Feature, SearchProblem, State, fold_key
@@ -39,9 +39,7 @@ def splitmix64(x: int) -> int:
 
 def _stable_mix(acc: int, obj) -> int:
     """Mix a feature component into acc, deterministically across runs."""
-    if isinstance(obj, bool):
-        obj = int(obj)
-    if isinstance(obj, int):
+    if isinstance(obj, int):  # bool included
         return splitmix64(acc ^ 0xD1 ^ (obj & MASK64))
     if isinstance(obj, str):
         acc = splitmix64(acc ^ 0xD2 ^ len(obj))
@@ -58,33 +56,21 @@ def _stable_mix(acc: int, obj) -> int:
 
 
 class ZobristTable(dict):
-    """Feature -> preinitialized 64-bit random bit string.
+    """Feature -> 64-bit random bit string.
 
     Entries are derived deterministically from the seed by a counter-based
     generator, so the table never depends on insertion order; `table[f]`
-    fills a missing entry on first use. Passing an explicit feature universe
-    freezes the table: looking up a feature outside it is a configuration
-    error.
+    fills a missing entry on first use.
     """
 
-    def __init__(self, seed: int = 42, universe: Iterable[Feature] | None = None):
+    def __init__(self, seed: int = 42):
         super().__init__()
-        self.seed = seed
         self._base = splitmix64(seed & MASK64)
-        self._frozen = False
-        if universe is not None:
-            for f in universe:
-                self[f]  # filled by __missing__
-            self._frozen = True
 
     def __missing__(self, feature: Feature) -> int:
-        if self._frozen:
-            raise ConfigError(f"unknown feature {feature!r}")
         entry = splitmix64(_stable_mix(self._base, feature))
         self[feature] = entry
         return entry
-
-    bits = dict.__getitem__
 
 
 def zobrist_key(table: ZobristTable, features: Iterable[Feature]) -> int:
@@ -111,19 +97,15 @@ def zobrist_update(
 
 def azh_key(
     table: ZobristTable,
-    projection: dict[Feature, Feature] | Callable[[Feature], Feature] | None,
+    projection: dict[Feature, Feature] | None,
     features: Iterable[Feature],
 ) -> int:
-    """Zobrist key of the projected feature multiset."""
+    """Zobrist key of the projected feature multiset (None: identity)."""
     if projection is None:
         return zobrist_key(table, features)
     key = 0
-    if callable(projection):
-        for f in features:
-            key ^= table[projection(f)]
-    else:
-        for f in features:
-            key ^= table[projection[f]]
+    for f in features:
+        key ^= table[projection[f]]
     return key
 
 
@@ -152,16 +134,20 @@ def mult_owner(kappa: int, p: int, a: float = GOLDEN_FRAC) -> int:
 
 
 def normalize_thickness(d) -> int | Fraction:
-    """Validate a hyperplane thickness: integer >= 1 or a unit fraction."""
+    """Validate a hyperplane thickness: integer >= 1 or a unit fraction.
+
+    `d` is an int, a Fraction, or a string such as "2" or "1/3".
+    """
     if isinstance(d, str):
-        if "/" in d:
-            num, den = d.split("/", 1)
-            d = Fraction(int(num), int(den))
-        else:
-            d = Fraction(d)
-    if isinstance(d, float):
-        d = Fraction(d).limit_denominator(1024)
-    if isinstance(d, int):
+        try:
+            if "/" in d:
+                num, den = d.split("/", 1)
+                d = Fraction(int(num), int(den))
+            else:
+                d = Fraction(d)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad hyperplane thickness {d!r}") from None
+    elif isinstance(d, int):
         d = Fraction(d)
     if not isinstance(d, Fraction):
         raise ConfigError(f"bad hyperplane thickness {d!r}")
@@ -201,8 +187,7 @@ def hyperplane_owner(coords: tuple[int, ...], d, p: int, zkey: int) -> int:
 def hyperplane_fanout_bound(n: int, d) -> int:
     """Upper bound floor(n/d + max(1, 1/d)) on distinct successor owners."""
     d = normalize_thickness(d)
-    frac = Fraction(d) if not isinstance(d, Fraction) else d
-    return int(Fraction(n) / frac + max(Fraction(1), 1 / frac))
+    return int(Fraction(n) / d + max(1, 1 / d))
 
 
 # --- strategy objects -------------------------------------------------------
@@ -259,17 +244,11 @@ class AbstractZobristStrategy(Strategy):
 
     name = "azh"
 
-    def __init__(
-        self,
-        problem: SearchProblem,
-        seed: int = 42,
-        projection: dict[Feature, Feature] | None = None,
-    ):
+    def __init__(self, problem: SearchProblem, seed: int = 42):
         self.problem = problem
         self.table = ZobristTable(seed)
-        if projection is None and hasattr(problem, "default_projection"):
-            projection = problem.default_projection()
-        self.projection = projection  # None means identity
+        project = getattr(problem, "default_projection", None)
+        self.projection = project() if project else None  # None: identity
         self._delta = getattr(problem, "feature_delta", None)
 
     def key(self, state: State) -> int:

@@ -83,10 +83,6 @@ def efficiency_fraction(run, c_star: float) -> float:
     return below / stats.expanded
 
 
-def csv_header() -> list[str]:
-    return list(CSV_COLUMNS)
-
-
 def csv_row(
     instance: str,
     algo: str,
@@ -115,6 +111,6 @@ def csv_row(
 def rows_to_csv(rows: list[list]) -> str:
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(csv_header())
+    writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
     return out.getvalue()

@@ -312,7 +312,8 @@ class BoundedDFS:
     keeps searching with the incumbent as an extra pruning bound, and
     returns the cheapest solution whose path stays within the f bound --
     the parallel window engine needs that stronger guarantee because its
-    bound sequence may skip values.
+    bound sequence may skip values. Every f-value pruned by the bound is
+    recorded in `exceed_values`; the next IDA* bound is their minimum.
     """
 
     def __init__(
@@ -321,34 +322,28 @@ class BoundedDFS:
         bound: float,
         find_best: bool = False,
         expansion_limit: int = DEFAULT_NODE_LIMIT,
-        collect_exceeds: bool = False,
     ):
         self.problem = problem
         self.bound = bound
         self.find_best = find_best
         self.expansion_limit = expansion_limit
-        self.collect_exceeds = collect_exceeds
         self.exceed_values: set[float] = set()
         self.solution_log: list[float] = []  # goal costs in discovery order
         self.expanded = 0
         self.generated = 0
-        self.min_exceed = INF
         self.best_cost = INF
         self.best_path: list = []
         self.done = False
-        self._path: list = []
         self._on_path: set = set()
-        # Stack frames: [state, g, successor list, next index].
+        # Stack frames: [state, g, successor list, next index]; the frames'
+        # states are the current path from the root.
         self._stack: list = []
         self._enter(problem.initial, 0.0)
 
     def _enter(self, state: State, g: float) -> None:
         f = g + self.problem.h(state)
         if f > self.bound + EPS:
-            if f < self.min_exceed:
-                self.min_exceed = f
-            if self.collect_exceeds:
-                self.exceed_values.add(f)
+            self.exceed_values.add(f)
             return
         if self.find_best and f >= self.best_cost - EPS:
             return
@@ -356,12 +351,11 @@ class BoundedDFS:
             self.solution_log.append(g)
             if g < self.best_cost:
                 self.best_cost = g
-                self.best_path = self._path + [state]
+                self.best_path = [frame[0] for frame in self._stack] + [state]
             if not self.find_best:
                 self.done = True
             return
         self._stack.append([state, g, None, 0])
-        self._path.append(state)
         self._on_path.add(state)
 
     def run_chunk(self, n: int) -> bool:
@@ -373,13 +367,11 @@ class BoundedDFS:
         h = problem.h
         is_goal = problem.is_goal
         stack = self._stack
-        path = self._path
         on_path = self._on_path
+        exceed_values = self.exceed_values
         bound = self.bound
         find_best = self.find_best
-        collect = self.collect_exceeds
         best = self.best_cost
-        min_exceed = self.min_exceed
         expanded = self.expanded
         generated = self.generated
         limit = self.expansion_limit
@@ -405,30 +397,24 @@ class BoundedDFS:
                     g1 = frame[1] + cost
                     f = g1 + h(succ)
                     if f > bound + EPS:
-                        if f < min_exceed:
-                            min_exceed = f
-                        if collect:
-                            self.exceed_values.add(f)
+                        exceed_values.add(f)
                     elif find_best and f >= best - EPS:
                         pass
                     elif is_goal(succ):
                         self.solution_log.append(g1)
                         if g1 < best:
                             best = g1
-                            self.best_path = path + [succ]
+                            self.best_path = [fr[0] for fr in stack] + [succ]
                         if not find_best:
                             self.done = True
                             break
                     else:
                         stack.append([succ, g1, None, 0])
-                        path.append(succ)
                         on_path.add(succ)
             else:
                 stack.pop()
-                path.pop()
                 on_path.discard(frame[0])
         self.best_cost = best
-        self.min_exceed = min_exceed
         self.expanded = expanded
         self.generated = generated
         if not stack:
@@ -466,7 +452,7 @@ def idastar(
                 stats,
                 meta={"algorithm": "idastar", "bounds": len(stats.iteration_expansions)},
             )
-        if it.min_exceed == INF:
+        bound = min(it.exceed_values, default=INF)
+        if bound == INF:
             stats.wall_time = time.perf_counter() - start
             return Solution(INF, [], stats, meta={"algorithm": "idastar"})
-        bound = it.min_exceed

@@ -160,7 +160,8 @@ def two_wave_check(workers: Sequence[TerminationView]) -> bool:
     return conclude(msg, initiator) == "pass"
 
 
-def time_ring_check(workers: Sequence[TerminationView], initiator: int = 0) -> bool:
-    """One control ring of the time algorithm over all workers."""
-    msg = _around(start_time_ring(initiator, workers[initiator]), workers)
-    return conclude(msg, workers[initiator]) == "pass"
+def time_ring_check(workers: Sequence[TerminationView]) -> bool:
+    """One control ring of the time algorithm, initiated by worker 0."""
+    initiator = workers[0]
+    msg = _around(start_time_ring(0, initiator), workers)
+    return conclude(msg, initiator) == "pass"

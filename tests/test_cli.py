@@ -90,6 +90,29 @@ class TestSolve:
             "--hash-config", str(cfg),
         ) == 0
 
+    def test_zero_denominator_thickness_exit_three(self, tmp_path):
+        cfg = tmp_path / "strategy.cfg"
+        cfg.write_text("d = 1/0\n")
+        assert run_cli(
+            "solve", "--domain", "lattice", "--gen", "dims=3x3",
+            "--algo", "hdastar", "--hash", "hyperplane", "--workers", "3",
+            "--hash-config", str(cfg),
+        ) == 3
+
+    def test_unreadable_hash_config_exit_three(self, tmp_path):
+        assert run_cli(
+            "solve", "--domain", "tile", "--algo", "hdastar",
+            "--hash-config", str(tmp_path),
+        ) == 3
+
+    def test_nan_heuristic_graph_exit_three(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("start s\ngoal t\nh s nan\ns a 1\na t 1\n")
+        assert run_cli(
+            "solve", "--domain", "graph", "--file", str(graph),
+            "--algo", "hdastar", "--workers", "2",
+        ) == 3
+
     def test_bad_subcommand_exit_three(self):
         assert run_cli("frobnicate") == 3
 
@@ -156,6 +179,27 @@ class TestBench:
             path = tmp_path / "suite.json"
             path.write_text(json.dumps(suite))
             assert run_cli("bench", "--suite", str(path)) == 3, algo
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            {"instances": [{"gen": {"n": 3}}]},
+            {"instances": [42]},
+            {"instances": [{"domain": "tile"}], "workers": ["2"]},
+            {"instances": [{"domain": "tile"}], "workers": [2.5]},
+            {"instances": [{"domain": "tile"}], "batch": "10"},
+            {"instances": [{"domain": "tile"}], "workers": 2},
+            {"instances": [{"domain": "tile", "gen": [3]}]},
+            {"instances": [{"domain": "grid", "start": [0, 0]}]},
+            {"instances": [{"domain": "tile"}], "algos": [["hdastar"]]},
+            {"instances": [{"domain": "tile"}], "seed": "1"},
+            [{"domain": "tile"}],
+        ],
+    )
+    def test_malformed_suite_exit_three(self, tmp_path, suite):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        assert run_cli("bench", "--suite", str(path)) == 3
 
     def test_unparseable_instance_aborts(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -7,6 +7,7 @@ import pytest
 
 from parsearch.common import ParseError
 from parsearch.domains import (
+    ExplicitGraph,
     GridProblem,
     LatticeProblem,
     TilePuzzle,
@@ -14,6 +15,7 @@ from parsearch.domains import (
     grid_expand,
     is_solvable,
     octile_h,
+    parse_graph,
     parse_grid,
     random_grid,
     random_solvable,
@@ -171,6 +173,27 @@ class TestGrid:
                 h0 = octile_h((x, y), goal)
                 for nxt, cost in grid_expand(grid, (x, y)):
                     assert h0 <= cost + octile_h(nxt, goal) + 1e-12
+
+
+class TestGraph:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("start s\ngoal t\nh s nan\ns t 1\n", 3),
+            ("start s\ngoal t\ns t nan\n", 3),
+            ("start s\ngoal t\ns t -1\n", 3),
+        ],
+    )
+    def test_nan_or_negative_value_reports_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+
+    def test_constructor_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ExplicitGraph([("s", "t", math.nan)], "s", {"t"})
+        with pytest.raises(ValueError):
+            ExplicitGraph([("s", "t", 1.0)], "s", {"t"}, {"s": math.nan})
 
 
 class TestLattice:
