@@ -39,7 +39,9 @@ class SolverProfile:
     def __post_init__(self):
         if self.min_width < 1:
             raise ConfigError("min_width must be >= 1")
-        if self.fail_time < 0:
+        if not self.makespan > 0:
+            raise ConfigError("makespan must be > 0")
+        if not self.fail_time >= 0:
             raise ConfigError("fail_time must be >= 0")
 
     def duration(self, width: int) -> float:
@@ -63,7 +65,7 @@ class CostModel:
 
 def geometric_sequence(b: float, k: int) -> list[int]:
     """HAU counts ceil(b^i) for iterations i = 0..k-1."""
-    if b <= 1:
+    if not b > 1:
         raise ConfigError("geometric base must be > 1")
     if k < 1:
         raise ConfigError("need at least one iteration")
@@ -96,7 +98,7 @@ def ia_total_cost(
     never be cheaper than a fresh allocation).
     """
     model = model or CostModel()
-    if b <= 1:
+    if not b > 1:
         raise ConfigError("geometric base must be > 1")
     total = 0.0
     now = 0.0
@@ -143,7 +145,7 @@ def ia_total_cost(
 
 def ratio_bounds(b: float) -> tuple[float, float]:
     """Analytic (worst-case, average-case) cost ratios of the b^i strategy."""
-    if b <= 1:
+    if not b > 1:
         raise ConfigError("geometric base must be > 1")
     return b * b / (b - 1), 2 * b * b / (b * b - 1)
 

@@ -45,6 +45,8 @@ Run record JSON fields (schema 1):
   path_length, wall_time, expanded, generated, reopened, duplicates,
   max_open, sent, received, per_worker (list of counter objects),
   detection_rounds, detection_waves, winner_weight (dovetail only).
+  execution is "interleaved" for spastar, hdastar, window and dovetail
+  (dovetail: workers = number of weights) and "serial" otherwise.
 
 Bench CSV columns:
   instance, algo, strategy, p, cost, expanded, SO, CO, LB,
@@ -202,6 +204,8 @@ def make_record(solution, args, instance: str) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.node_limit < 0:
+        raise ConfigError("node limit must be an integer >= 0")
     strategy_config = {}
     if args.hash_config:
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
@@ -306,8 +310,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_iasim(args) -> int:
-    if args.b <= 1:
-        raise ConfigError("--b must be > 1")
     model = CostModel(kind=args.model, spare_reuse=not args.no_reuse)
     worst, avg = ratio_bounds(args.b)
     rows = sweep(args.b, args.wmax, model, fail_time=args.e_fail, makespan=args.makespan)

@@ -156,6 +156,8 @@ def random_solvable(n: int, seed: int | random.Random) -> tuple[int, ...]:
 
 def random_scramble(n: int, depth: int, seed: int | random.Random) -> tuple[int, ...]:
     """Scramble the goal by `depth` random blank moves (no immediate undo)."""
+    if depth < 0:
+        raise ValueError("scramble depth must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     puzzle = TilePuzzle(goal_state(n))
     state = puzzle.goal

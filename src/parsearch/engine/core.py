@@ -1,13 +1,26 @@
 """Shared engine machinery: config, incumbent cell, transport, driver.
 
-Every engine (SPA*, HDA*, parallel window) defines `runnable(w)` and
-`step(w)` and runs on one substrate: `run_interleaved`, a seeded driver that
-picks one action per tick (step a runnable worker, or deliver one in-flight
-message of an engine with a `ChannelTransport`) from a schedule policy. A
-step runs to completion before the next action, so it is atomic with
-respect to every other worker and no engine state needs a lock. Runs are
-fully deterministic, and message delivery can be made adversarial, which
-the termination tests rely on.
+Every engine (SPA*, HDA*, parallel window, dovetailing) is an `Engine` and
+runs on one substrate: `run_interleaved`, a seeded driver that picks one
+action per tick (step a runnable worker, or deliver one in-flight message
+of an engine with a `ChannelTransport`) from a schedule policy. A step runs
+to completion before the next action, so it is atomic with respect to
+every other worker and no engine state needs a lock. Runs are fully
+deterministic, and message delivery can be made adversarial, which the
+termination tests rely on.
+
+`Engine.run` is the one run lifecycle: drive, check, take the result,
+validate it and report a `Solution`. An engine supplies:
+  algorithm    its name, Solution.meta["algorithm"]
+  step(w)      one atomic action of worker w; setting `finished` ends the run
+  runnable(w)  whether the driver may step w now (default: always)
+  result()     (cost, path) once finished; path [] when unsolved
+  check()      post-run invariants, raising SearchInvariantError (default: none)
+  meta()       its own Solution.meta fields beside the common ones
+  stats        one SearchStats per worker, merged into Solution.stats
+  traces       per-worker expansion traces, or None when not recorded
+  transport    a ChannelTransport when workers exchange messages, else None
+  policy       a schedule policy replacing the seeded default, or None
 """
 
 from __future__ import annotations
@@ -18,7 +31,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from parsearch.common import INF, ConfigError
-from parsearch.serial import DEFAULT_NODE_LIMIT
+from parsearch.domains.base import validate_path
+from parsearch.serial import DEFAULT_NODE_LIMIT, Solution, merge_stats
 
 
 def default_batch_size(workers: int) -> int:
@@ -26,9 +40,9 @@ def default_batch_size(workers: int) -> int:
     return 10 if workers < 16 else 100
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1")
+def _check_count(name: str, value, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}")
 
 
 @dataclass
@@ -51,6 +65,7 @@ class EngineConfig:
         if self.termination not in ("two-wave", "time"):
             raise ConfigError("termination must be 'two-wave' or 'time'")
         _check_count("burst", self.burst)
+        _check_count("node limit", self.node_limit, 0)
 
 
 class Incumbent:
@@ -60,41 +75,55 @@ class Incumbent:
         self.cost = INF
         self.state = None
 
-    def offer(self, cost: float, state) -> bool:
+    def offer(self, cost: float, state) -> None:
         if cost < self.cost:
             self.cost = cost
             self.state = state
-            return True
-        return False
 
 
 class Engine:
-    """Runner interface shared by the multi-worker engines.
-
-    Subclasses define step(w) and may narrow runnable(w). Setting finished
-    ends the run. Engines whose workers exchange messages also set
-    transport.
-    """
+    """A multi-worker search on the interleaved driver (see module doc)."""
 
     transport = None
+    policy = None
+    traces = None
 
     def __init__(self, problem, config: EngineConfig | None = None):
         self.problem = problem
         self.config = config or EngineConfig()
         self.p = self.config.workers
         self.finished = False
+        self.ticks = 0  # scheduler ticks of the finished run
 
     def runnable(self, w: int) -> bool:
         return True
 
-    def drive(self, policy=None):
-        """Run to the end on the interleaved driver.
+    def check(self) -> None:
+        pass
 
-        Returns (scheduler ticks, wall seconds).
-        """
+    def meta(self) -> dict:
+        return {}
+
+    def run(self) -> Solution:
         start = time.perf_counter()
-        ticks = run_interleaved(self, self.config.seed, policy)
-        return ticks, time.perf_counter() - start
+        self.ticks = run_interleaved(self, self.config.seed, self.policy)
+        wall = time.perf_counter() - start
+        self.check()
+        cost, path = self.result()
+        if path:
+            validate_path(self.problem, path)
+        stats = merge_stats(self.stats)
+        stats.wall_time = wall
+        meta = {
+            "algorithm": self.algorithm,
+            "workers": self.p,
+            "execution": "interleaved",
+            "seed": self.config.seed,
+            **self.meta(),
+        }
+        if self.traces is not None:
+            meta["trace"] = [list(t) for t in self.traces]
+        return Solution(cost, path, stats, per_worker=self.stats, meta=meta)
 
 
 # Message envelopes: ("W", src, stamp, batch) with batch a list of
@@ -123,8 +152,9 @@ class ChannelTransport:
     def pending_channels(self) -> list[tuple[int, int]]:
         return [c for c, q in self.channels.items() if q]
 
-    def in_flight_items(self):
-        for queue in self.channels.values():
+    def unprocessed_items(self):
+        """Messages in a channel or waiting in a mailbox."""
+        for queue in (*self.channels.values(), *self.boxes):
             yield from queue
 
 

@@ -1,26 +1,72 @@
 """Dovetailing portfolio: weighted A* under several weights at once.
 
-Each weight runs as its own searcher, with no information exchange; the
-searchers take one expansion each in turn, and the first to return a
-solution wins and cancels the rest. The result carries
-the winning weight and is optimal only when that weight is 1.
+Each weight runs as its own searcher (worker), with no information
+exchange. `Dovetail` is an `Engine` whose only runnable worker is the one
+whose turn it is: the searchers take one expansion each in round robin,
+a searcher that exhausts its space leaves the rotation, and the first to
+find a goal wins and ends the run. The result carries the winning weight
+and is optimal only when that weight is 1.
 """
 
 from __future__ import annotations
 
-import time
+from collections import deque
 
 from parsearch.common import INF, ConfigError
-from parsearch.domains.base import SearchProblem, validate_path
+from parsearch.domains.base import SearchProblem
+from parsearch.engine.core import Engine, EngineConfig
 from parsearch.serial import (
     DEFAULT_NODE_LIMIT,
     BestFirstSearch,
     Solution,
-    merge_stats,
     reconstruct_path,
 )
 
 DEFAULT_WEIGHTS = (1.0, 1.5, 2.0, 3.0, INF)
+
+
+class Dovetail(Engine):
+    algorithm = "dovetail"
+
+    def __init__(self, problem: SearchProblem, weights, node_limit: int):
+        self.weights = tuple(weights)
+        if not self.weights:
+            raise ConfigError("at least one weight required")
+        super().__init__(
+            problem, EngineConfig(workers=len(self.weights), node_limit=node_limit)
+        )
+        self.searchers = [BestFirstSearch(problem, w, node_limit) for w in self.weights]
+        self.stats = [s.stats for s in self.searchers]
+        self.turns = deque(range(self.p))  # head: the worker whose turn it is
+        self.winner: int | None = None
+
+    def runnable(self, w: int) -> bool:
+        return self.turns[0] == w
+
+    def step(self, w: int) -> None:
+        self.turns.popleft()
+        searcher = self.searchers[w]
+        if searcher.step():
+            self.turns.append(w)
+        elif searcher.goal_cost < INF:
+            self.winner = w
+            self.finished = True
+        elif not self.turns:
+            self.finished = True  # every searcher exhausted without a goal
+
+    def result(self):
+        if self.winner is None:
+            return INF, []
+        s = self.searchers[self.winner]
+        return s.goal_cost, reconstruct_path(s.goal_state, s.table.entry)
+
+    def meta(self) -> dict:
+        meta = {"weights": list(self.weights)}
+        if self.winner is not None:
+            weight = self.weights[self.winner]
+            meta["winner_weight"] = weight
+            meta["optimal_guarantee"] = weight == 1.0
+        return meta
 
 
 def dovetail(
@@ -29,52 +75,4 @@ def dovetail(
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> Solution:
-    weights = tuple(weights)
-    if not weights:
-        raise ConfigError("at least one weight required")
-    for w in weights:
-        if w < 1.0:
-            raise ConfigError("weights must be >= 1 (or inf)")
-    start = time.perf_counter()
-    searchers = [BestFirstSearch(problem, w, node_limit) for w in weights]
-    winner_idx = _race_interleaved(searchers)
-    wall = time.perf_counter() - start
-    per_worker = [s.stats for s in searchers]
-    stats = merge_stats(per_worker)
-    stats.wall_time = wall
-    if winner_idx is None:
-        return Solution(
-            INF,
-            [],
-            stats,
-            per_worker=per_worker,
-            meta={"algorithm": "dovetail", "weights": list(weights)},
-        )
-    winner = searchers[winner_idx]
-    path = reconstruct_path(winner.goal_state, winner.table.entry)
-    validate_path(problem, path)
-    return Solution(
-        winner.goal_cost,
-        path,
-        stats,
-        per_worker=per_worker,
-        meta={
-            "algorithm": "dovetail",
-            "weights": list(weights),
-            "winner_weight": weights[winner_idx],
-            "optimal_guarantee": weights[winner_idx] == 1.0,
-        },
-    )
-
-
-def _race_interleaved(searchers) -> int | None:
-    """Round-robin one expansion per searcher until the first completes."""
-    active = list(range(len(searchers)))
-    while active:
-        for idx in list(active):
-            s = searchers[idx]
-            if not s.step():
-                if s.goal_cost < INF:
-                    return idx
-                active.remove(idx)  # exhausted without a solution
-    return None
+    return Dovetail(problem, weights, node_limit).run()

@@ -15,21 +15,10 @@ from __future__ import annotations
 import random
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem, validate_path
-from parsearch.engine.core import (
-    ChannelTransport,
-    Engine,
-    EngineConfig,
-    Incumbent,
-)
+from parsearch.domains.base import SearchProblem
+from parsearch.engine.core import ChannelTransport, Engine, EngineConfig, Incumbent
 from parsearch.hashing import make_strategy
-from parsearch.serial import (
-    NodeTable,
-    SearchStats,
-    Solution,
-    merge_stats,
-    reconstruct_path,
-)
+from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
 from parsearch.termination import (
     ControlMessage,
     conclude,
@@ -56,7 +45,6 @@ class _Worker:
         self.out = [[] for _ in range(engine.p)]  # per-destination batches
         self.stats = SearchStats()
         self.rng = random.Random(engine.config.seed * 1_000_003 + wid)
-        self.trace: list | None = [] if engine.config.record_trace else None
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -80,6 +68,8 @@ class HDAStar(Engine):
     `strategy` object; a custom strategy subclasses `hashing.Strategy`.
     """
 
+    algorithm = "hdastar"
+
     def __init__(
         self,
         problem: SearchProblem,
@@ -102,6 +92,9 @@ class HDAStar(Engine):
         self.transport = ChannelTransport(self.p)
         self.incumbent = Incumbent()
         self.workers = [_Worker(w, self) for w in range(self.p)]
+        self.stats = [w.stats for w in self.workers]
+        if self.config.record_trace:
+            self.traces = [[] for _ in range(self.p)]
         self.detect_in_flight = False
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
@@ -178,8 +171,8 @@ class HDAStar(Engine):
         table = worker.table
         state, g, h, key = table.pop(stats)
         self._work_since_detect = True
-        if worker.trace is not None:
-            worker.trace.append((state, g, g + h))
+        if self.traces is not None:
+            self.traces[worker.id].append((state, g, g + h))
         if self.problem.is_goal(state):
             self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
@@ -264,14 +257,10 @@ class HDAStar(Engine):
         """
         bound = self.incumbent.cost - EPS
         bad = []
-        items = list(self.transport.in_flight_items())
-        for box in self.transport.boxes:
-            items.extend(box)
-        for item in items:
+        for item in self.transport.unprocessed_items():
             if item[0] != "W":
                 continue
-            for triplet in item[3]:
-                state, g1 = triplet[0], triplet[1]
+            for state, g1, *_ in item[3]:
                 if g1 + self.problem.h(state) < bound:
                     bad.append((state, g1))
         for worker in self.workers:
@@ -282,51 +271,34 @@ class HDAStar(Engine):
 
     def _best_entry(self, state):
         """The entry with the least g for a state across all workers."""
-        best = None
-        for worker in self.workers:
-            entry = worker.table.entry(state)
-            if entry is not None and (best is None or entry[0] < best[0]):
-                best = entry
-        return best
+        entries = (w.table.entry(state) for w in self.workers)
+        found = [e for e in entries if e is not None]
+        return min(found, key=lambda e: e[0], default=None)
 
-    def run(self) -> Solution:
-        ticks, wall = self.drive(self.policy)
-        # Post-termination invariants: nothing pending, counters balanced.
+    def check(self) -> None:
+        """Post-termination invariants: nothing pending, counters balanced."""
         if self.improving_work_pending():
             raise SearchInvariantError("premature termination")
-        sent = sum(w.stats.sent for w in self.workers)
-        received = sum(w.stats.received for w in self.workers)
+        sent = sum(s.sent for s in self.stats)
+        received = sum(s.received for s in self.stats)
         if sent != received:
             raise SearchInvariantError(
                 f"triplet conservation violated: {sent} != {received}"
             )
+
+    def result(self):
         path = reconstruct_path(self.incumbent.state, self._best_entry)
-        if path:
-            validate_path(self.problem, path)
-        per_worker = [w.stats for w in self.workers]
-        stats = merge_stats(per_worker)
-        stats.wall_time = wall
-        sol = Solution(
-            self.incumbent.cost,
-            path,
-            stats,
-            per_worker=per_worker,
-            meta={
-                "algorithm": "hdastar",
-                "strategy": getattr(self.strategy, "name", "custom"),
-                "workers": self.p,
-                "batch_size": self.config.batch_size,
-                "termination": self.config.termination,
-                "execution": "interleaved",
-                "seed": self.config.seed,
-                "detection_rounds": self.rounds,
-                "detection_waves": self.waves,
-                "ticks": ticks,
-            },
-        )
-        if self.config.record_trace:
-            sol.meta["trace"] = [list(w.trace) for w in self.workers]
-        return sol
+        return self.incumbent.cost, path
+
+    def meta(self) -> dict:
+        return {
+            "strategy": getattr(self.strategy, "name", "custom"),
+            "batch_size": self.config.batch_size,
+            "termination": self.config.termination,
+            "detection_rounds": self.rounds,
+            "detection_waves": self.waves,
+            "ticks": self.ticks,
+        }
 
 
 def hdastar(

@@ -11,18 +11,14 @@ every other worker is idle.
 from __future__ import annotations
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem, validate_path
+from parsearch.domains.base import SearchProblem
 from parsearch.engine.core import Engine, EngineConfig, Incumbent
-from parsearch.serial import (
-    NodeTable,
-    SearchStats,
-    Solution,
-    merge_stats,
-    reconstruct_path,
-)
+from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
 
 
 class SPAStar(Engine):
+    algorithm = "spastar"
+
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
         self.incumbent = Incumbent()
@@ -30,9 +26,8 @@ class SPAStar(Engine):
             problem.h, node_limit=self.config.node_limit, where="shared lists"
         )
         self.stats = [SearchStats() for _ in range(self.p)]
-        self.traces = (
-            [[] for _ in range(self.p)] if self.config.record_trace else None
-        )
+        if self.config.record_trace:
+            self.traces = [[] for _ in range(self.p)]
         self.table.insert(problem.initial, 0.0, None, self.stats[0])
 
     def step(self, w: int) -> None:
@@ -52,30 +47,13 @@ class SPAStar(Engine):
         for succ, cost in successors:
             table.insert(succ, g + cost, state, stats)
 
-    def run(self) -> Solution:
-        _, wall = self.drive()
+    def check(self) -> None:
         if self.table.min_f() < self.incumbent.cost - EPS:
             raise SearchInvariantError("premature termination: open beats incumbent")
+
+    def result(self):
         path = reconstruct_path(self.incumbent.state, self.table.entry)
-        if path:
-            validate_path(self.problem, path)
-        stats = merge_stats(self.stats)
-        stats.wall_time = wall
-        sol = Solution(
-            self.incumbent.cost,
-            path,
-            stats,
-            per_worker=self.stats,
-            meta={
-                "algorithm": "spastar",
-                "workers": self.p,
-                "execution": "interleaved",
-                "seed": self.config.seed,
-            },
-        )
-        if self.traces is not None:
-            sol.meta["trace"] = [list(t) for t in self.traces]
-        return sol
+        return self.incumbent.cost, path
 
 
 def spastar(problem: SearchProblem, config: EngineConfig | None = None) -> Solution:

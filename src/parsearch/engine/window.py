@@ -11,27 +11,27 @@ bound before declaring the best solution optimal.
 from __future__ import annotations
 
 from parsearch.common import EPS, INF
-from parsearch.domains.base import SearchProblem, validate_path
+from parsearch.domains.base import SearchProblem
 from parsearch.engine.core import Engine, EngineConfig
-from parsearch.serial import BoundedDFS, SearchStats, Solution, merge_stats
+from parsearch.serial import BoundedDFS, SearchStats, Solution
 
 
 class ParallelWindow(Engine):
+    algorithm = "parallel_window"
     CHUNK = 256  # DFS events advanced per step
 
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
         self.claimed: list[float] = []
         self.exceeds: set[float] = set()
-        self.running: dict[int, float] = {}
-        self.solutions: list[tuple[float, list, float]] = []
+        # (cost, bound, path) of every iteration that found a goal; each
+        # bound is claimed once, so min() never compares paths.
+        self.solutions: list[tuple[float, float, list]] = []
         # Goal costs per claimed bound, in discovery order; bounds in
         # completion order.
         self.solution_logs: dict[float, list[float]] = {}
-        self.slots: list = [None] * self.p
+        self.slots: list = [None] * self.p  # each worker's running iteration
         self.stats = [SearchStats() for _ in range(self.p)]
-        self.result_cost = INF
-        self.result_path: list = []
 
     def _peek_claim(self) -> float | None:
         if not self.claimed:
@@ -45,75 +45,56 @@ class ParallelWindow(Engine):
             return True
         if self._peek_claim() is not None:
             return True
-        return not self.running  # a step is needed to conclude the search
+        return not any(self.slots)  # a step is needed to conclude the search
 
     def _try_finish(self) -> None:
         """Finish when the wait-for-lower-bounds rule allows it."""
         if self.solutions:
-            cost, path, bound = min(self.solutions, key=lambda s: (s[0], s[2]))
-            if not any(rb < bound - EPS for rb in self.running.values()):
-                self.result_cost = cost
-                self.result_path = path
+            bound = min(self.solutions)[1]
+            if not any(dfs.bound < bound - EPS for dfs in self.slots if dfs):
                 self.finished = True
-        elif not self.running and self._peek_claim() is None:
+        elif not any(self.slots) and self._peek_claim() is None:
             self.finished = True  # space exhausted below every claimed bound
 
     def step(self, w: int) -> None:
-        slot = self.slots[w]
-        if slot is None:
+        dfs = self.slots[w]
+        if dfs is None:
             bound = self._peek_claim()
             if bound is None:
                 self._try_finish()
                 return
             self.claimed.append(bound)
-            self.running[w] = bound
-            dfs = BoundedDFS(
+            self.slots[w] = BoundedDFS(
                 self.problem,
                 bound,
                 find_best=True,
                 expansion_limit=self.config.node_limit,
             )
-            self.slots[w] = (bound, dfs)
             return
-        bound, dfs = slot
         dfs.run_chunk(self.CHUNK)
         if dfs.done:
+            self.slots[w] = None
             stats = self.stats[w]
             stats.expanded += dfs.expanded
             stats.generated += dfs.generated
             stats.iteration_expansions.append(dfs.expanded)
             self.exceeds.update(dfs.exceed_values)
-            self.running.pop(w, None)
-            self.solution_logs[bound] = dfs.solution_log
+            self.solution_logs[dfs.bound] = dfs.solution_log
             if dfs.best_cost < INF:
-                self.solutions.append((dfs.best_cost, dfs.best_path, bound))
+                self.solutions.append((dfs.best_cost, dfs.bound, dfs.best_path))
             self._try_finish()
-            self.slots[w] = None
 
-    def run(self) -> Solution:
-        _, wall = self.drive()
-        first_incumbent = next(
-            (log[0] for log in self.solution_logs.values() if log), None
-        )
-        if self.result_path:
-            validate_path(self.problem, self.result_path)
-        stats = merge_stats(self.stats)
-        stats.wall_time = wall
-        return Solution(
-            self.result_cost,
-            self.result_path,
-            stats,
-            per_worker=self.stats,
-            meta={
-                "algorithm": "parallel_window",
-                "workers": self.p,
-                "bounds": sorted(self.claimed),
-                "first_incumbent": first_incumbent,
-                "solution_logs": self.solution_logs,
-                "execution": "interleaved",
-                "seed": self.config.seed,
-            },
-        )
+    def result(self):
+        cost, _, path = min(self.solutions, default=(INF, None, []))
+        return cost, path
+
+    def meta(self) -> dict:
+        logs = self.solution_logs
+        return {
+            "bounds": sorted(self.claimed),
+            "first_incumbent": next((log[0] for log in logs.values() if log), None),
+            "solution_logs": logs,
+        }
 
 
 def parallel_window(

@@ -223,7 +223,7 @@ class BestFirstSearch:
         node_limit: int = DEFAULT_NODE_LIMIT,
         record_trace: bool = False,
     ):
-        if weight < 1.0:
+        if not weight >= 1.0:
             raise ConfigError("weight must be >= 1 (or inf)")
         self.problem = problem
         self.stats = SearchStats()

@@ -1,5 +1,7 @@
 """Iterative-allocation simulator: sequences, costs, analytic bounds."""
 
+import math
+
 import pytest
 
 from parsearch.allocation import (
@@ -29,6 +31,8 @@ class TestGeometricSequence:
             geometric_sequence(1.0, 3)
         with pytest.raises(ConfigError):
             geometric_sequence(2.0, 0)
+        with pytest.raises(ConfigError):
+            geometric_sequence(math.nan, 3)
 
 
 class TestRatioBounds:
@@ -40,6 +44,8 @@ class TestRatioBounds:
     def test_rejects_base_at_most_one(self):
         with pytest.raises(ConfigError):
             ratio_bounds(1.0)
+        with pytest.raises(ConfigError):
+            ratio_bounds(math.nan)
 
     def test_worst_bound_minimized_by_doubling(self):
         best_b = min(
@@ -104,6 +110,19 @@ class TestIterativeAllocation:
                     profile, 2.0, CostModel("discrete", spare_reuse=False)
                 )
                 assert with_reuse <= without + 1e-9
+
+    def test_rejects_nan_base(self):
+        with pytest.raises(ConfigError):
+            ia_total_cost(SolverProfile(4), math.nan)
+
+    def test_profile_rejects_bad_makespan_and_fail_time(self):
+        for makespan in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError):
+                SolverProfile(4, makespan=makespan)
+        for fail_time in (-1.0, math.nan):
+            with pytest.raises(ConfigError):
+                SolverProfile(4, fail_time=fail_time)
+        assert SolverProfile(4, fail_time=0.0).duration(1) == 0.0
 
     def test_exhausts_max_width(self):
         profile = SolverProfile(1000, makespan=1.0, fail_time=1.0)

@@ -71,6 +71,31 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_node_limit_zero_fails_on_root_exit_two(self):
+        for algo in ("astar", "hdastar"):
+            assert run_cli(
+                "solve", "--domain", "tile", "--algo", algo, "--node-limit", "0",
+            ) == 2
+
+    def test_bad_node_limit_exit_three(self):
+        for algo in ("astar", "spastar", "hdastar", "dovetail"):
+            for limit in ("-3", "1.5"):
+                assert run_cli(
+                    "solve", "--domain", "tile", "--algo", algo,
+                    "--node-limit", limit,
+                ) == 3, (algo, limit)
+
+    def test_negative_scramble_depth_exit_three(self):
+        assert run_cli("solve", "--domain", "tile", "--gen", "n=3,depth=-4") == 3
+
+    def test_nan_weights_exit_three(self):
+        assert run_cli(
+            "solve", "--domain", "tile", "--algo", "wastar", "--weight", "nan",
+        ) == 3
+        assert run_cli(
+            "solve", "--domain", "tile", "--algo", "dovetail", "--weights", "1,nan",
+        ) == 3
+
     def test_grid_file_with_blocked_start(self, tmp_path):
         m = tmp_path / "m.txt"
         m.write_text("2 2 8\n#.\n..\n")
@@ -225,6 +250,16 @@ class TestIasim:
 
     def test_base_one_rejected(self):
         assert run_cli("iasim", "--b", "1") == 3
+
+    def test_nan_base_rejected(self, capsys):
+        assert run_cli("iasim", "--b", "nan") == 3
+        assert "geometric base must be > 1" in capsys.readouterr().err
+
+    def test_bad_makespan_or_fail_time_rejected(self):
+        for value in ("0", "-1", "nan"):
+            assert run_cli("iasim", "--wmax", "4", "--makespan", value) == 3
+        for value in ("-1", "nan"):
+            assert run_cli("iasim", "--wmax", "4", "--e-fail", value) == 3
 
     def test_continuous_model(self, tmp_path):
         out = tmp_path / "ia.csv"

@@ -18,6 +18,7 @@ from parsearch.domains import (
     parse_graph,
     parse_grid,
     random_grid,
+    random_scramble,
     random_solvable,
     state_count,
 )
@@ -45,6 +46,11 @@ class TestTiles:
             for t, cost in p.expand(s):
                 assert cost == 1.0
                 assert s in [u for u, _ in p.expand(t)]
+
+    def test_scramble_rejects_negative_depth(self):
+        assert random_scramble(3, 0, 1) == goal_state(3)
+        with pytest.raises(ValueError):
+            random_scramble(3, -4, 1)
 
     def test_manhattan_goal_zero(self):
         p = TilePuzzle(goal_state(3))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parsearch.common import INF, NodeLimitExceeded
+from parsearch.common import INF, ConfigError, NodeLimitExceeded
 from parsearch.domains import (
     ExplicitGraph,
     TilePuzzle,
@@ -124,13 +124,15 @@ class TestHDAStar:
                 assert a == b, engine.__name__
 
     def test_post_run_check_survives_optimized_python(self):
-        # The detection-pass hook plants an improving triplet; the post-run
-        # check must catch it even under -O, which strips assert statements.
+        # The detection-pass hook plants an improving triplet, and an SPA*
+        # step that only finishes leaves the root open; each engine's
+        # post-run check must catch it even under -O, which strips asserts.
         script = """
 from parsearch.common import SearchInvariantError
 from parsearch.domains import ExplicitGraph
 from parsearch.engine import EngineConfig
 from parsearch.engine.hda import HDAStar
+from parsearch.engine.spa import SPAStar
 
 g = ExplicitGraph([("s", "a", 1), ("a", "t", 1)], "s", {"t"})
 
@@ -144,6 +146,16 @@ except SearchInvariantError as exc:
     print("raised:", exc)
 else:
     print("not raised")
+
+# An SPA* run whose step stops at once leaves the root open below INF.
+spa = SPAStar(g, EngineConfig(workers=2, seed=1))
+spa.step = lambda w: setattr(spa, "finished", True)
+try:
+    spa.run()
+except SearchInvariantError as exc:
+    print("spa raised:", exc)
+else:
+    print("spa not raised")
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run(
@@ -156,6 +168,7 @@ else:
         assert out.returncode == 0, out.stderr
         assert "debug: False" in out.stdout
         assert "raised: premature termination" in out.stdout
+        assert "spa raised: premature termination: open beats incumbent" in out.stdout
 
     def test_non_owner_delivery_raises_under_optimized_python(self):
         # A triplet planted in a non-owner's mailbox must be refused on
@@ -291,6 +304,15 @@ else:
         with pytest.raises(NodeLimitExceeded):
             hdastar(p, EngineConfig(workers=2, node_limit=100, seed=1))
 
+    def test_node_limit_must_be_a_nonnegative_integer(self):
+        for limit in (-3, 1.5, True, None):
+            with pytest.raises(ConfigError):
+                EngineConfig(node_limit=limit)
+        p = TilePuzzle(goal_state(3))
+        for engine in (spastar, hdastar):
+            with pytest.raises(NodeLimitExceeded):  # the root alone exceeds 0
+                engine(p, EngineConfig(workers=2, node_limit=0))
+
     def test_unsolvable_all_workers_agree(self):
         g = ExplicitGraph([("s", "a", 1)], "s", {"t"})
         for workers in (1, 2, 4, 8):
@@ -377,3 +399,21 @@ class TestDovetail:
     def test_rejects_empty_weights(self):
         with pytest.raises(Exception):
             dovetail(TilePuzzle(goal_state(3)), weights=())
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ConfigError):
+            dovetail(TilePuzzle(goal_state(3)), weights=(1.0, float("nan")))
+
+    def test_round_robin_turns(self, tile_suite_small):
+        # Two identical searchers alternate one expansion each, so the first
+        # reaches the goal on its k-th expansion while the second has had
+        # k - 1: [356, 355], [676, 675] and [495, 494] on the first three.
+        for p in tile_suite_small[:3]:
+            serial = astar(p)
+            sol = dovetail(p, weights=(1.0, 1.0))
+            assert sol.meta["winner_weight"] == 1.0
+            assert sol.cost == serial.cost
+            k = serial.stats.expanded
+            assert [w.expanded for w in sol.per_worker] == [k, k - 1]
+            assert sol.meta["workers"] == 2
+            assert sol.meta["execution"] == "interleaved"

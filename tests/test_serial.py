@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from parsearch.common import INF, NodeLimitExceeded
+from parsearch.common import INF, ConfigError, NodeLimitExceeded
 from parsearch.domains import (
     ExplicitGraph,
     GridProblem,
@@ -121,3 +121,7 @@ class TestWeightedAstar:
         p = TilePuzzle(goal_state(3))
         with pytest.raises(Exception):
             wastar(p, 0.5)
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ConfigError):
+            wastar(TilePuzzle(goal_state(3)), math.nan)
