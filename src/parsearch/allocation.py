@@ -172,6 +172,8 @@ def sweep(
     makespan: float = 1.0,
 ) -> list[AllocationRow]:
     """Simulate every minimal width 1..max_min_width under one profile."""
+    if max_min_width < 1:
+        raise ConfigError("max minimal width must be >= 1")
     model = model or CostModel()
     rows = []
     for w_plus in range(1, max_min_width + 1):

@@ -93,15 +93,16 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 def build_problem(
     domain: str,
-    gen: str | None,
+    gen: dict[str, str],
     file: str | None,
     start: str | None,
     goal: str | None,
     seed: int,
 ) -> tuple[object, str]:
-    """Construct the search problem named by --domain/--file/--gen."""
+    """Construct the search problem named by --domain/--file and the
+    generator fields `gen` (text values, e.g. {"n": "3", "seed": "7"})."""
     if domain == "tile":
-        gen = _parse_kv(gen or "n=3,seed=1")
+        gen = gen or {"seed": "1"}
         n = int(gen.get("n", 3))
         seed = int(gen.get("seed", seed))
         if "depth" in gen:
@@ -114,7 +115,7 @@ def build_problem(
             grid = parse_grid(Path(file).read_text())
             name = Path(file).name
         else:
-            gen = _parse_kv(gen or "w=16,h=16,fill=0.25,seed=1")
+            gen = gen or {"seed": "1"}
             w, h = int(gen.get("w", 16)), int(gen.get("h", 16))
             fill = float(gen.get("fill", 0.25))
             seed = int(gen.get("seed", seed))
@@ -133,7 +134,6 @@ def build_problem(
         graph = parse_graph(Path(file).read_text())
         return graph, Path(file).name
     if domain == "lattice":
-        gen = _parse_kv(gen or "dims=4x4")
         dims = tuple(int(d) for d in gen.get("dims", "4x4").split("x"))
         return LatticeProblem(dims), f"lattice-{gen.get('dims', '4x4')}"
     raise ConfigError(f"unknown domain {domain!r}")
@@ -209,8 +209,9 @@ def cmd_solve(args) -> int:
     strategy_config = {}
     if args.hash_config:
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
+    gen = _parse_kv(args.gen or "")
     problem, instance = build_problem(
-        args.domain, args.gen, args.file, args.start, args.goal, args.seed
+        args.domain, gen, args.file, args.start, args.goal, args.seed
     )
     solution = run_algorithm(problem, args, strategy_config)
     record = make_record(solution, args, instance)
@@ -234,20 +235,22 @@ def _suite_list(suite: dict, key: str, default: list) -> list:
 
 def _suite_problem(entry, seed: int):
     """Build one suite instance: {"domain", "gen", "file", "start", "goal",
-    "name"}, all strings except "gen", an object of generator fields."""
+    "name"}, all strings except "gen", an object of generator fields whose
+    values are strings or numbers."""
     if not isinstance(entry, dict) or not isinstance(entry.get("domain"), str):
         raise ConfigError(f"suite instance {entry!r} is not an object with a domain")
     gen = entry.get("gen", {})
     fields = [entry.get(key) for key in ("file", "start", "goal", "name")]
-    if not isinstance(gen, dict) or not all(
-        f is None or isinstance(f, str) for f in fields
-    ):
+    plain_gen = isinstance(gen, dict) and all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool)
+        for v in gen.values()
+    )
+    if not plain_gen or not all(f is None or isinstance(f, str) for f in fields):
         raise ConfigError(f"suite instance {entry!r} has a malformed field")
     file, start, goal, name = fields
-    gen_text = ",".join(f"{k}={v}" for k, v in gen.items()) or None
-    problem, auto_name = build_problem(
-        entry["domain"], gen_text, file, start, goal, seed
-    )
+    # Numbers become their text, as in a --gen spec.
+    gen = {k: str(v) for k, v in gen.items()}
+    problem, auto_name = build_problem(entry["domain"], gen, file, start, goal, seed)
     return problem, auto_name if name is None else name
 
 

@@ -10,6 +10,12 @@ optional hook `feature_delta(parent, child)`: the features removed from and
 added to the parent's feature multiset by the move, whose Zobrist bit strings
 xor the parent's key into the child's. Tile puzzles define it; domains with
 only a few features per state do not, as a full recompute is cheaper there.
+
+The optional hooks `default_projection()` (strategy `azh`) and
+`abstraction_projection()` (strategy `abstraction`) return a dict mapping
+every feature of the domain to an abstract feature, or to None to drop it;
+states with equal projected feature multisets share a Zobrist key. Without
+the hook a strategy uses the identity projection.
 """
 
 from __future__ import annotations

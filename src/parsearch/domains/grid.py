@@ -120,15 +120,15 @@ class GridProblem:
     def canonical_bytes(self, state: tuple[int, int]) -> bytes:
         return state[0].to_bytes(4, "little") + state[1].to_bytes(4, "little")
 
-    def abstraction_features(self, state: tuple[int, int]) -> list[Feature]:
-        return [(state[0] // BLOCK_SIZE, state[1] // BLOCK_SIZE)]
-
     def default_projection(self) -> dict[Feature, Feature]:
+        """Project each cell onto its BLOCK_SIZE x BLOCK_SIZE block."""
         proj = {}
         for x in range(self.grid.width):
             for y in range(self.grid.height):
                 proj[(x, y)] = (x // BLOCK_SIZE, y // BLOCK_SIZE)
         return proj
+
+    abstraction_projection = default_projection
 
 
 def random_grid(

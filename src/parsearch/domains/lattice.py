@@ -57,15 +57,15 @@ class LatticeProblem:
     def canonical_bytes(self, state: tuple[int, ...]) -> bytes:
         return b"".join(x.to_bytes(4, "little") for x in state)
 
-    def abstraction_features(self, state: tuple[int, ...]) -> list[Feature]:
-        return [(i, x // 2) for i, x in enumerate(state)]
-
     def default_projection(self) -> dict[Feature, Feature]:
+        """Project each coordinate x onto x // 2."""
         proj = {}
         for i, l in enumerate(self.lengths):
             for x in range(l + 1):
                 proj[(i, x)] = (i, x // 2)
         return proj
+
+    abstraction_projection = default_projection
 
     def all_states(self):
         """Every lattice point; exhaustive checks only (small lattices)."""

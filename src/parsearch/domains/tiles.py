@@ -90,15 +90,15 @@ class TilePuzzle:
         t = parent[j]
         return ((b, 0), (j, t), (b, t), (j, 0))
 
-    # Hooks used by the hashing strategies.
+    # Projection hooks of the azh and abstraction hashing strategies.
 
-    def abstraction_features(self, state: tuple[int, ...]) -> list[Feature]:
-        """Abstract state that ignores all tiles except 1, 2 and 3."""
-        keep = []
-        for pos, tile in enumerate(state):
-            if tile in (1, 2, 3):
-                keep.append((pos, tile))
-        return keep
+    def abstraction_projection(self) -> dict[Feature, Feature | None]:
+        """Keep the features of tiles 1, 2 and 3; drop all others."""
+        return {
+            (pos, tile): (pos, tile) if tile in (1, 2, 3) else None
+            for pos in range(self.ncells)
+            for tile in range(self.ncells)
+        }
 
     def default_projection(self) -> dict[Feature, Feature]:
         """Project (position, tile) onto (row-pair block, tile)."""

@@ -1,14 +1,17 @@
 """Work-distribution strategies: state -> 64-bit key -> owner worker.
 
-Available strategies: Zobrist, abstract Zobrist (Zobrist over projected
-features), multiplicative, abstraction-based, hyperplane (lattices only),
-and random. Keys are 64-bit; duplicate detection always compares full
-states, never keys alone.
+Four strategy classes: Zobrist, multiplicative, hyperplane (lattices only)
+and random. Abstract Zobrist hashing (`azh`) and abstraction-based
+distribution (`abstraction`) are Zobrist hashing over a per-feature
+projection that maps each feature to an abstract feature, or to None to drop
+it; `make_strategy` takes the projection from the domain's
+`default_projection()` or `abstraction_projection()` hook. Keys are 64-bit;
+duplicate detection always compares full states, never keys alone.
 
 Keys are carried, not cached: `child_key(parent, parent_key, child)`
 derives a successor's key from its parent's, and `owner(state, p, rng,
-key)` routes with that key. Zobrist and abstract Zobrist update the parent's
-key incrementally when the domain has a `feature_delta(parent, child)` hook;
+key)` routes with that key. The Zobrist family updates the parent's key
+incrementally when the domain has a `feature_delta(parent, child)` hook;
 every other strategy, and every domain without the hook, recomputes the key
 from the child's features. No strategy keeps memory per state.
 """
@@ -21,6 +24,7 @@ from typing import Iterable
 
 from parsearch.common import ConfigError
 from parsearch.domains.base import Feature, SearchProblem, State, fold_key
+from parsearch.domains.lattice import LatticeProblem
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 TWO64 = 1 << 64
@@ -60,15 +64,20 @@ class ZobristTable(dict):
 
     Entries are derived deterministically from the seed by a counter-based
     generator, so the table never depends on insertion order; `table[f]`
-    fills a missing entry on first use.
+    fills a missing entry on first use. With a projection, the entry of a
+    feature f is the bit string of `projection[f]`, or 0 when f is dropped
+    (projected to None), so a key over a projected table is the abstract
+    state's key, one lookup per feature.
     """
 
-    def __init__(self, seed: int = 42):
+    def __init__(self, seed: int = 42, projection: dict | None = None):
         super().__init__()
         self._base = splitmix64(seed & MASK64)
+        self._projection = projection
 
     def __missing__(self, feature: Feature) -> int:
-        entry = splitmix64(_stable_mix(self._base, feature))
+        target = feature if self._projection is None else self._projection[feature]
+        entry = 0 if target is None else splitmix64(_stable_mix(self._base, target))
         self[feature] = entry
         return entry
 
@@ -97,10 +106,14 @@ def zobrist_update(
 
 def azh_key(
     table: ZobristTable,
-    projection: dict[Feature, Feature] | None,
+    projection: dict[Feature, Feature | None] | None,
     features: Iterable[Feature],
 ) -> int:
-    """Zobrist key of the projected feature multiset (None: identity)."""
+    """Zobrist key of the projected feature multiset (None: identity).
+
+    The reference form of a projected table's key: a feature projected to
+    None is dropped, as `table[None]` is 0.
+    """
     if projection is None:
         return zobrist_key(table, features)
     key = 0
@@ -214,11 +227,12 @@ class Strategy:
 
 
 class ZobristStrategy(Strategy):
-    name = "zobrist"
+    """Zobrist hashing, over the features or over their projection."""
 
-    def __init__(self, problem: SearchProblem, seed: int = 42):
+    def __init__(self, problem: SearchProblem, seed=42, projection=None, name="zobrist"):
         self.problem = problem
-        self.table = ZobristTable(seed)
+        self.name = name
+        self.table = ZobristTable(seed, projection)
         self._features = problem.features
         self._delta = getattr(problem, "feature_delta", None)
 
@@ -237,30 +251,6 @@ class ZobristStrategy(Strategy):
         for f in delta(parent, child):
             parent_key ^= table[f]
         return parent_key
-
-
-class AbstractZobristStrategy(Strategy):
-    """Zobrist over projected features: trades balance for locality."""
-
-    name = "azh"
-
-    def __init__(self, problem: SearchProblem, seed: int = 42):
-        self.problem = problem
-        self.table = ZobristTable(seed)
-        project = getattr(problem, "default_projection", None)
-        self.projection = project() if project else None  # None: identity
-        self._delta = getattr(problem, "feature_delta", None)
-
-    def key(self, state: State) -> int:
-        return azh_key(self.table, self.projection, self.problem.features(state))
-
-    def child_key(self, parent: State, parent_key: int, child: State) -> int:
-        if self._delta is None:
-            return self.key(child)
-        # Projection commutes with xor: project only the changed features.
-        return parent_key ^ azh_key(
-            self.table, self.projection, self._delta(parent, child)
-        )
 
 
 class MultiplicativeStrategy(Strategy):
@@ -288,49 +278,20 @@ class MultiplicativeStrategy(Strategy):
         return _mult_slot(key, p, self._a_fixed)
 
 
-class AbstractionStrategy(Strategy):
-    """Owner from the Zobrist key of the state's abstract projection.
-
-    Any two states with the same abstract state share an owner. Domains
-    without a defined abstraction fall back to the identity projection,
-    which degenerates to plain Zobrist hashing.
-    """
-
-    name = "abstraction"
-
-    def __init__(self, problem: SearchProblem, seed: int = 42):
-        self.problem = problem
-        self.table = ZobristTable(seed)
-        self._abstract = getattr(problem, "abstraction_features", problem.features)
-
-    def key(self, state: State) -> int:
-        return zobrist_key(self.table, self._abstract(state))
-
-
-class HyperplaneStrategy(Strategy):
-    """Lattice-only owner function bounding each state's successor fan-out."""
-
-    name = "hyperplane"
+class HyperplaneStrategy(ZobristStrategy):
+    """Lattice-only owner bounding the fan-out; Zobrist keys pick sub-planes."""
 
     def __init__(self, problem: SearchProblem, d=1, seed: int = 42):
-        initial = problem.initial
-        if not (
-            isinstance(initial, tuple)
-            and all(isinstance(x, int) for x in initial)
-        ):
-            raise ConfigError(
-                "hyperplane strategy requires integer-coordinate states"
-            )
-        self.problem = problem
+        if not isinstance(problem, LatticeProblem):
+            raise ConfigError("hyperplane strategy requires a lattice problem")
+        super().__init__(problem, seed, name="hyperplane")
         self.d = normalize_thickness(d)
-        self.table = ZobristTable(seed)
-
-    def key(self, state: State) -> int:
-        return zobrist_key(self.table, self.problem.features(state))
 
     def child_key(self, parent: State, parent_key, child: State):
         # An integer-thickness plane depends on the coordinate sum alone.
-        return None if isinstance(self.d, int) else self.key(child)
+        if isinstance(self.d, int):
+            return None
+        return super().child_key(parent, parent_key, child)
 
     def owner(self, state: State, p: int, rng=None, key=None) -> int:
         if p < 1:
@@ -387,13 +348,13 @@ def make_strategy(
     config = config or {}
     if token == "zobrist":
         return ZobristStrategy(problem, seed)
-    if token == "azh":
-        return AbstractZobristStrategy(problem, seed)
+    if token in ("azh", "abstraction"):
+        hook = "default_projection" if token == "azh" else "abstraction_projection"
+        project = getattr(problem, hook, None)  # no hook: identity projection
+        return ZobristStrategy(problem, seed, project() if project else None, token)
     if token == "mult":
         a = float(config.get("multiplier", GOLDEN_FRAC))
         return MultiplicativeStrategy(problem, a)
-    if token == "abstraction":
-        return AbstractionStrategy(problem, seed)
     if token == "hyperplane":
         return HyperplaneStrategy(problem, config.get("d", 1), seed)
     if token == "random":

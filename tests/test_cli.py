@@ -138,6 +138,15 @@ class TestSolve:
             "--algo", "hdastar", "--workers", "2",
         ) == 3
 
+    @pytest.mark.parametrize("domain", ["tile", "grid"])
+    def test_hyperplane_refuses_non_lattice_exit_three(self, domain):
+        # Every tile state has the same coordinate sum, so hyperplane
+        # distribution would put all the work on one worker.
+        assert run_cli(
+            "solve", "--domain", domain, "--algo", "hdastar",
+            "--hash", "hyperplane", "--workers", "4",
+        ) == 3
+
     def test_bad_subcommand_exit_three(self):
         assert run_cli("frobnicate") == 3
 
@@ -219,6 +228,9 @@ class TestBench:
             {"instances": [{"domain": "tile"}], "algos": [["hdastar"]]},
             {"instances": [{"domain": "tile"}], "seed": "1"},
             [{"domain": "tile"}],
+            {"instances": [{"domain": "tile", "gen": {"n": "3,seed=9"}}]},
+            {"instances": [{"domain": "tile", "gen": {"n": True}}]},
+            {"instances": [{"domain": "tile", "gen": {"n": [3]}}]},
         ],
     )
     def test_malformed_suite_exit_three(self, tmp_path, suite):
@@ -254,6 +266,13 @@ class TestIasim:
     def test_nan_base_rejected(self, capsys):
         assert run_cli("iasim", "--b", "nan") == 3
         assert "geometric base must be > 1" in capsys.readouterr().err
+
+    def test_nonpositive_wmax_rejected(self, capsys):
+        for value in ("0", "-5"):
+            assert run_cli("iasim", "--wmax", value) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "max minimal width" in captured.err
 
     def test_bad_makespan_or_fail_time_rejected(self):
         for value in ("0", "-1", "nan"):

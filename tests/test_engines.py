@@ -216,7 +216,8 @@ else:
             TilePuzzle(random_scramble(4, 30, 2)),
             lattice,
         ]
-        runs = [(p, t, {}) for p in problems for t in ("zobrist", "azh", "mult")]
+        tokens = ("zobrist", "azh", "mult", "abstraction")
+        runs = [(p, t, {}) for p in problems for t in tokens]
         runs.append((lattice, "hyperplane", {"d": "1/2"}))
         for problem, token, strategy_config in runs:
             cfg = EngineConfig(

@@ -15,8 +15,6 @@ from parsearch.domains import (
     random_solvable,
 )
 from parsearch.hashing import (
-    AbstractionStrategy,
-    AbstractZobristStrategy,
     GOLDEN_FRAC,
     HyperplaneStrategy,
     MultiplicativeStrategy,
@@ -119,7 +117,7 @@ class TestAbstractZobrist:
         # Swapping tiles 1 and 2 keeps every feature in the same row-pair
         # block, so the default projection cannot tell the states apart.
         p = TilePuzzle(goal_state(3))
-        strat = AbstractZobristStrategy(p, seed=3)
+        strat = make_strategy("azh", p, seed=3)
         s1 = (1, 2, 3, 4, 5, 6, 7, 8, 0)
         s2 = (2, 1, 3, 4, 5, 6, 7, 8, 0)
         assert strat.key(s1) == strat.key(s2)
@@ -212,7 +210,7 @@ class TestHyperplane:
 class TestAbstraction:
     def test_irrelevant_tile_position_ignored(self):
         p = TilePuzzle(goal_state(3))
-        strat = AbstractionStrategy(p, seed=1)
+        strat = make_strategy("abstraction", p, seed=1)
         s1 = (1, 2, 3, 4, 5, 6, 7, 8, 0)
         s2 = (1, 2, 3, 4, 5, 6, 8, 7, 0)  # tiles 7/8 swapped; 1,2,3 fixed
         for p_count in (2, 4, 8):
@@ -221,7 +219,7 @@ class TestAbstraction:
     def test_grid_blocks(self):
         g = parse_grid("8 8 8\n" + "\n".join(["." * 8] * 8))
         prob = GridProblem(g, (0, 0), (7, 7))
-        strat = AbstractionStrategy(prob, seed=1)
+        strat = make_strategy("abstraction", prob, seed=1)
         assert strat.key((0, 0)) == strat.key((3, 3))
         assert strat.key((3, 3)) != strat.key((4, 3))
 
