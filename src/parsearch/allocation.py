@@ -178,7 +178,9 @@ def sweep(
     rows = []
     for w_plus in range(1, max_min_width + 1):
         profile = SolverProfile(w_plus, makespan=makespan, fail_time=fail_time)
-        total, iters = ia_total_cost(profile, b, model, max_width=4 * max_min_width)
+        total, iters = ia_total_cost(
+            profile, b, model, max_width=math.ceil(b * max_min_width)
+        )
         rows.append(
             AllocationRow(
                 w_plus, b, model.kind, total, min_width_cost(profile, model), iters

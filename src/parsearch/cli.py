@@ -52,8 +52,9 @@ Bench CSV columns:
   instance, algo, strategy, p, cost, expanded, SO, CO, LB,
   efficiency_fraction, speedup, wall_time.
   SO/CO/LB/speedup compare against the serial A* baseline row of the same
-  instance. Counters are deterministic for a fixed seed; wall-time columns
-  are not.
+  instance. efficiency_fraction is empty for unsolved runs and for window
+  runs, which record no per-expansion f. Counters are deterministic for a
+  fixed seed; wall-time columns are not.
 
 iasim CSV columns:
   W_plus, b, model, total_cost, optimal_cost, iterations, ratio.
@@ -254,6 +255,17 @@ def _suite_problem(entry, seed: int):
     return problem, auto_name if name is None else name
 
 
+def _efficiency(run, c_star: float) -> float | None:
+    """A bench row's efficiency fraction; None (an empty cell) when the run
+    is unsolved or recorded no per-expansion f."""
+    if not run.solved:
+        return None
+    try:
+        return efficiency_fraction(run, c_star)
+    except ValueError:
+        return None
+
+
 def cmd_bench(args) -> int:
     suite = json.loads(Path(args.suite).read_text())
     if not isinstance(suite, dict):
@@ -295,13 +307,13 @@ def cmd_bench(args) -> int:
                 1,
                 baseline,
                 None,
-                efficiency_fraction(baseline, c_star) if baseline.solved else None,
+                _efficiency(baseline, c_star),
             )
         )
         for algo, strategy, p, config in cells:
             sol = PARALLEL_ENGINES[algo](problem, config)
             report = overheads(baseline, sol)
-            eff = efficiency_fraction(sol, c_star) if sol.solved else None
+            eff = _efficiency(sol, c_star)
             rows.append(csv_row(name, algo, strategy, p, sol, report, eff))
     text = rows_to_csv(rows)
     if args.out:

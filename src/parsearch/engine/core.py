@@ -9,6 +9,11 @@ every other worker and no engine state needs a lock. Runs are fully
 deterministic, and message delivery can be made adversarial, which the
 termination tests rely on.
 
+A tick costs O(p) for the runnable scan plus O(pending) for the pending
+channels: the transport keeps its non-empty channels, in first-send order,
+up to date on every send and deliver (O(log channels) each), so a tick
+never rescans the channels that are empty.
+
 `Engine.run` is the one run lifecycle: drive, check, take the result,
 validate it and report a `Solution`. An engine supplies:
   algorithm    its name, Solution.meta["algorithm"]
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -136,21 +142,42 @@ class ChannelTransport:
 
     Per-sender FIFO order is guaranteed because a channel only ever delivers
     its head; different channels may be delayed arbitrarily.
+
+    Invariant: the pending list holds exactly the non-empty channels, in
+    first-send order (the insertion order of `channels`), so a seeded
+    policy draws the same schedule however many channels were ever opened.
+    `send` and `deliver` keep it with a bisect on the channel's creation
+    rank, O(log channels) each; `pending_channels` copies it, O(pending)
+    per tick.
     """
 
     def __init__(self, p: int):
         self.boxes = [deque() for _ in range(p)]
         self.channels: dict[tuple[int, int], deque] = {}
+        self._rank: dict[tuple[int, int], int] = {}  # first-send order
+        self._pending: list[tuple[int, int]] = []  # non-empty, by rank
 
     def send(self, src: int, dst: int, item) -> None:
-        self.channels.setdefault((src, dst), deque()).append(item)
+        channel = (src, dst)
+        queue = self.channels.get(channel)
+        if queue is None:
+            queue = self.channels[channel] = deque()
+            self._rank[channel] = len(self._rank)
+        if not queue:
+            insort(self._pending, channel, key=self._rank.__getitem__)
+        queue.append(item)
 
     def deliver(self, channel: tuple[int, int]) -> None:
         queue = self.channels[channel]
         self.boxes[channel[1]].append(queue.popleft())
+        if not queue:
+            rank = self._rank[channel]
+            del self._pending[
+                bisect_left(self._pending, rank, key=self._rank.__getitem__)
+            ]
 
     def pending_channels(self) -> list[tuple[int, int]]:
-        return [c for c, q in self.channels.items() if q]
+        return self._pending.copy()
 
     def unprocessed_items(self):
         """Messages in a channel or waiting in a mailbox."""

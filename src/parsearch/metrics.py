@@ -75,10 +75,18 @@ def overheads(serial, run: Solution) -> OverheadReport:
 
 
 def efficiency_fraction(run, c_star: float) -> float:
-    """Fraction of expanded nodes with f below the optimal cost."""
+    """Fraction of expanded nodes with f below the optimal cost.
+
+    Raises ValueError when nothing was expanded or the run did not record
+    the f of every expansion (the parallel window engine records none).
+    """
     stats = _stats_of(run)
     if stats.expanded == 0:
         raise ValueError("efficiency fraction undefined: nothing expanded")
+    if len(stats.expanded_f) != stats.expanded:
+        raise ValueError(
+            "efficiency fraction undefined: per-expansion f not recorded"
+        )
     below = sum(1 for f in stats.expanded_f if f < c_star - EPS)
     return below / stats.expanded
 

@@ -199,6 +199,21 @@ class TestBench:
                 if key not in volatile:
                     assert a[key] == b[key], key
 
+    def test_window_efficiency_cell_empty(self, tmp_path):
+        suite = {
+            "instances": [{"domain": "tile", "gen": {"n": 3, "seed": 7}}],
+            "algos": ["window"],
+            "workers": [2],
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--suite", str(path), "--out", str(out)) == 0
+        baseline, window = csv.DictReader(out.read_text().splitlines())
+        assert window["algo"] == "window"
+        assert window["efficiency_fraction"] == ""
+        assert 0.0 <= float(baseline["efficiency_fraction"]) <= 1.0
+
     def test_empty_suite_exit_three(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"instances": []}))
@@ -259,6 +274,13 @@ class TestIasim:
         for line in data:
             ratio = float(line.rsplit(",", 1)[1])
             assert ratio <= 4.0 + 1e-9
+
+    def test_large_base_sweeps_every_width(self, tmp_path):
+        # the first width >= W+ can reach ceil(b * W+), beyond 4 * wmax
+        out = tmp_path / "ia.csv"
+        assert run_cli("iasim", "--b", "10", "--wmax", "2", "--out", str(out)) == 0
+        data = out.read_text().splitlines()[3:]
+        assert [int(line.split(",")[0]) for line in data] == [1, 2]
 
     def test_base_one_rejected(self):
         assert run_cli("iasim", "--b", "1") == 3

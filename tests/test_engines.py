@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from parsearch.common import INF, ConfigError, NodeLimitExceeded
 from parsearch.domains import (
     ExplicitGraph,
+    LatticeProblem,
     TilePuzzle,
     goal_state,
     missorder_graph,
@@ -19,13 +21,16 @@ from parsearch.domains import (
     validate_path,
 )
 from parsearch.engine import (
+    AdversarialPolicy,
     EagerWorkerPolicy,
     EngineConfig,
+    SchedulePolicy,
     dovetail,
     hdastar,
     parallel_window,
     spastar,
 )
+from parsearch.engine.core import ChannelTransport
 from parsearch.engine.hda import HDAStar
 from parsearch.hashing import Strategy
 from parsearch.serial import astar, idastar
@@ -418,3 +423,85 @@ class TestDovetail:
             assert [w.expanded for w in sol.per_worker] == [k, k - 1]
             assert sol.meta["workers"] == 2
             assert sol.meta["execution"] == "interleaved"
+
+
+def rescan(transport):
+    """Reference order of the pending channels: non-empty, first-send order."""
+    return [c for c, q in transport.channels.items() if q]
+
+
+class CheckedPolicy:
+    """Delegates to a policy after checking the pending list on every tick."""
+
+    def __init__(self, transport, inner):
+        self.transport = transport
+        self.inner = inner
+        self.ticks = 0
+        self.deliveries = 0
+
+    def choose(self, steps, delivers):
+        assert delivers == rescan(self.transport)
+        kind, arg = self.inner.choose(steps, delivers)
+        self.ticks += 1
+        self.deliveries += kind == "deliver"
+        return kind, arg
+
+
+class TestChannelTransport:
+    def test_pending_list_matches_rescan(self):
+        rng = random.Random(11)
+        t = ChannelTransport(5)
+        sent = delivered = 0
+        for _ in range(4000):
+            pending = t.pending_channels()
+            if pending and rng.random() < 0.5:
+                t.deliver(rng.choice(pending))
+                delivered += 1
+            else:
+                t.send(rng.randrange(5), rng.randrange(5), sent)
+                sent += 1
+            assert t.pending_channels() == rescan(t)
+        assert len(t.channels) == 25
+        assert delivered > 1000
+        assert sent - delivered == sum(len(q) for q in t.channels.values())
+
+    def _checked_run(self, problem, config, inner):
+        engine = HDAStar(problem, config)
+        engine.policy = CheckedPolicy(engine.transport, inner)
+        sol = engine.run()
+        assert engine.policy.ticks == sol.meta["ticks"]
+        assert engine.policy.deliveries > 0
+        return sol
+
+    def test_pending_list_matches_rescan_every_tick(self):
+        lattice = LatticeProblem((4, 4, 4))
+        sol = self._checked_run(
+            lattice, EngineConfig(workers=32, seed=3), SchedulePolicy(3)
+        )
+        assert sol.cost == astar(lattice).cost
+        tile = TilePuzzle(random_scramble(3, 12, 4))
+        want = astar(tile).cost
+        for termination in ("two-wave", "time"):
+            for seed in range(3):
+                config = EngineConfig(
+                    workers=3,
+                    batch_size=2,
+                    seed=seed,
+                    termination=termination,
+                    burst=1,
+                )
+                sol = self._checked_run(tile, config, AdversarialPolicy(seed))
+                assert sol.cost == want
+
+    def test_p32_lattice_schedule_pinned(self):
+        # A change to the delivery order changes these counters.
+        sol = hdastar(LatticeProblem((6, 6, 6)), EngineConfig(workers=32, seed=7))
+        assert sol.cost == 6.0
+        assert sol.meta["ticks"] == 1899
+        assert [w.expanded for w in sol.per_worker] == [
+            9, 15, 15, 15, 13, 13, 16, 10, 15, 16, 11, 14, 15, 11, 9, 12,
+            11, 15, 11, 11, 10, 18, 11, 14, 9, 8, 15, 14, 12, 13, 15, 17,
+        ]
+        assert sol.stats.sent_batches == 1320
+        assert sol.meta["detection_rounds"] == 2
+        assert sol.meta["detection_waves"] == 3

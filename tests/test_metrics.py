@@ -4,6 +4,7 @@ import pytest
 
 from parsearch.domains import ExplicitGraph, TilePuzzle, random_solvable
 from parsearch.engine import EngineConfig, hdastar
+from parsearch.engine.window import parallel_window
 from parsearch.metrics import efficiency_fraction, overheads
 from parsearch.serial import SearchStats, Solution, astar
 
@@ -81,3 +82,13 @@ class TestEfficiencyFraction:
     def test_zero_expansions_error(self):
         with pytest.raises(ValueError):
             efficiency_fraction(SearchStats(), 1.0)
+
+    def test_unrecorded_expansion_f_error(self):
+        # the window engine records no per-expansion f: no fraction, not 0.0
+        sol = parallel_window(
+            TilePuzzle(random_solvable(3, 7)), EngineConfig(workers=2)
+        )
+        assert sol.solved and sol.stats.expanded > 0
+        assert len(sol.stats.expanded_f) == 0
+        with pytest.raises(ValueError, match="not recorded"):
+            efficiency_fraction(sol, sol.cost)
