@@ -63,13 +63,25 @@ class CostModel:
             raise ConfigError("cost model kind must be continuous or discrete")
 
 
+def _check_base(b: float) -> None:
+    if not (b > 1 and math.isfinite(b)):
+        raise ConfigError("geometric base must be > 1 and finite")
+
+
+def _width(b: float, i: int) -> int:
+    """HAU count ceil(b^i) of iteration i; ConfigError when it overflows."""
+    try:
+        return math.ceil(b**i)
+    except OverflowError:
+        raise ConfigError(f"width {b}**{i} overflows") from None
+
+
 def geometric_sequence(b: float, k: int) -> list[int]:
     """HAU counts ceil(b^i) for iterations i = 0..k-1."""
-    if not b > 1:
-        raise ConfigError("geometric base must be > 1")
+    _check_base(b)
     if k < 1:
         raise ConfigError("need at least one iteration")
-    return [math.ceil(b**i) for i in range(k)]
+    return [_width(b, i) for i in range(k)]
 
 
 def single_run_cost(width: int, duration: float, model: CostModel) -> float:
@@ -98,14 +110,13 @@ def ia_total_cost(
     never be cheaper than a fresh allocation).
     """
     model = model or CostModel()
-    if not b > 1:
-        raise ConfigError("geometric base must be > 1")
+    _check_base(b)
     total = 0.0
     now = 0.0
     pool: list[list] = []  # [hau_count, paid_through], discrete reuse only
     i = 0
     while True:
-        width = math.ceil(b**i)
+        width = _width(b, i)
         if width > max_width:
             raise RuntimeError(
                 f"allocation exceeded max width {max_width} without success"
@@ -145,8 +156,7 @@ def ia_total_cost(
 
 def ratio_bounds(b: float) -> tuple[float, float]:
     """Analytic (worst-case, average-case) cost ratios of the b^i strategy."""
-    if not b > 1:
-        raise ConfigError("geometric base must be > 1")
+    _check_base(b)
     return b * b / (b - 1), 2 * b * b / (b * b - 1)
 
 
@@ -174,13 +184,16 @@ def sweep(
     """Simulate every minimal width 1..max_min_width under one profile."""
     if max_min_width < 1:
         raise ConfigError("max minimal width must be >= 1")
+    _check_base(b)
+    cap = b * max_min_width
+    if not math.isfinite(cap):
+        raise ConfigError(f"sweep cap {b} * {max_min_width} overflows")
+    cap = math.ceil(cap)
     model = model or CostModel()
     rows = []
     for w_plus in range(1, max_min_width + 1):
         profile = SolverProfile(w_plus, makespan=makespan, fail_time=fail_time)
-        total, iters = ia_total_cost(
-            profile, b, model, max_width=math.ceil(b * max_min_width)
-        )
+        total, iters = ia_total_cost(profile, b, model, max_width=cap)
         rows.append(
             AllocationRow(
                 w_plus, b, model.kind, total, min_width_cost(profile, model), iters

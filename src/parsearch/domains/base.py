@@ -11,6 +11,13 @@ added to the parent's feature multiset by the move, whose Zobrist bit strings
 xor the parent's key into the child's. Tile puzzles define it; domains with
 only a few features per state do not, as a full recompute is cheaper there.
 
+A domain whose moves change h by a cheaply known amount may also define
+the optional hook `child_h(parent, parent_h, child)`: the child's heuristic
+from its parent's, equal to `h(child)`. Tile puzzles define it in O(1), as
+one moved tile changes its Manhattan distance alone. Engines carry h with
+each node and get a successor's from `child_h_of(problem)`, which falls
+back to a full `h(child)` for domains without the hook.
+
 The optional hooks `default_projection()` (strategy `azh`) and
 `abstraction_projection()` (strategy `abstraction`) return a dict mapping
 every feature of the domain to an abstract feature, or to None to drop it;
@@ -49,6 +56,16 @@ class SearchProblem(Protocol):
     def canonical_bytes(self, state: State) -> bytes:
         """Stable byte serialization of the state (feeds key folding)."""
         ...
+
+
+def child_h_of(problem: SearchProblem):
+    """The problem's `child_h(parent, parent_h, child)` hook, or a full
+    `h(child)` when it has none; looked up once per search."""
+    hook = getattr(problem, "child_h", None)
+    if hook is not None:
+        return hook
+    h = problem.h
+    return lambda parent, parent_h, child: h(child)
 
 
 def fold_key(data: bytes) -> int:

@@ -71,6 +71,16 @@ class TilePuzzle:
                 total += contrib[tile * ncells + pos]
         return float(total)
 
+    def child_h(
+        self, parent: tuple[int, ...], parent_h: float, child: tuple[int, ...]
+    ) -> float:
+        """h(child) in O(1): tile t = parent[j] moves from cell j, the
+        child's blank, to cell b, the parent's blank."""
+        j = child.index(0)
+        base = parent[j] * self.ncells
+        contrib = self._contrib
+        return parent_h + contrib[base + parent.index(0)] - contrib[base + j]
+
     def features(self, state: tuple[int, ...]) -> list[Feature]:
         # (position, tile) pairs, blank included; uniquely identify the state.
         return list(enumerate(state))

@@ -133,8 +133,9 @@ class Engine:
 
 
 # Message envelopes: ("W", src, stamp, batch) with batch a list of
-# (state, g, parent, key) work triplets, key being the state's hash key
-# (or None when the strategy needs none), or ("C", ControlMessage).
+# (state, g, h, parent, key) work items, h being the state's heuristic as
+# carried from its parent and key its hash key (or None when the strategy
+# needs none), or ("C", ControlMessage).
 
 
 class ChannelTransport:

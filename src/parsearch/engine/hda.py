@@ -3,9 +3,9 @@
 Every generated state is routed to the worker that owns it under the
 configured hash strategy; the owner alone inserts it, detects duplicates,
 and may reopen it from its closed list when a cheaper path arrives later.
-A state's hash key is derived from its parent's key once, when the state is
-generated, and travels with it: in the (state, g, parent, key) work
-triplet and in the owner's open list.
+A state's hash key and heuristic are derived from its parent's once, when
+the state is generated, and travel with it: in the (state, g, h, parent,
+key) work item and in the owner's open list.
 Sends are non-blocking and batched per destination; termination is proved
 by message counting (see `parsearch.termination`).
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem
+from parsearch.domains.base import SearchProblem, child_h_of
 from parsearch.engine.core import ChannelTransport, Engine, EngineConfig, Incumbent
 from parsearch.hashing import make_strategy
 from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
@@ -38,9 +38,7 @@ class _Worker:
         self.id = wid
         self.engine = engine
         self.table = NodeTable(
-            engine.problem.h,
-            node_limit=engine.config.node_limit,
-            where=f"worker {wid}",
+            node_limit=engine.config.node_limit, where=f"worker {wid}"
         )
         self.out = [[] for _ in range(engine.p)]  # per-destination batches
         self.stats = SearchStats()
@@ -87,6 +85,7 @@ class HDAStar(Engine):
                 self.config.strategy_config,
             )
         self.strategy = strategy
+        self.child_h = child_h_of(problem)
         self.policy = policy
         self.on_detect_pass = on_detect_pass
         self.transport = ChannelTransport(self.p)
@@ -103,7 +102,7 @@ class HDAStar(Engine):
         root = problem.initial
         key = self.strategy.key(root)
         owner = self.workers[self.strategy.owner(root, self.p, seed_rng, key)]
-        owner.table.insert(root, 0.0, None, owner.stats, key)
+        owner.table.insert(root, 0.0, problem.h(root), None, owner.stats, key)
 
     # -- runner interface ----------------------------------------------------
 
@@ -161,10 +160,10 @@ class HDAStar(Engine):
         strategy = self.strategy
         owner = strategy.owner if strategy.deterministic else None
         insert = worker.table.insert
-        for state, g1, parent, key in batch:
+        for state, g1, h1, parent, key in batch:
             if owner is not None and owner(state, self.p, None, key) != worker.id:
                 raise SearchInvariantError("state delivered to a non-owner worker")
-            insert(state, g1, parent, stats, key)
+            insert(state, g1, h1, parent, stats, key)
 
     def _expand(self, worker: _Worker) -> None:
         stats = worker.stats
@@ -177,17 +176,19 @@ class HDAStar(Engine):
             self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
         child_key = self.strategy.child_key
+        child_h = self.child_h
         owner_of = self.strategy.owner
         for succ, cost in self.problem.expand(state):
             stats.generated += 1
             g1 = g + cost
+            h1 = child_h(state, h, succ)
             k = child_key(state, key, succ)
             owner = owner_of(succ, self.p, worker.rng, k)
             if owner == worker.id:
-                table.insert(succ, g1, state, stats, k)
+                table.insert(succ, g1, h1, state, stats, k)
             else:
                 buf = worker.out[owner]
-                buf.append((succ, g1, state, k))
+                buf.append((succ, g1, h1, state, k))
                 if len(buf) >= batch_size:
                     self._flush(worker, owner)
 
@@ -250,10 +251,11 @@ class HDAStar(Engine):
     # -- results ---------------------------------------------------------------
 
     def improving_work_pending(self) -> list:
-        """Undelivered or unprocessed triplets that beat the incumbent.
+        """Undelivered or unprocessed work items that beat the incumbent.
 
         Empty at any correct termination; the schedule-fuzzing tests call
-        this from the detection-pass hook.
+        this from the detection-pass hook. It recomputes each item's h in
+        full rather than trusting the carried one, as an independent check.
         """
         bound = self.incumbent.cost - EPS
         bad = []

@@ -11,7 +11,7 @@ every other worker is idle.
 from __future__ import annotations
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem
+from parsearch.domains.base import SearchProblem, child_h_of
 from parsearch.engine.core import Engine, EngineConfig, Incumbent
 from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
 
@@ -22,13 +22,13 @@ class SPAStar(Engine):
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
         self.incumbent = Incumbent()
-        self.table = NodeTable(
-            problem.h, node_limit=self.config.node_limit, where="shared lists"
-        )
+        self.child_h = child_h_of(problem)
+        self.table = NodeTable(node_limit=self.config.node_limit, where="shared lists")
         self.stats = [SearchStats() for _ in range(self.p)]
         if self.config.record_trace:
             self.traces = [[] for _ in range(self.p)]
-        self.table.insert(problem.initial, 0.0, None, self.stats[0])
+        root = problem.initial
+        self.table.insert(root, 0.0, problem.h(root), None, self.stats[0])
 
     def step(self, w: int) -> None:
         """Pop, expand, reinsert; finish when nothing beats the incumbent."""
@@ -44,8 +44,9 @@ class SPAStar(Engine):
             self.incumbent.offer(g, state)
         successors = self.problem.expand(state)
         stats.generated += len(successors)
+        child_h = self.child_h
         for succ, cost in successors:
-            table.insert(succ, g + cost, state, stats)
+            table.insert(succ, g + cost, child_h(state, h, succ), state, stats)
 
     def check(self) -> None:
         if self.table.min_f() < self.incumbent.cost - EPS:

@@ -19,7 +19,7 @@ from parsearch.common import (
     NodeLimitExceeded,
     SearchInvariantError,
 )
-from parsearch.domains.base import SearchProblem, State, validate_path
+from parsearch.domains.base import SearchProblem, State, child_h_of, validate_path
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -81,24 +81,25 @@ class NodeTable:
     """Open and closed lists of one best-first search.
 
     `open` maps state -> (g, parent, h, key) and `closed` maps state -> (g,
-    parent); a state sits in at most one of them. `key` is an opaque value
-    the caller passes to `insert` and gets back from `pop` (HDA* workers
-    carry the state's hash key in it); the table never reads it. The open
-    list is a lazy binary heap of (g + weight*h, -g, insertion sequence,
-    state) entries (plain h for weight=inf): ties on priority prefer the
-    larger g, remaining ties are FIFO, and entries superseded by a cheaper
-    insert are skipped when they surface. A g-value that matches the stored
-    one within EPS counts as a duplicate, never as an improvement.
+    parent); a state sits in at most one of them. The caller passes each
+    node's h to `insert` (engines carry it with the node, see
+    `domains.base.child_h_of`) and gets it back from `pop`; the table never
+    calls the domain. `key` is an opaque value passed and returned the same
+    way (HDA* workers carry the state's hash key in it); the table never
+    reads it. The open list is a lazy binary heap of (g + weight*h, -g,
+    insertion sequence, state) entries (plain h for weight=inf): ties on
+    priority prefer the larger g, remaining ties are FIFO, and entries
+    superseded by a cheaper insert are skipped when they surface. A g-value
+    that matches the stored one within EPS counts as a duplicate, never as
+    an improvement.
     """
 
     def __init__(
         self,
-        h,
         weight: float = 1.0,
         node_limit: int = DEFAULT_NODE_LIMIT,
         where: str = "search",
     ):
-        self.h = h
         self.weight = weight
         self.node_limit = node_limit
         self.where = where  # names the table in NodeLimitExceeded
@@ -108,13 +109,12 @@ class NodeTable:
         self.seq = 0
 
     def insert(
-        self, state: State, g: float, parent, stats: SearchStats, key=None
+        self, state: State, g: float, h: float, parent, stats: SearchStats, key=None
     ) -> None:
-        """Record a path of cost g to `state` via `parent`.
+        """Record a path of cost g to `state` (heuristic h) via `parent`.
 
         A new state is opened; a cheaper path reopens a closed state or
         replaces an open entry; anything else is counted as a duplicate.
-        h is computed only for new and reopened states.
         """
         open_tbl = self.open
         entry = self.closed.get(state)
@@ -124,14 +124,9 @@ class NodeTable:
                 return
             del self.closed[state]
             stats.reopened += 1
-            h = self.h(state)
         else:
             entry = open_tbl.get(state)
-            if entry is None:
-                h = self.h(state)
-            elif g < entry[0] - EPS:
-                h = entry[2]
-            else:
+            if entry is not None and g >= entry[0] - EPS:
                 stats.duplicates += 1
                 return
         open_tbl[state] = (g, parent, h, key)
@@ -230,8 +225,11 @@ class BestFirstSearch:
         self.trace: list | None = [] if record_trace else None
         self.goal_state: State | None = None
         self.goal_cost = INF
-        self.table = NodeTable(problem.h, weight, node_limit)
-        self.table.insert(problem.initial, 0.0, None, self.stats)
+        self.child_h = child_h_of(problem)
+        self.table = NodeTable(weight, node_limit)
+        self.table.insert(
+            problem.initial, 0.0, problem.h(problem.initial), None, self.stats
+        )
 
     def step(self) -> bool:
         """Expand one node. Returns False once the search has finished."""
@@ -251,8 +249,9 @@ class BestFirstSearch:
         successors = self.problem.expand(state)
         stats.generated += len(successors)
         insert = self.table.insert
+        child_h = self.child_h
         for succ, cost in successors:
-            insert(succ, g + cost, state, stats)
+            insert(succ, g + cost, child_h(state, h, succ), state, stats)
         return True
 
     def run(self) -> Solution:
@@ -335,13 +334,15 @@ class BoundedDFS:
         self.best_path: list = []
         self.done = False
         self._on_path: set = set()
-        # Stack frames: [state, g, successor list, next index]; the frames'
-        # states are the current path from the root.
+        self._child_h = child_h_of(problem)
+        # Stack frames: [state, g, h, successor list, next index]; the
+        # frames' states are the current path from the root.
         self._stack: list = []
         self._enter(problem.initial, 0.0)
 
     def _enter(self, state: State, g: float) -> None:
-        f = g + self.problem.h(state)
+        h = self.problem.h(state)
+        f = g + h
         if f > self.bound + EPS:
             self.exceed_values.add(f)
             return
@@ -355,7 +356,7 @@ class BoundedDFS:
             if not self.find_best:
                 self.done = True
             return
-        self._stack.append([state, g, None, 0])
+        self._stack.append([state, g, h, None, 0])
         self._on_path.add(state)
 
     def run_chunk(self, n: int) -> bool:
@@ -364,7 +365,7 @@ class BoundedDFS:
             return False
         problem = self.problem
         expand = problem.expand
-        h = problem.h
+        child_h = self._child_h
         is_goal = problem.is_goal
         stack = self._stack
         on_path = self._on_path
@@ -380,22 +381,23 @@ class BoundedDFS:
                 self.done = True
                 break
             frame = stack[-1]
-            succs = frame[2]
+            succs = frame[3]
             if succs is None:
                 succs = expand(frame[0])
-                frame[2] = succs
+                frame[3] = succs
                 expanded += 1
                 generated += len(succs)
                 if expanded > limit:
                     self.expanded = expanded
                     raise NodeLimitExceeded(limit, "IDA* iteration")
-            idx = frame[3]
+            idx = frame[4]
             if idx < len(succs):
-                frame[3] = idx + 1
+                frame[4] = idx + 1
                 succ, cost = succs[idx]
                 if succ not in on_path:
                     g1 = frame[1] + cost
-                    f = g1 + h(succ)
+                    h1 = child_h(frame[0], frame[2], succ)
+                    f = g1 + h1
                     if f > bound + EPS:
                         exceed_values.add(f)
                     elif find_best and f >= best - EPS:
@@ -409,7 +411,7 @@ class BoundedDFS:
                             self.done = True
                             break
                     else:
-                        stack.append([succ, g1, None, 0])
+                        stack.append([succ, g1, h1, None, 0])
                         on_path.add(succ)
             else:
                 stack.pop()

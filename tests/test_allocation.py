@@ -34,6 +34,12 @@ class TestGeometricSequence:
         with pytest.raises(ConfigError):
             geometric_sequence(math.nan, 3)
 
+    def test_rejects_infinite_base_and_overflowing_width(self):
+        with pytest.raises(ConfigError):
+            geometric_sequence(math.inf, 2)
+        with pytest.raises(ConfigError, match="overflows"):
+            geometric_sequence(1e200, 3)  # (1e200)**2 is not a float
+
 
 class TestRatioBounds:
     def test_doubling_values_exact(self):
@@ -114,6 +120,16 @@ class TestIterativeAllocation:
     def test_rejects_nan_base(self):
         with pytest.raises(ConfigError):
             ia_total_cost(SolverProfile(4), math.nan)
+
+    def test_rejects_infinite_base_and_overflowing_width(self):
+        with pytest.raises(ConfigError):
+            ia_total_cost(SolverProfile(4), math.inf)
+        with pytest.raises(ConfigError):
+            ratio_bounds(math.inf)
+        with pytest.raises(ConfigError, match="overflows"):
+            ia_total_cost(SolverProfile(10**250), 1e200, max_width=10**300)
+        with pytest.raises(ConfigError, match="sweep cap"):
+            sweep(1e308, 2)
 
     def test_profile_rejects_bad_makespan_and_fail_time(self):
         for makespan in (0.0, -1.0, math.nan):

@@ -289,6 +289,19 @@ class TestIasim:
         assert run_cli("iasim", "--b", "nan") == 3
         assert "geometric base must be > 1" in capsys.readouterr().err
 
+    def test_infinite_base_rejected(self, capsys):
+        assert run_cli("iasim", "--b", "inf", "--wmax", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "geometric base must be > 1 and finite" in captured.err
+
+    def test_overflowing_sweep_cap_rejected(self, capsys):
+        # b is finite, but the sweep's width cap ceil(b * wmax) is not
+        assert run_cli("iasim", "--b", "1e308", "--wmax", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep cap" in captured.err
+
     def test_nonpositive_wmax_rejected(self, capsys):
         for value in ("0", "-5"):
             assert run_cli("iasim", "--wmax", value) == 3

@@ -76,6 +76,20 @@ class TestTiles:
             for t, cost in p.expand(s):
                 assert hs <= cost + p.h(t) + 1e-12
 
+    def test_child_h_equals_full_recompute(self):
+        for n in (3, 4, 5):
+            p = TilePuzzle(goal_state(n))
+            rng = random.Random(10 + n)
+            state = random_solvable(n, rng)
+            h = p.h(state)
+            for _ in range(10_000):
+                succs = [succ for succ, _ in p.expand(state)]
+                for succ in succs:
+                    assert p.child_h(state, h, succ) == p.h(succ)
+                succ = rng.choice(succs)
+                h = p.child_h(state, h, succ)
+                state = succ
+
     def test_random_solvable_all_reachable(self, tile3_bfs):
         rng = random.Random(123)
         for _ in range(10_000):

@@ -34,6 +34,7 @@ from parsearch.engine.core import ChannelTransport
 from parsearch.engine.hda import HDAStar
 from parsearch.hashing import Strategy
 from parsearch.serial import astar, idastar
+from tests.conftest import make_grid_problem
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,6 +72,47 @@ class MappedStrategy(Strategy):
 
     def owner(self, state, p, rng=None, key=None):
         return self.assign[state] % p
+
+
+class ContractOnly:
+    """A problem seen through the six contract members alone: no hooks."""
+
+    def __init__(self, problem):
+        self.initial = problem.initial
+        self.is_goal = problem.is_goal
+        self.expand = problem.expand
+        self.h = problem.h
+        self.features = problem.features
+        self.canonical_bytes = problem.canonical_bytes
+
+
+def test_full_h_fallback_matches_child_h_hook():
+    # Without child_h an engine recomputes h in full; the search it runs
+    # must be the one it runs with the hook.
+    for puzzle in (
+        TilePuzzle(random_solvable(3, 12)),
+        TilePuzzle(random_scramble(4, 30, 5)),
+    ):
+        bare, hookless = puzzle, ContractOnly(puzzle)
+        assert not hasattr(hookless, "child_h")
+        a, b = astar(bare, record_trace=True), astar(hookless, record_trace=True)
+        assert (a.cost, a.stats.expanded, a.meta["trace"]) == (
+            b.cost, b.stats.expanded, b.meta["trace"]
+        )
+        for engine in (spastar, hdastar):
+            cfg = EngineConfig(workers=3, seed=4, record_trace=True)
+            a, b = engine(bare, cfg), engine(hookless, cfg)
+            assert (a.cost, a.stats.expanded, a.meta["trace"]) == (
+                b.cost, b.stats.expanded, b.meta["trace"]
+            ), engine.__name__
+        cfg = EngineConfig(workers=3, seed=4)
+        a, b = parallel_window(bare, cfg), parallel_window(hookless, cfg)
+        assert (a.cost, a.stats.expanded, a.meta["bounds"]) == (
+            b.cost, b.stats.expanded, b.meta["bounds"]
+        )
+        assert [w.iteration_expansions for w in a.per_worker] == [
+            w.iteration_expansions for w in b.per_worker
+        ]
 
 
 class TestSPAStar:
@@ -190,7 +232,7 @@ state = puzzle.expand(puzzle.initial)[0][0]
 key = engine.strategy.key(state)
 wrong = 1 - engine.strategy.owner(state, 2)
 engine.transport.boxes[wrong].append(
-    ("W", 1 - wrong, 0, [(state, 1.0, puzzle.initial, key)])
+    ("W", 1 - wrong, 0, [(state, 1.0, puzzle.h(state), puzzle.initial, key)])
 )
 print("debug:", __debug__)
 try:
@@ -242,11 +284,38 @@ else:
             sol = eng.run()
             assert sol.cost == astar(problem).cost
             assert sent, token
-            for state, _g, _parent, k in sent:
+            for state, _g, _h, _parent, k in sent:
                 assert k == key(state), (token, state)
             entries = [e for w in eng.workers for e in w.table.open.items()]
             for state, (_g, _parent, _h, k) in entries:
                 assert k == key(state), (token, state)
+
+    def test_carried_h_equals_recomputed_h(self):
+        problems = [
+            TilePuzzle(random_solvable(3, 5)),
+            TilePuzzle(random_scramble(4, 30, 2)),
+            LatticeProblem((4, 5, 3)),
+            make_grid_problem(101),
+        ]
+        for problem in problems:
+            eng = HDAStar(problem, EngineConfig(workers=4, seed=6))
+            sent = []
+            send = eng.transport.send
+
+            def record(src, dst, item, send=send):
+                if item[0] == "W":
+                    sent.extend(item[3])
+                send(src, dst, item)
+
+            eng.transport.send = record
+            sol = eng.run()
+            assert sol.cost == astar(problem).cost
+            assert sent, problem
+            for state, _g, h, _parent, _k in sent:
+                assert h == problem.h(state), state
+            entries = [e for w in eng.workers for e in w.table.open.items()]
+            for state, (_g, _parent, h, _k) in entries:
+                assert h == problem.h(state), state
 
     def test_strategies_keep_no_per_state_memory(self):
         p = TilePuzzle(random_scramble(4, 30, 4))

@@ -1,6 +1,7 @@
 """Serial searches against oracles and each other."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,13 @@ from parsearch.domains import (
     random_scramble,
     validate_path,
 )
-from parsearch.serial import astar, idastar, uniform_cost_oracle, wastar
+from parsearch.serial import (
+    BestFirstSearch,
+    astar,
+    idastar,
+    uniform_cost_oracle,
+    wastar,
+)
 
 
 class TestAstar:
@@ -62,6 +69,16 @@ class TestUniformCost:
     def test_agrees_with_astar(self, tile_suite_small, graph_suite):
         for p in tile_suite_small[:5] + graph_suite:
             assert uniform_cost_oracle(p).cost == astar(p).cost
+
+    def test_searches_blind_on_tiles(self):
+        # The tile hook child_h must not leak into the oracle's h = 0 view.
+        p = TilePuzzle(random_scramble(3, 20, 4))
+        blind = SimpleNamespace(
+            initial=p.initial, is_goal=p.is_goal, expand=p.expand, h=lambda s: 0.0
+        )
+        oracle = uniform_cost_oracle(p)
+        assert oracle.stats.expanded == BestFirstSearch(blind).run().stats.expanded
+        assert oracle.stats.expanded > astar(p).stats.expanded
 
     def test_empty_grid_corner_to_corner(self):
         g = parse_grid("3 3 8\n...\n...\n...")
