@@ -155,9 +155,13 @@ def ia_total_cost(
 
 
 def ratio_bounds(b: float) -> tuple[float, float]:
-    """Analytic (worst-case, average-case) cost ratios of the b^i strategy."""
+    """Analytic (worst-case, average-case) cost ratios of the b^i strategy.
+
+    b^2 / (b - 1) and 2b^2 / (b^2 - 1), divided through by b and b^2 so that
+    no intermediate overflows for a large finite b.
+    """
     _check_base(b)
-    return b * b / (b - 1), 2 * b * b / (b * b - 1)
+    return b / (1 - 1 / b), 2 / (1 - 1 / b / b)
 
 
 @dataclass

@@ -5,18 +5,21 @@ with nonnegative edge costs, an admissible heuristic, and a feature view of
 each state used by the hashing strategies. States must be hashable and
 immutable; the feature list of a state identifies it uniquely.
 
-A domain whose moves change few of many features may also define the
-optional hook `feature_delta(parent, child)`: the features removed from and
-added to the parent's feature multiset by the move, whose Zobrist bit strings
-xor the parent's key into the child's. Tile puzzles define it; domains with
-only a few features per state do not, as a full recompute is cheaper there.
+A domain may also define the optional hook `successors(state, h)`, where h
+is the state's heuristic: one pass over the state's moves that returns a
+list of `(child, cost, child_h, move)` records, in `expand` order, with
+`child_h == h(child)`. `move` is an opaque hashable value naming the move,
+or None. Engines carry h with each node and expand through
+`successors_of(problem)`, which falls back to `expand` plus a full
+`h(child)` and a None move for domains without the hook. Tile puzzles
+define it with an O(1) Manhattan update (one moved tile changes its own
+distance alone); lattices define it to build their children cheaply.
 
-A domain whose moves change h by a cheaply known amount may also define
-the optional hook `child_h(parent, parent_h, child)`: the child's heuristic
-from its parent's, equal to `h(child)`. Tile puzzles define it in O(1), as
-one moved tile changes its Manhattan distance alone. Engines carry h with
-each node and get a successor's from `child_h_of(problem)`, which falls
-back to a full `h(child)` for domains without the hook.
+A domain whose moves are not None also defines the optional hook
+`move_features(move)`: the features removed from and added to the parent's
+feature multiset by the move, whose Zobrist bit strings xor the parent's key
+into the child's. A None move makes the Zobrist strategies recompute the
+child's key from its features.
 
 The optional hooks `default_projection()` (strategy `azh`) and
 `abstraction_projection()` (strategy `abstraction`) return a dict mapping
@@ -58,14 +61,15 @@ class SearchProblem(Protocol):
         ...
 
 
-def child_h_of(problem: SearchProblem):
-    """The problem's `child_h(parent, parent_h, child)` hook, or a full
-    `h(child)` when it has none; looked up once per search."""
-    hook = getattr(problem, "child_h", None)
+def successors_of(problem: SearchProblem):
+    """The problem's `successors(state, h)` hook, or the fallback over
+    `expand` and a full `h(child)`; looked up once per search."""
+    hook = getattr(problem, "successors", None)
     if hook is not None:
         return hook
+    expand = problem.expand
     h = problem.h
-    return lambda parent, parent_h, child: h(child)
+    return lambda state, parent_h: [(s, c, h(s), None) for s, c in expand(state)]
 
 
 def fold_key(data: bytes) -> int:

@@ -9,6 +9,7 @@ nonnegative cost to each axis-increment pattern.
 from __future__ import annotations
 
 from itertools import product
+from operator import add, le
 
 from parsearch.domains.base import Feature, State
 
@@ -31,22 +32,26 @@ class LatticeProblem:
                 raise ValueError(f"missing cost for move pattern {p}")
             if step_costs[p] < 0:
                 raise ValueError(f"negative cost for move pattern {p}")
-        self._patterns = patterns
         self.step_costs = dict(step_costs)
+        self._moves = [(p, self.step_costs[p]) for p in patterns]
         self.initial = (0,) * self.dim
         self.goal = self.lengths
 
     def is_goal(self, state: State) -> bool:
         return state == self.goal
 
-    def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
+    def successors(self, state: tuple[int, ...], h: float) -> list[tuple]:
+        """(child, cost, 0.0, None) per in-bounds move; h is 0 everywhere."""
         out = []
         lengths = self.lengths
-        for pat in self._patterns:
-            nxt = tuple(x + d for x, d in zip(state, pat))
-            if all(x <= l for x, l in zip(nxt, lengths)):
-                out.append((nxt, self.step_costs[pat]))
+        for pat, cost in self._moves:
+            nxt = tuple(map(add, state, pat))
+            if all(map(le, nxt, lengths)):
+                out.append((nxt, cost, 0.0, None))
         return out
+
+    def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
+        return [(child, cost) for child, cost, _, _ in self.successors(state, 0.0)]
 
     def h(self, state: tuple[int, ...]) -> float:
         return 0.0

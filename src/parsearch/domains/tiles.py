@@ -52,15 +52,33 @@ class TilePuzzle:
     def is_goal(self, state: State) -> bool:
         return state == self.goal
 
-    def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
-        blank = state.index(0)
+    def successors(self, state: tuple[int, ...], h: float) -> list[tuple]:
+        """(child, 1.0, h(child), move) per blank move, in O(1) each.
+
+        The blank moves from cell b to cell j and tile t = state[j] from j
+        to b, which changes t's Manhattan distance alone; the move is the
+        int (b * n² + j) * n² + t.
+        """
+        b = state.index(0)
+        ncells = self.ncells
+        contrib = self._contrib
         out = []
-        for j in self._moves[blank]:
+        for j in self._moves[b]:
+            t = state[j]
             lst = list(state)
-            lst[blank] = lst[j]
+            lst[b] = t
             lst[j] = 0
-            out.append((tuple(lst), 1.0))
+            base = t * ncells
+            out.append((
+                tuple(lst),
+                1.0,
+                h + contrib[base + b] - contrib[base + j],
+                (b * ncells + j) * ncells + t,
+            ))
         return out
+
+    def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
+        return [(child, cost) for child, cost, _, _ in self.successors(state, 0.0)]
 
     def h(self, state: tuple[int, ...]) -> float:
         contrib = self._contrib
@@ -71,16 +89,6 @@ class TilePuzzle:
                 total += contrib[tile * ncells + pos]
         return float(total)
 
-    def child_h(
-        self, parent: tuple[int, ...], parent_h: float, child: tuple[int, ...]
-    ) -> float:
-        """h(child) in O(1): tile t = parent[j] moves from cell j, the
-        child's blank, to cell b, the parent's blank."""
-        j = child.index(0)
-        base = parent[j] * self.ncells
-        contrib = self._contrib
-        return parent_h + contrib[base + parent.index(0)] - contrib[base + j]
-
     def features(self, state: tuple[int, ...]) -> list[Feature]:
         # (position, tile) pairs, blank included; uniquely identify the state.
         return list(enumerate(state))
@@ -88,16 +96,12 @@ class TilePuzzle:
     def canonical_bytes(self, state: tuple[int, ...]) -> bytes:
         return bytes(state)
 
-    def feature_delta(
-        self, parent: tuple[int, ...], child: tuple[int, ...]
-    ) -> tuple[Feature, ...]:
-        """Features to xor out of and into the parent's key for one move.
-
-        The blank moves from cell b to cell j and tile t from j to b.
-        """
-        b = parent.index(0)
-        j = child.index(0)
-        t = parent[j]
+    def move_features(self, move: int) -> tuple[Feature, ...]:
+        """Features to xor out of and into the parent's key for one move:
+        the blank leaves cell b for j, tile t leaves j for b."""
+        ncells = self.ncells
+        rest, t = divmod(move, ncells)
+        b, j = divmod(rest, ncells)
         return ((b, 0), (j, t), (b, t), (j, 0))
 
     # Projection hooks of the azh and abstraction hashing strategies.

@@ -3,9 +3,11 @@
 Every generated state is routed to the worker that owns it under the
 configured hash strategy; the owner alone inserts it, detects duplicates,
 and may reopen it from its closed list when a cheaper path arrives later.
-A state's hash key and heuristic are derived from its parent's once, when
-the state is generated, and travel with it: in the (state, g, h, parent,
-key) work item and in the owner's open list.
+A state's heuristic and hash key are derived from its parent's once, when
+the state is generated: the domain's `successors` pass reports each child's
+h and move, and the strategy turns the parent's key and the move into the
+child's key. Both travel with the state, in the (state, g, h, parent, key)
+work item and in the owner's open list.
 Sends are non-blocking and batched per destination; termination is proved
 by message counting (see `parsearch.termination`).
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem, child_h_of
+from parsearch.domains.base import SearchProblem, successors_of
 from parsearch.engine.core import ChannelTransport, Engine, EngineConfig, Incumbent
 from parsearch.hashing import make_strategy
 from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
@@ -85,7 +87,7 @@ class HDAStar(Engine):
                 self.config.strategy_config,
             )
         self.strategy = strategy
-        self.child_h = child_h_of(problem)
+        self.successors = successors_of(problem)
         self.policy = policy
         self.on_detect_pass = on_detect_pass
         self.transport = ChannelTransport(self.p)
@@ -176,13 +178,11 @@ class HDAStar(Engine):
             self.incumbent.offer(g, state)
         batch_size = self.config.batch_size
         child_key = self.strategy.child_key
-        child_h = self.child_h
         owner_of = self.strategy.owner
-        for succ, cost in self.problem.expand(state):
+        for succ, cost, h1, move in self.successors(state, h):
             stats.generated += 1
             g1 = g + cost
-            h1 = child_h(state, h, succ)
-            k = child_key(state, key, succ)
+            k = child_key(key, succ, move)
             owner = owner_of(succ, self.p, worker.rng, k)
             if owner == worker.id:
                 table.insert(succ, g1, h1, state, stats, k)

@@ -11,7 +11,7 @@ every other worker is idle.
 from __future__ import annotations
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem, child_h_of
+from parsearch.domains.base import SearchProblem, successors_of
 from parsearch.engine.core import Engine, EngineConfig, Incumbent
 from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
 
@@ -22,7 +22,7 @@ class SPAStar(Engine):
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
         self.incumbent = Incumbent()
-        self.child_h = child_h_of(problem)
+        self.successors = successors_of(problem)
         self.table = NodeTable(node_limit=self.config.node_limit, where="shared lists")
         self.stats = [SearchStats() for _ in range(self.p)]
         if self.config.record_trace:
@@ -42,11 +42,10 @@ class SPAStar(Engine):
             self.traces[w].append((state, g, g + h))
         if self.problem.is_goal(state):
             self.incumbent.offer(g, state)
-        successors = self.problem.expand(state)
+        successors = self.successors(state, h)
         stats.generated += len(successors)
-        child_h = self.child_h
-        for succ, cost in successors:
-            table.insert(succ, g + cost, child_h(state, h, succ), state, stats)
+        for succ, cost, h1, _ in successors:
+            table.insert(succ, g + cost, h1, state, stats)
 
     def check(self) -> None:
         if self.table.min_f() < self.incumbent.cost - EPS:

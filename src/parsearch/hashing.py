@@ -8,12 +8,14 @@ it; `make_strategy` takes the projection from the domain's
 `default_projection()` or `abstraction_projection()` hook. Keys are 64-bit;
 duplicate detection always compares full states, never keys alone.
 
-Keys are carried, not cached: `child_key(parent, parent_key, child)`
-derives a successor's key from its parent's, and `owner(state, p, rng,
-key)` routes with that key. The Zobrist family updates the parent's key
-incrementally when the domain has a `feature_delta(parent, child)` hook;
-every other strategy, and every domain without the hook, recomputes the key
-from the child's features. No strategy keeps memory per state.
+Keys are carried, not cached: `child_key(parent_key, child, move)` derives
+a successor's key from its parent's key and the move that the domain's
+`successors` hook reported, and `owner(state, p, rng, key)` routes with
+that key. The Zobrist family xors the parent's key with one bit string per
+move: the xor over the domain's `move_features(move)`, kept in a table
+bounded by the number of distinct moves. On a None move (every domain
+without the hook) it recomputes the key from the child's features, as the
+other strategies always do. No strategy keeps memory per state.
 """
 
 from __future__ import annotations
@@ -88,6 +90,24 @@ def zobrist_key(table: ZobristTable, features: Iterable[Feature]) -> int:
     for f in features:
         key ^= table[f]
     return key
+
+
+class MoveXorTable(dict):
+    """Move -> xor of a Zobrist table's bit strings over the move's features.
+
+    `table[move]` fills a missing entry from `move_features(move)` on first
+    use, so the table holds one entry per distinct move seen.
+    """
+
+    def __init__(self, table: ZobristTable, move_features):
+        super().__init__()
+        self._table = table
+        self._move_features = move_features
+
+    def __missing__(self, move) -> int:
+        entry = zobrist_key(self._table, self._move_features(move))
+        self[move] = entry
+        return entry
 
 
 def zobrist_update(
@@ -209,18 +229,20 @@ def hyperplane_fanout_bound(n: int, d) -> int:
 class Strategy:
     """Defaults shared by the strategy objects.
 
-    A strategy defines `key(state)`. `child_key` derives a successor's key
-    (here: a full recompute) and `owner` maps a state to a worker in
-    [0, p), using `key` when the caller passes one. `rng` is drawn from only
-    by non-deterministic strategies.
+    A strategy defines `key(state)`. `child_key(parent_key, child, move)`
+    derives a successor's key (here: a full recompute) and `owner` maps a
+    state to a worker in [0, p), using `key` when the caller passes one.
+    `rng` is drawn from only by non-deterministic strategies.
     """
 
     deterministic = True
 
-    def child_key(self, parent: State, parent_key, child: State):
+    def child_key(self, parent_key, child: State, move):
         return self.key(child)
 
     def owner(self, state: State, p: int, rng=None, key=None) -> int:
+        if p < 1:
+            raise ConfigError("worker count must be >= 1")
         if key is None:
             key = self.key(state)
         return key % p
@@ -234,23 +256,22 @@ class ZobristStrategy(Strategy):
         self.name = name
         self.table = ZobristTable(seed, projection)
         self._features = problem.features
-        self._delta = getattr(problem, "feature_delta", None)
+        self._move_xor = MoveXorTable(
+            self.table, getattr(problem, "move_features", None)
+        )
 
     def key(self, state: State) -> int:
         return zobrist_key(self.table, self._features(state))
 
-    def child_key(self, parent: State, parent_key: int, child: State) -> int:
-        # Inlined loops: this runs once per generated state.
+    def child_key(self, parent_key: int, child: State, move) -> int:
+        # Inlined loop: this runs once per generated state.
+        if move is not None:
+            return parent_key ^ self._move_xor[move]
         table = self.table
-        delta = self._delta
-        if delta is None:
-            key = 0
-            for f in self._features(child):
-                key ^= table[f]
-            return key
-        for f in delta(parent, child):
-            parent_key ^= table[f]
-        return parent_key
+        key = 0
+        for f in self._features(child):
+            key ^= table[f]
+        return key
 
 
 class MultiplicativeStrategy(Strategy):
@@ -287,11 +308,11 @@ class HyperplaneStrategy(ZobristStrategy):
         super().__init__(problem, seed, name="hyperplane")
         self.d = normalize_thickness(d)
 
-    def child_key(self, parent: State, parent_key, child: State):
+    def child_key(self, parent_key, child: State, move):
         # An integer-thickness plane depends on the coordinate sum alone.
         if isinstance(self.d, int):
             return None
-        return super().child_key(parent, parent_key, child)
+        return super().child_key(parent_key, child, move)
 
     def owner(self, state: State, p: int, rng=None, key=None) -> int:
         if p < 1:
@@ -315,7 +336,7 @@ class RandomStrategy(Strategy):
     def key(self, state: State) -> int:
         return fold_key(self.problem.canonical_bytes(state))
 
-    def child_key(self, parent: State, parent_key, child: State) -> None:
+    def child_key(self, parent_key, child: State, move) -> None:
         return None  # the owner is drawn, never derived from a key
 
     def owner(self, state: State, p: int, rng=None, key=None) -> int:

@@ -19,7 +19,7 @@ from parsearch.common import (
     NodeLimitExceeded,
     SearchInvariantError,
 )
-from parsearch.domains.base import SearchProblem, State, child_h_of, validate_path
+from parsearch.domains.base import SearchProblem, State, successors_of, validate_path
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -82,9 +82,10 @@ class NodeTable:
 
     `open` maps state -> (g, parent, h, key) and `closed` maps state -> (g,
     parent); a state sits in at most one of them. The caller passes each
-    node's h to `insert` (engines carry it with the node, see
-    `domains.base.child_h_of`) and gets it back from `pop`; the table never
-    calls the domain. `key` is an opaque value passed and returned the same
+    node's h to `insert` (engines carry it with the node and take a child's
+    from the records of `domains.base.successors_of`) and gets it back from
+    `pop`; the table never calls the domain. `key` is an opaque value
+    passed and returned the same
     way (HDA* workers carry the state's hash key in it); the table never
     reads it. The open list is a lazy binary heap of (g + weight*h, -g,
     insertion sequence, state) entries (plain h for weight=inf): ties on
@@ -225,7 +226,7 @@ class BestFirstSearch:
         self.trace: list | None = [] if record_trace else None
         self.goal_state: State | None = None
         self.goal_cost = INF
-        self.child_h = child_h_of(problem)
+        self.successors = successors_of(problem)
         self.table = NodeTable(weight, node_limit)
         self.table.insert(
             problem.initial, 0.0, problem.h(problem.initial), None, self.stats
@@ -246,12 +247,11 @@ class BestFirstSearch:
             self.goal_state = state
             self.goal_cost = g
             return False
-        successors = self.problem.expand(state)
+        successors = self.successors(state, h)
         stats.generated += len(successors)
         insert = self.table.insert
-        child_h = self.child_h
-        for succ, cost in successors:
-            insert(succ, g + cost, child_h(state, h, succ), state, stats)
+        for succ, cost, h1, _ in successors:
+            insert(succ, g + cost, h1, state, stats)
         return True
 
     def run(self) -> Solution:
@@ -334,8 +334,8 @@ class BoundedDFS:
         self.best_path: list = []
         self.done = False
         self._on_path: set = set()
-        self._child_h = child_h_of(problem)
-        # Stack frames: [state, g, h, successor list, next index]; the
+        self._successors = successors_of(problem)
+        # Stack frames: [state, g, h, successor records, next index]; the
         # frames' states are the current path from the root.
         self._stack: list = []
         self._enter(problem.initial, 0.0)
@@ -363,10 +363,8 @@ class BoundedDFS:
         """Advance up to n node events; False once the iteration is over."""
         if self.done:
             return False
-        problem = self.problem
-        expand = problem.expand
-        child_h = self._child_h
-        is_goal = problem.is_goal
+        successors = self._successors
+        is_goal = self.problem.is_goal
         stack = self._stack
         on_path = self._on_path
         exceed_values = self.exceed_values
@@ -383,7 +381,7 @@ class BoundedDFS:
             frame = stack[-1]
             succs = frame[3]
             if succs is None:
-                succs = expand(frame[0])
+                succs = successors(frame[0], frame[2])
                 frame[3] = succs
                 expanded += 1
                 generated += len(succs)
@@ -393,10 +391,9 @@ class BoundedDFS:
             idx = frame[4]
             if idx < len(succs):
                 frame[4] = idx + 1
-                succ, cost = succs[idx]
+                succ, cost, h1, _ = succs[idx]
                 if succ not in on_path:
                     g1 = frame[1] + cost
-                    h1 = child_h(frame[0], frame[2], succ)
                     f = g1 + h1
                     if f > bound + EPS:
                         exceed_values.add(f)

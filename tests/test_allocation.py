@@ -47,6 +47,13 @@ class TestRatioBounds:
         assert worst == 4.0
         assert avg == 8.0 / 3.0
 
+    def test_large_finite_base_does_not_overflow(self):
+        # b * b is inf above about 1.3e154; the bounds themselves stay finite.
+        for b in (1e200, 1e308):
+            worst, avg = ratio_bounds(b)
+            assert worst == b
+            assert avg == 2.0
+
     def test_rejects_base_at_most_one(self):
         with pytest.raises(ConfigError):
             ratio_bounds(1.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -76,19 +77,20 @@ class TestTiles:
             for t, cost in p.expand(s):
                 assert hs <= cost + p.h(t) + 1e-12
 
-    def test_child_h_equals_full_recompute(self):
+    def test_successors_match_expand_and_full_h(self):
         for n in (3, 4, 5):
             p = TilePuzzle(goal_state(n))
             rng = random.Random(10 + n)
             state = random_solvable(n, rng)
             h = p.h(state)
             for _ in range(10_000):
-                succs = [succ for succ, _ in p.expand(state)]
-                for succ in succs:
-                    assert p.child_h(state, h, succ) == p.h(succ)
-                succ = rng.choice(succs)
-                h = p.child_h(state, h, succ)
-                state = succ
+                records = p.successors(state, h)
+                assert [(child, cost) for child, cost, _, _ in records] == p.expand(
+                    state
+                )
+                for child, _, child_h, _ in records:
+                    assert child_h == p.h(child)
+                state, _, h, _ = rng.choice(records)
 
     def test_random_solvable_all_reachable(self, tile3_bfs):
         rng = random.Random(123)
@@ -244,6 +246,22 @@ class TestLattice:
                 if indegree[t] == 0:
                     queue.append(t)
         assert seen == len(states)
+
+    def test_successors_match_expand_with_zero_h(self):
+        patterns = [pat for pat in product((0, 1), repeat=3) if any(pat)]
+        lengths = (3, 2, 4)
+        p = LatticeProblem(lengths, {pat: 1.0 + sum(pat) for pat in patterns})
+        for s in p.all_states():
+            # Reference move rules: add each pattern, keep in-bounds points.
+            want = []
+            for pat in patterns:
+                child = tuple(x + d for x, d in zip(s, pat))
+                if all(x <= l for x, l in zip(child, lengths)):
+                    want.append((child, 1.0 + sum(pat)))
+            assert p.expand(s) == want
+            assert p.successors(s, 0.0) == [
+                (child, cost, 0.0, None) for child, cost in want
+            ]
 
     def test_costs_come_from_table(self):
         costs = {(1, 0): 2.0, (0, 1): 3.0, (1, 1): 5.0}

@@ -1,5 +1,6 @@
 """Parallel engine behavior: cost agreement, degeneration, adversarial cases."""
 
+import itertools
 import json
 import os
 import random
@@ -86,15 +87,24 @@ class ContractOnly:
         self.canonical_bytes = problem.canonical_bytes
 
 
-def test_full_h_fallback_matches_child_h_hook():
-    # Without child_h an engine recomputes h in full; the search it runs
-    # must be the one it runs with the hook.
+def test_contract_fallback_matches_successors_hook():
+    # Without successors an engine expands through expand, a full h and a
+    # None move (full key recompute); the search it runs must be the one it
+    # runs with the hook.
+    lattice_costs = {
+        pat: 1.0 + 0.25 * i
+        for i, pat in enumerate(
+            pat for pat in itertools.product((0, 1), repeat=3) if any(pat)
+        )
+    }
     for puzzle in (
         TilePuzzle(random_solvable(3, 12)),
         TilePuzzle(random_scramble(4, 30, 5)),
+        LatticeProblem((3, 3, 2), lattice_costs),
     ):
         bare, hookless = puzzle, ContractOnly(puzzle)
-        assert not hasattr(hookless, "child_h")
+        assert not hasattr(hookless, "successors")
+        assert not hasattr(hookless, "move_features")
         a, b = astar(bare, record_trace=True), astar(hookless, record_trace=True)
         assert (a.cost, a.stats.expanded, a.meta["trace"]) == (
             b.cost, b.stats.expanded, b.meta["trace"]
@@ -333,6 +343,11 @@ else:
             table = getattr(strategy, "table", None)
             if table is not None:
                 assert len(table) <= 16 * 16, token
+            # One entry per distinct move: 4n(n - 1) directed blank moves
+            # on the n x n board, each with one of n^2 - 1 tiles.
+            move_xor = getattr(strategy, "_move_xor", None)
+            if move_xor is not None:
+                assert 0 < len(move_xor) <= 4 * 4 * 3 * 15, token
 
     def test_missorder_forces_reopen_and_stays_optimal(self):
         g = missorder_graph()

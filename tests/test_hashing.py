@@ -18,6 +18,7 @@ from parsearch.hashing import (
     GOLDEN_FRAC,
     HyperplaneStrategy,
     MultiplicativeStrategy,
+    STRATEGY_TOKENS,
     RandomStrategy,
     ZobristStrategy,
     ZobristTable,
@@ -83,16 +84,30 @@ class TestZobrist:
             assert key == zobrist_key(t, p.features(succ))
             state = succ
 
-    def test_tile_feature_delta_equals_full_recompute(self):
+    def test_tile_move_key_equals_full_recompute(self):
         p = TilePuzzle(goal_state(4))
         t = ZobristTable(42)
         rng = random.Random(10)
         state = random_solvable(4, rng)
         key = zobrist_key(t, p.features(state))
+        strategies = [
+            make_strategy(token, p, seed=42)
+            for token in ("zobrist", "azh", "abstraction", "mult")
+        ]
+        keys = [strategy.key(state) for strategy in strategies]
+        random_strategy = make_strategy("random", p, seed=42)
         for _ in range(10_000):
-            succ = rng.choice(p.expand(state))[0]
-            key ^= zobrist_key(t, p.feature_delta(state, succ))
+            records = p.successors(state, 0.0)
+            for child, _, _, move in records:
+                for strategy, parent_key in zip(strategies, keys):
+                    got = strategy.child_key(parent_key, child, move)
+                    assert got == strategy.key(child), strategy.name
+                # The owner is drawn, never derived from a key.
+                assert random_strategy.child_key(None, child, move) is None
+            succ, _, _, move = rng.choice(records)
+            key ^= zobrist_key(t, p.move_features(move))
             assert key == zobrist_key(t, p.features(succ))
+            keys = [strategy.key(succ) for strategy in strategies]
             state = succ
 
 
@@ -183,7 +198,7 @@ class TestHyperplane:
             strat = HyperplaneStrategy(lattice, d=d)
             for s in lattice.all_states():
                 for t, _ in lattice.expand(s):
-                    assert strat.child_key(s, None, t) is None
+                    assert strat.child_key(None, t, None) is None
                 assert strat.owner(s, 7) == hyperplane_owner(s, d, 7, zkey=0)
             assert len(strat.table) == 0
 
@@ -269,6 +284,17 @@ class TestStrategySurface:
         for token in ("zobrist", "azh", "mult", "abstraction", "random"):
             strat = make_strategy(token, tile, seed=5)
             assert all(strat.owner(s, 1, rng) == 0 for s in states)
+
+    @pytest.mark.parametrize("token", STRATEGY_TOKENS)
+    def test_owner_rejects_worker_count_below_one(self, token):
+        lattice = LatticeProblem((4, 4))
+        strat = make_strategy(token, lattice, seed=3, config={"d": "1/2"})
+        state = (1, 2)
+        for p in (0, -1):
+            with pytest.raises(ConfigError, match="worker count must be >= 1"):
+                strat.owner(state, p, random.Random(0))
+            with pytest.raises(ConfigError, match="worker count must be >= 1"):
+                strat.owner(state, p, random.Random(0), strat.key(state))
 
     def test_unknown_token_rejected(self):
         with pytest.raises(ConfigError):

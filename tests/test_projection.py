@@ -13,6 +13,7 @@ from parsearch.domains import (
     parse_grid,
     random_solvable,
 )
+from parsearch.domains.base import successors_of
 from parsearch.hashing import ZobristTable, azh_key, make_strategy
 
 LATTICE = LatticeProblem((5, 4, 3))
@@ -79,6 +80,6 @@ class TestProjectedKeys:
             for s in states:
                 want = azh_key(table, proj, problem.features(s))
                 assert strategy.key(s) == want, (token, s)
-                for child, _ in problem.expand(s):
+                for child, _, _, move in successors_of(problem)(s, problem.h(s)):
                     want = azh_key(table, proj, problem.features(child))
-                    assert strategy.child_key(s, strategy.key(s), child) == want
+                    assert strategy.child_key(strategy.key(s), child, move) == want

@@ -71,7 +71,7 @@ class TestUniformCost:
             assert uniform_cost_oracle(p).cost == astar(p).cost
 
     def test_searches_blind_on_tiles(self):
-        # The tile hook child_h must not leak into the oracle's h = 0 view.
+        # The tile hook successors must not leak into the oracle's h = 0 view.
         p = TilePuzzle(random_scramble(3, 20, 4))
         blind = SimpleNamespace(
             initial=p.initial, is_goal=p.is_goal, expand=p.expand, h=lambda s: 0.0
