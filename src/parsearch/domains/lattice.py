@@ -30,8 +30,8 @@ class LatticeProblem:
         for p in patterns:
             if p not in step_costs:
                 raise ValueError(f"missing cost for move pattern {p}")
-            if step_costs[p] < 0:
-                raise ValueError(f"negative cost for move pattern {p}")
+            if not step_costs[p] >= 0:  # also rejects NaN
+                raise ValueError(f"cost for move pattern {p} must be >= 0")
         self.step_costs = dict(step_costs)
         self._moves = [(p, self.step_costs[p]) for p in patterns]
         self.initial = (0,) * self.dim

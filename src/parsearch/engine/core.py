@@ -2,23 +2,28 @@
 
 Every engine (SPA*, HDA*, parallel window, dovetailing) is an `Engine` and
 runs on one substrate: `run_interleaved`, a seeded driver that picks one
-action per tick (step a runnable worker, or deliver one in-flight message
+action per tick (step a ready worker, or deliver one in-flight message
 of an engine with a `ChannelTransport`) from a schedule policy. A step runs
 to completion before the next action, so it is atomic with respect to
 every other worker and no engine state needs a lock. Runs are fully
 deterministic, and message delivery can be made adversarial, which the
 termination tests rely on.
 
-A tick costs O(p) for the runnable scan plus O(pending) for the pending
-channels: the transport keeps its non-empty channels, in first-send order,
-up to date on every send and deliver (O(log channels) each), so a tick
-never rescans the channels that are empty.
+A tick costs O(ready) plus O(pending): it copies the engine's ready list
+and the transport's pending channels, and neither is rebuilt by a scan. The
+transport keeps its non-empty channels, in first-send order, up to date on
+every send and deliver (O(log channels) each); an engine whose readiness
+changes keeps its ready list up to date on its own steps and deliveries
+(HDA* re-checks only the workers a step or delivery can affect).
 
 `Engine.run` is the one run lifecycle: drive, check, take the result,
 validate it and report a `Solution`. An engine supplies:
   algorithm    its name, Solution.meta["algorithm"]
   step(w)      one atomic action of worker w; setting `finished` ends the run
-  runnable(w)  whether the driver may step w now (default: always)
+  ready()      ascending ids of the workers the driver may step now
+               (default: every worker)
+  deliver(c)   deliver the head of transport channel c (default: the
+               transport's deliver)
   result()     (cost, path) once finished; path [] when unsolved
   check()      post-run invariants, raising SearchInvariantError (default: none)
   meta()       its own Solution.meta fields beside the common ones
@@ -101,8 +106,11 @@ class Engine:
         self.finished = False
         self.ticks = 0  # scheduler ticks of the finished run
 
-    def runnable(self, w: int) -> bool:
-        return True
+    def ready(self) -> list[int]:
+        return list(range(self.p))
+
+    def deliver(self, channel: tuple[int, int]) -> None:
+        self.transport.deliver(channel)
 
     def check(self) -> None:
         pass
@@ -189,8 +197,9 @@ class ChannelTransport:
 class SchedulePolicy:
     """Seeded random action policy with a fixed delivery bias.
 
-    A policy's `choose(steps, delivers)` gets the runnable worker ids and
-    the pending channel keys and returns ("step", w) or ("deliver", c).
+    A policy's `choose(steps, delivers)` gets the engine's ready list (the
+    ids of the workers that may step now, ascending) and the pending channel
+    keys, and returns ("step", w) or ("deliver", c).
 
     The default bias favors delivery, modeling a low-latency network where
     sent batches arrive promptly relative to expansion work; starving
@@ -222,7 +231,7 @@ class AdversarialPolicy(SchedulePolicy):
 
 
 class EagerWorkerPolicy:
-    """Run the lowest-id runnable worker dry before delivering anything.
+    """Run the lowest-id ready worker dry before delivering anything.
 
     Produces the pessimal delivery order used by the expansion-misordering
     tests: a worker exhausts its local open list before any cross-worker
@@ -245,16 +254,16 @@ def run_interleaved(engine, seed: int, policy=None):
     transport = engine.transport
     ticks = 0
     while not engine.finished:
-        steps = [w for w in range(engine.p) if engine.runnable(w)]
+        steps = engine.ready()
         delivers = transport.pending_channels() if transport is not None else []
         if not steps and not delivers:
             raise RuntimeError(
-                "interleaver stalled: no runnable worker, nothing in flight"
+                "interleaver stalled: no ready worker, nothing in flight"
             )
         kind, arg = policy.choose(steps, delivers)
         if kind == "step":
             engine.step(arg)
         else:
-            transport.deliver(arg)
+            engine.deliver(arg)
         ticks += 1
     return ticks

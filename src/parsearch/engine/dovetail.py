@@ -1,10 +1,10 @@
 """Dovetailing portfolio: weighted A* under several weights at once.
 
 Each weight runs as its own searcher (worker), with no information
-exchange. `Dovetail` is an `Engine` whose only runnable worker is the one
-whose turn it is: the searchers take one expansion each in round robin,
-a searcher that exhausts its space leaves the rotation, and the first to
-find a goal wins and ends the run. The result carries the winning weight
+exchange. `Dovetail` is an `Engine` whose ready list holds only the
+worker whose turn it is: the searchers take one expansion each in round
+robin, a searcher that exhausts its space leaves the rotation, and the
+first to find a goal wins and ends the run. The result carries the winning weight
 and is optimal only when that weight is 1.
 """
 
@@ -40,8 +40,8 @@ class Dovetail(Engine):
         self.turns = deque(range(self.p))  # head: the worker whose turn it is
         self.winner: int | None = None
 
-    def runnable(self, w: int) -> bool:
-        return self.turns[0] == w
+    def ready(self) -> list[int]:
+        return [self.turns[0]]
 
     def step(self, w: int) -> None:
         self.turns.popleft()

@@ -15,6 +15,7 @@ by message counting (see `parsearch.termination`).
 from __future__ import annotations
 
 import random
+from bisect import insort
 
 from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem, successors_of
@@ -105,10 +106,11 @@ class HDAStar(Engine):
         key = self.strategy.key(root)
         owner = self.workers[self.strategy.owner(root, self.p, seed_rng, key)]
         owner.table.insert(root, 0.0, problem.h(root), None, owner.stats, key)
+        self._ready = [w for w in range(self.p) if self._can_step(w)]
 
     # -- runner interface ----------------------------------------------------
 
-    def runnable(self, w: int) -> bool:
+    def _can_step(self, w: int) -> bool:
         if self.transport.boxes[w]:
             return True
         worker = self.workers[w]
@@ -119,7 +121,43 @@ class HDAStar(Engine):
         # Worker w is quiescent here: nothing else is left for it to do.
         return w == 0 and not self.detect_in_flight and self._work_since_detect
 
+    def _recheck(self, w: int) -> None:
+        ready = self._ready
+        if self._can_step(w):
+            if w not in ready:
+                insort(ready, w)
+        elif w in ready:
+            ready.remove(w)
+
+    def ready(self) -> list[int]:
+        """The workers `_can_step` admits, ascending.
+
+        Kept up to date rather than rescanned: a worker's mailbox, open list
+        and batches change only in its own step or a delivery to it, and
+        worker 0's detection flags may change in any step; only a lower
+        incumbent can change every worker's answer at once.
+        """
+        return self._ready.copy()
+
+    def deliver(self, channel: tuple[int, int]) -> None:
+        self.transport.deliver(channel)
+        dst = channel[1]
+        if dst not in self._ready:
+            insort(self._ready, dst)
+
     def step(self, w: int) -> None:
+        """Run worker w's loop iteration, then bring the ready list up to
+        date with what it changed."""
+        bound = self.incumbent.cost
+        self._iterate(w)
+        if self.incumbent.cost < bound:
+            self._ready = [v for v in range(self.p) if self._can_step(v)]
+        else:
+            self._recheck(w)
+            if w:
+                self._recheck(0)
+
+    def _iterate(self, w: int) -> None:
         """One loop iteration of worker w: drain mailbox fully, then expand
         or, with nothing below the incumbent, flush and maybe detect."""
         worker = self.workers[w]

@@ -36,16 +36,18 @@ class ParallelWindow(Engine):
     def _peek_claim(self) -> float | None:
         if not self.claimed:
             return self.problem.h(self.problem.initial)
-        mx = max(self.claimed)
-        candidates = [v for v in self.exceeds if v > mx + EPS]
+        # Each claim exceeds every earlier one, so the last is the largest.
+        last = self.claimed[-1]
+        candidates = [v for v in self.exceeds if v > last + EPS]
         return min(candidates) if candidates else None
 
-    def runnable(self, w: int) -> bool:
-        if self.slots[w] is not None:
-            return True
+    def ready(self) -> list[int]:
+        """Every worker while a bound is left to claim; otherwise the busy
+        ones, or every worker when none is busy (a step must conclude)."""
         if self._peek_claim() is not None:
-            return True
-        return not any(self.slots)  # a step is needed to conclude the search
+            return list(range(self.p))
+        busy = [w for w, dfs in enumerate(self.slots) if dfs is not None]
+        return busy or list(range(self.p))
 
     def _try_finish(self) -> None:
         """Finish when the wait-for-lower-bounds rule allows it."""

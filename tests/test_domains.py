@@ -272,3 +272,9 @@ class TestLattice:
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError):
             LatticeProblem((1, 1), {(1, 0): -1.0, (0, 1): 1.0, (1, 1): 1.0})
+
+    def test_rejects_nan_cost(self):
+        # NaN fails `< 0` too; accepted, it made A* report cost inf on a
+        # lattice whose (1, 1)-moves reach the goal at cost 2.
+        with pytest.raises(ValueError):
+            LatticeProblem((2, 2), {(0, 1): math.nan, (1, 0): 1.0, (1, 1): 1.0})

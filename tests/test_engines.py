@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from parsearch.common import INF, ConfigError, NodeLimitExceeded
+from parsearch.common import EPS, INF, ConfigError, NodeLimitExceeded
 from parsearch.domains import (
     ExplicitGraph,
     LatticeProblem,
@@ -31,10 +31,12 @@ from parsearch.engine import (
     parallel_window,
     spastar,
 )
-from parsearch.engine.core import ChannelTransport
+from parsearch.engine.core import ChannelTransport, Engine
+from parsearch.engine.dovetail import DEFAULT_WEIGHTS, Dovetail
 from parsearch.engine.hda import HDAStar
+from parsearch.engine.window import ParallelWindow
 from parsearch.hashing import Strategy
-from parsearch.serial import astar, idastar
+from parsearch.serial import DEFAULT_NODE_LIMIT, astar, idastar
 from tests.conftest import make_grid_problem
 
 
@@ -460,6 +462,17 @@ class TestParallelWindow:
             sol = parallel_window(g, EngineConfig(workers=workers))
             assert sol.cost == INF
 
+    def test_claimed_bounds_strictly_ascend(self, tile_suite_small):
+        # The dispenser reads the last claim as the largest one.
+        pairs = 0
+        for p in tile_suite_small:
+            engine = ParallelWindow(p, EngineConfig(workers=4, seed=2))
+            engine.run()
+            claimed = engine.claimed
+            pairs += len(claimed) - 1
+            assert all(a < b for a, b in zip(claimed, claimed[1:]))
+        assert pairs >= len(tile_suite_small)
+
 
 class TestDovetail:
     def test_weight_one_only_is_optimal(self, tile_suite_small, tile3_bfs):
@@ -514,17 +527,54 @@ def rescan(transport):
     return [c for c, q in transport.channels.items() if q]
 
 
-class CheckedPolicy:
-    """Delegates to a policy after checking the pending list on every tick."""
+def scan_hda(engine):
+    """Reference ready list: HDA*'s predicate evaluated over every worker."""
+    return [w for w in range(engine.p) if engine._can_step(w)]
 
-    def __init__(self, transport, inner):
-        self.transport = transport
+
+def scan_window(engine):
+    """Reference ready list: the window engine's per-worker predicate as it
+    stood before the engine kept a ready list, next bound over max(claimed)."""
+
+    def peek_claim():
+        if not engine.claimed:
+            return engine.problem.h(engine.problem.initial)
+        mx = max(engine.claimed)
+        candidates = [v for v in engine.exceeds if v > mx + EPS]
+        return min(candidates) if candidates else None
+
+    def runnable(w):
+        if engine.slots[w] is not None:
+            return True
+        if peek_claim() is not None:
+            return True
+        return not any(engine.slots)
+
+    return [w for w in range(engine.p) if runnable(w)]
+
+
+def scan_dovetail(engine):
+    """Reference ready list: the worker whose turn it is."""
+    return [w for w in range(engine.p) if engine.turns[0] == w]
+
+
+class CheckedPolicy:
+    """Delegates to a policy after checking, on every tick, the engine's
+    ready list against a reference scan and the pending list against a
+    rescan of the channels."""
+
+    def __init__(self, engine, inner, scan=scan_hda):
+        self.engine = engine
         self.inner = inner
+        self.scan = scan
         self.ticks = 0
         self.deliveries = 0
 
     def choose(self, steps, delivers):
-        assert delivers == rescan(self.transport)
+        assert steps == self.scan(self.engine)
+        transport = self.engine.transport
+        if transport is not None:
+            assert delivers == rescan(transport)
         kind, arg = self.inner.choose(steps, delivers)
         self.ticks += 1
         self.deliveries += kind == "deliver"
@@ -551,7 +601,7 @@ class TestChannelTransport:
 
     def _checked_run(self, problem, config, inner):
         engine = HDAStar(problem, config)
-        engine.policy = CheckedPolicy(engine.transport, inner)
+        engine.policy = CheckedPolicy(engine, inner)
         sol = engine.run()
         assert engine.policy.ticks == sol.meta["ticks"]
         assert engine.policy.deliveries > 0
@@ -589,3 +639,100 @@ class TestChannelTransport:
         assert sol.stats.sent_batches == 1320
         assert sol.meta["detection_rounds"] == 2
         assert sol.meta["detection_waves"] == 3
+
+
+def count_improvements(engine) -> list:
+    """Wrap the engine's incumbent; the returned list collects each offered
+    cost that lowered it."""
+    improved = []
+    incumbent = engine.incumbent
+    offer = incumbent.offer
+
+    def counted(cost, state):
+        before = incumbent.cost
+        offer(cost, state)
+        if incumbent.cost < before:
+            improved.append(cost)
+
+    incumbent.offer = counted
+    return improved
+
+
+class TestReadyList:
+    def _checked_run(self, engine, inner, scan):
+        engine.policy = CheckedPolicy(engine, inner, scan)
+        sol = engine.run()
+        assert engine.policy.ticks == engine.ticks
+        return sol
+
+    def test_hda_ready_list_matches_predicate_every_tick(self):
+        patterns = [pat for pat in itertools.product((0, 1), repeat=3) if any(pat)]
+        lattice = LatticeProblem((4, 4, 4), {pat: 1 + sum(pat) / 2 for pat in patterns})
+        tile = TilePuzzle(random_scramble(3, 14, 7))
+        policies = {
+            "default": SchedulePolicy,
+            "adversarial": AdversarialPolicy,
+            "eager": lambda seed: EagerWorkerPolicy(),
+        }
+        runs = [
+            (lattice, workers, {}, termination, policy)
+            for workers in (1, 3, 32)
+            for termination in ("two-wave", "time")
+            for policy in policies
+        ] + [
+            (tile, 3, {"burst": 1, "batch_size": 2}, termination, policy)
+            for termination in ("two-wave", "time")
+            for policy in ("default", "adversarial")
+        ]
+        improvements = {}
+        for problem, workers, extra, termination, policy in runs:
+            config = EngineConfig(
+                workers=workers, seed=2, termination=termination, **extra
+            )
+            engine = HDAStar(problem, config)
+            improved = count_improvements(engine)
+            sol = self._checked_run(engine, policies[policy](2), scan_hda)
+            assert sol.cost == astar(problem).cost == improved[-1]
+            assert (engine.policy.deliveries > 0) == (workers > 1)
+            improvements[problem, workers, termination, policy] = len(improved)
+        # A lower incumbent re-checks every worker. Every p=32 lattice run
+        # lowers it again after its first goal; in the tile runs the second
+        # goal leaves an idle worker whose open list no longer beats the
+        # incumbent, which only that re-check drops.
+        for termination, policy in itertools.product(("two-wave", "time"), policies):
+            assert improvements[lattice, 32, termination, policy] >= 2
+            assert improvements[lattice, 1, termination, policy] == 1
+        for termination, policy in itertools.product(
+            ("two-wave", "time"), ("default", "adversarial")
+        ):
+            assert improvements[tile, 3, termination, policy] == 2
+
+    def test_window_and_dovetail_ready_lists_match_old_predicates(
+        self, tile_suite_small
+    ):
+        for problem in tile_suite_small[:3]:
+            want = astar(problem).cost
+            for workers in (1, 3, 4):
+                for inner in (SchedulePolicy(workers), EagerWorkerPolicy()):
+                    engine = ParallelWindow(
+                        problem, EngineConfig(workers=workers, seed=workers)
+                    )
+                    sol = self._checked_run(engine, inner, scan_window)
+                    assert sol.cost == want
+            engine = Dovetail(problem, DEFAULT_WEIGHTS, DEFAULT_NODE_LIMIT)
+            sol = self._checked_run(engine, SchedulePolicy(0), scan_dovetail)
+            assert sol.solved
+
+    def test_driver_raises_on_stall(self):
+        class Stalled(Engine):
+            algorithm = "stalled"
+
+            def ready(self):
+                return []
+
+        graph = ExplicitGraph([("s", "t", 1)], "s", {"t"})
+        for transport in (None, ChannelTransport(2)):
+            engine = Stalled(graph, EngineConfig(workers=2))
+            engine.transport = transport
+            with pytest.raises(RuntimeError, match="interleaver stalled"):
+                engine.run()
