@@ -10,6 +10,12 @@ child's key. Both travel with the state, in the (state, g, h, parent, key)
 work item and in the owner's open list.
 Sends are non-blocking and batched per destination; termination is proved
 by message counting (see `parsearch.termination`).
+
+A `_Worker` holds its node table, its outgoing batches, its counters and
+termination bookkeeping, its mailbox deque and the shared incumbent; the
+last two are all its quiescence test needs. It holds no reference to the
+engine, so no engine object graph has a cycle and reference counting frees
+a run's tables as soon as the caller drops the engine.
 """
 
 from __future__ import annotations
@@ -37,15 +43,14 @@ from parsearch.termination import (
 class _Worker:
     """One search worker: local open/closed, outgoing batches, counters."""
 
-    def __init__(self, wid: int, engine: "HDAStar"):
+    def __init__(self, wid: int, config: EngineConfig, box, incumbent: Incumbent):
         self.id = wid
-        self.engine = engine
-        self.table = NodeTable(
-            node_limit=engine.config.node_limit, where=f"worker {wid}"
-        )
-        self.out = [[] for _ in range(engine.p)]  # per-destination batches
+        self.box = box
+        self.incumbent = incumbent
+        self.table = NodeTable(node_limit=config.node_limit, where=f"worker {wid}")
+        self.out = [[] for _ in range(config.workers)]  # per-destination batches
         self.stats = SearchStats()
-        self.rng = random.Random(engine.config.seed * 1_000_003 + wid)
+        self.rng = random.Random(config.seed * 1_000_003 + wid)
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -55,11 +60,11 @@ class _Worker:
     @property
     def quiescent(self) -> bool:
         """Mailbox drained, batches flushed, open at or above the incumbent."""
-        if self.engine.transport.boxes[self.id]:
+        if self.box:
             return False
         if any(self.out):
             return False
-        return self.table.min_f() >= self.engine.incumbent.cost - EPS
+        return self.table.min_f() >= self.incumbent.cost - EPS
 
 
 class HDAStar(Engine):
@@ -93,7 +98,10 @@ class HDAStar(Engine):
         self.on_detect_pass = on_detect_pass
         self.transport = ChannelTransport(self.p)
         self.incumbent = Incumbent()
-        self.workers = [_Worker(w, self) for w in range(self.p)]
+        self.workers = [
+            _Worker(w, self.config, self.transport.boxes[w], self.incumbent)
+            for w in range(self.p)
+        ]
         self.stats = [w.stats for w in self.workers]
         if self.config.record_trace:
             self.traces = [[] for _ in range(self.p)]
@@ -217,8 +225,9 @@ class HDAStar(Engine):
         batch_size = self.config.batch_size
         child_key = self.strategy.child_key
         owner_of = self.strategy.owner
-        for succ, cost, h1, move in self.successors(state, h):
-            stats.generated += 1
+        records = self.successors(state, h)
+        stats.generated += len(records)
+        for succ, cost, h1, move in records:
             g1 = g + cost
             k = child_key(key, succ, move)
             owner = owner_of(succ, self.p, worker.rng, k)
@@ -231,13 +240,14 @@ class HDAStar(Engine):
                     self._flush(worker, owner)
 
     def _flush(self, worker: _Worker, dst: int) -> None:
-        """Send worker's non-empty batch for dst."""
+        """Send worker's non-empty batch for dst; the message takes the list
+        itself and the worker starts a new one."""
         buf = worker.out[dst]
+        worker.out[dst] = []
         worker.sent_msgs += 1
         worker.stats.sent_batches += 1
         worker.stats.sent += len(buf)
-        self.transport.send(worker.id, dst, ("W", worker.id, worker.clock, list(buf)))
-        buf.clear()
+        self.transport.send(worker.id, dst, ("W", worker.id, worker.clock, buf))
 
     # -- termination ----------------------------------------------------------
 

@@ -78,21 +78,26 @@ class Solution:
 
 
 class NodeTable:
-    """Open and closed lists of one best-first search.
+    """Open and closed lists of one best-first search, in one node map.
 
-    `open` maps state -> (g, parent, h, key) and `closed` maps state -> (g,
-    parent); a state sits in at most one of them. The caller passes each
-    node's h to `insert` (engines carry it with the node and take a child's
-    from the records of `domains.base.successors_of`) and gets it back from
-    `pop`; the table never calls the domain. `key` is an opaque value
-    passed and returned the same
-    way (HDA* workers carry the state's hash key in it); the table never
-    reads it. The open list is a lazy binary heap of (g + weight*h, -g,
-    insertion sequence, state) entries (plain h for weight=inf): ties on
-    priority prefer the larger g, remaining ties are FIFO, and entries
-    superseded by a cheaper insert are skipped when they surface. A g-value
-    that matches the stored one within EPS counts as a duplicate, never as
-    an improvement.
+    `nodes` maps each state the search has reached to an open entry (g,
+    parent, h, key) or a closed entry (g, parent); the entry's length tells
+    the two apart, and `open_count` counts the open ones. The caller passes
+    each node's h to `insert` (engines carry it with the node and take a
+    child's from the records of `domains.base.successors_of`) and gets it
+    back from `pop`; the table never calls the domain. `key` is an opaque
+    value passed and returned the same way (HDA* workers carry the state's
+    hash key in it); the table never reads it. The open list is a lazy
+    binary heap of (g + weight*h, -g, insertion sequence, state) entries
+    (plain h for weight=inf): ties on priority prefer the larger g,
+    remaining ties are FIFO, and entries superseded by a cheaper insert are
+    skipped when they surface. A g-value that matches the stored one within
+    EPS counts as a duplicate, never as an improvement.
+
+    A heap entry is live when its g equals its state's stored g. Only open
+    states have live entries: each push for a state lowers its g by more
+    than EPS, so a closed state's g matches only the entry whose pop closed
+    it, which has left the heap.
     """
 
     def __init__(
@@ -104,8 +109,8 @@ class NodeTable:
         self.weight = weight
         self.node_limit = node_limit
         self.where = where  # names the table in NodeLimitExceeded
-        self.open: dict = {}
-        self.closed: dict = {}
+        self.nodes: dict = {}
+        self.open_count = 0
         self.heap: list = []
         self.seq = 0
 
@@ -117,28 +122,24 @@ class NodeTable:
         A new state is opened; a cheaper path reopens a closed state or
         replaces an open entry; anything else is counted as a duplicate.
         """
-        open_tbl = self.open
-        entry = self.closed.get(state)
-        if entry is not None:
-            if g >= entry[0] - EPS:
-                stats.duplicates += 1
-                return
-            del self.closed[state]
+        nodes = self.nodes
+        entry = nodes.get(state)
+        if entry is None:
+            self.open_count += 1
+        elif g >= entry[0] - EPS:
+            stats.duplicates += 1
+            return
+        elif len(entry) == 2:
             stats.reopened += 1
-        else:
-            entry = open_tbl.get(state)
-            if entry is not None and g >= entry[0] - EPS:
-                stats.duplicates += 1
-                return
-        open_tbl[state] = (g, parent, h, key)
+            self.open_count += 1
+        nodes[state] = (g, parent, h, key)
         weight = self.weight
         priority = h if weight == INF else g + weight * h
         heappush(self.heap, (priority, -g, self.seq, state))
         self.seq += 1
-        n = len(open_tbl)
-        if n > stats.max_open:
-            stats.max_open = n
-        if n + len(self.closed) > self.node_limit:
+        if self.open_count > stats.max_open:
+            stats.max_open = self.open_count
+        if len(nodes) > self.node_limit:
             raise NodeLimitExceeded(self.node_limit, self.where)
 
     def pop(self, stats: SearchStats):
@@ -147,14 +148,14 @@ class NodeTable:
         Returns (state, g, h, key), or None when the open list is empty.
         """
         heap = self.heap
-        open_tbl = self.open
+        nodes = self.nodes
         while heap:
             _, neg_g, _, state = heappop(heap)
-            entry = open_tbl.get(state)
-            if entry is not None and entry[0] == -neg_g:
+            entry = nodes[state]
+            if entry[0] == -neg_g:
                 g, parent, h, key = entry
-                del open_tbl[state]
-                self.closed[state] = (g, parent)
+                nodes[state] = (g, parent)
+                self.open_count -= 1
                 stats.expanded += 1
                 stats.expanded_f.append(g + h)
                 return state, g, h, key
@@ -163,19 +164,17 @@ class NodeTable:
     def min_f(self) -> float:
         """Priority of the best open entry (INF when open is empty)."""
         heap = self.heap
-        open_tbl = self.open
+        nodes = self.nodes
         while heap:
             prio, neg_g, _, state = heap[0]
-            entry = open_tbl.get(state)
-            if entry is not None and entry[0] == -neg_g:
+            if nodes[state][0] == -neg_g:
                 return prio
             heappop(heap)
         return INF
 
     def entry(self, state: State):
         """(g, parent, ...) of a closed or open state, or None."""
-        entry = self.closed.get(state)
-        return entry if entry is not None else self.open.get(state)
+        return self.nodes.get(state)
 
 
 def reconstruct_path(goal: State | None, entry_of) -> list:

@@ -1,11 +1,14 @@
 """Parallel engine behavior: cost agreement, degeneration, adversarial cases."""
 
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -34,9 +37,10 @@ from parsearch.engine import (
 from parsearch.engine.core import ChannelTransport, Engine
 from parsearch.engine.dovetail import DEFAULT_WEIGHTS, Dovetail
 from parsearch.engine.hda import HDAStar
+from parsearch.engine.spa import SPAStar
 from parsearch.engine.window import ParallelWindow
 from parsearch.hashing import Strategy
-from parsearch.serial import DEFAULT_NODE_LIMIT, astar, idastar
+from parsearch.serial import DEFAULT_NODE_LIMIT, BestFirstSearch, astar, idastar
 from tests.conftest import make_grid_problem
 
 
@@ -298,7 +302,9 @@ else:
             assert sent, token
             for state, _g, _h, _parent, k in sent:
                 assert k == key(state), (token, state)
-            entries = [e for w in eng.workers for e in w.table.open.items()]
+            entries = [
+                e for w in eng.workers for e in w.table.nodes.items() if len(e[1]) == 4
+            ]
             for state, (_g, _parent, _h, k) in entries:
                 assert k == key(state), (token, state)
 
@@ -325,7 +331,9 @@ else:
             assert sent, problem
             for state, _g, h, _parent, _k in sent:
                 assert h == problem.h(state), state
-            entries = [e for w in eng.workers for e in w.table.open.items()]
+            entries = [
+                e for w in eng.workers for e in w.table.nodes.items() if len(e[1]) == 4
+            ]
             for state, (_g, _parent, h, _k) in entries:
                 assert h == problem.h(state), state
 
@@ -336,8 +344,7 @@ else:
             eng.run()
             seen = set()
             for w in eng.workers:
-                seen.update(w.table.open)
-                seen.update(w.table.closed)
+                seen.update(w.table.nodes)
             strategy = eng.strategy
             for name, value in vars(strategy).items():
                 if isinstance(value, (dict, set)):
@@ -736,3 +743,112 @@ class TestReadyList:
             engine.transport = transport
             with pytest.raises(RuntimeError, match="interleaver stalled"):
                 engine.run()
+
+
+@pytest.fixture
+def gc_disabled():
+    """Run the test with the cyclic GC off, so only reference counting
+    frees memory."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def lifecycle_engines():
+    """name -> build(node_limit) for every engine kind a caller may drop."""
+    tile = TilePuzzle(random_scramble(3, 20, 5))
+    lattice = LatticeProblem((4, 4, 4))
+
+    def hda(problem, **extra):
+        return lambda limit: HDAStar(
+            problem, EngineConfig(workers=4, seed=1, node_limit=limit, **extra)
+        )
+
+    return {
+        "hdastar two-wave": hda(tile),
+        "hdastar time": hda(tile, termination="time"),
+        "hdastar hyperplane": hda(
+            lattice, strategy="hyperplane", strategy_config={"d": "1/2"}
+        ),
+        "spastar": lambda limit: SPAStar(
+            tile, EngineConfig(workers=4, seed=1, node_limit=limit)
+        ),
+        "window": lambda limit: ParallelWindow(
+            tile, EngineConfig(workers=4, seed=1, node_limit=limit)
+        ),
+        "dovetail": lambda limit: Dovetail(tile, DEFAULT_WEIGHTS, limit),
+        "best-first": lambda limit: BestFirstSearch(tile, 1.0, limit),
+    }
+
+
+def run_and_drop(build, node_limit):
+    """Build and run an engine, drop it, and return (raised, freed): whether
+    the run hit its node limit and whether the engine is gone. A plain
+    except, because pytest.raises would keep the traceback alive."""
+    engine = build(node_limit)
+    ref = weakref.ref(engine)
+    raised = False
+    try:
+        engine.run()
+    except NodeLimitExceeded:
+        raised = True
+    del engine
+    return raised, ref() is None
+
+
+class TestRunMemory:
+    def test_dropped_engine_is_freed_without_gc(self, gc_disabled):
+        for name, build in lifecycle_engines().items():
+            assert run_and_drop(build, DEFAULT_NODE_LIMIT) == (False, True), name
+            assert run_and_drop(build, 5) == (True, True), name
+
+    def test_repeated_hda_solves_keep_nothing(self, gc_disabled):
+        # A reference cycle anywhere in the engine would keep each solve's
+        # tables, about 5 MB here, until a cyclic collection.
+        problem = TilePuzzle(random_scramble(4, 40, 3))
+        kept = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                engine = HDAStar(problem, EngineConfig(workers=8, seed=3))
+                cost = engine.run().cost
+                del engine
+                kept.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert cost == astar(problem).cost
+        assert max(kept[1:]) < 64 * 1024, kept
+
+
+# (expanded, generated, reopened, duplicates, max_open) of serial A* and
+# HDA* p=4, recorded with separate open and closed dicts; the duplicate and
+# reopen rules of any NodeTable layout must reproduce them.
+PINNED_TABLE_COUNTERS = {
+    ("tile", 1): ((676, 1799, 0, 708, 399), (1591, 4267, 30, 1730, 289)),
+    ("tile", 2): ((495, 1308, 0, 515, 284), (1577, 4242, 16, 1685, 332)),
+    ("tile", 3): ((410, 1102, 0, 432, 257), (979, 2643, 7, 1057, 222)),
+    ("lattice", 1): ((1000, 5859, 0, 4860, 185), (1203, 6804, 203, 5366, 180)),
+}
+TABLE_COUNTERS = ("expanded", "generated", "reopened", "duplicates", "max_open")
+
+
+def test_node_table_counters_pinned():
+    # The lattice's unequal step costs and h = 0 make HDA* reopen often.
+    patterns = [pat for pat in itertools.product((0, 1), repeat=3) if any(pat)]
+    costs = dict(zip(patterns, (1.0, 2.0, 2.5, 3.0, 3.5, 4.5, 5.0)))
+    for (kind, seed), want in PINNED_TABLE_COUNTERS.items():
+        if kind == "tile":
+            problem = TilePuzzle(random_solvable(3, seed))
+        else:
+            problem = LatticeProblem((9, 9, 9), costs)
+        sols = astar(problem), hdastar(problem, EngineConfig(workers=4, seed=seed))
+        got = tuple(
+            tuple(getattr(sol.stats, name) for name in TABLE_COUNTERS)
+            for sol in sols
+        )
+        assert got == want, (kind, seed)
