@@ -71,7 +71,12 @@ ALGOS = ("astar", "idastar", "wastar", "ucs", *PARALLEL_ENGINES, "dovetail")
 
 def default_seed() -> int:
     env = os.environ.get("PARSEARCH_SEED")
-    return int(env) if env else 42
+    if not env:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"PARSEARCH_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -399,9 +404,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None:
-        args.seed = default_seed()
     try:
+        if getattr(args, "seed", None) is None:
+            args.seed = default_seed()
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "bench":

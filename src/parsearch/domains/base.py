@@ -13,13 +13,19 @@ or None. Engines carry h with each node and expand through
 `successors_of(problem)`, which falls back to `expand` plus a full
 `h(child)` and a None move for domains without the hook. Tile puzzles
 define it with an O(1) Manhattan update (one moved tile changes its own
-distance alone); lattices define it to build their children cheaply.
+distance alone), read with the move from tables built once per board size
+and shared by every puzzle of that size; lattices define it over a table
+from room (which axes are below their length) to in-bounds moves, filled
+on first use, so a pass builds only the children that fit.
 
 A domain whose moves are not None also defines the optional hook
 `move_features(move)`: the features removed from and added to the parent's
 feature multiset by the move, whose Zobrist bit strings xor the parent's key
 into the child's. A None move makes the Zobrist strategies recompute the
-child's key from its features.
+child's key from its features. Lattice moves stay None by design: a lattice
+move changes the coordinates of the axes it increments, from x to x + 1, so
+its features and its xor depend on the parent's coordinates, and a per-move
+table would hold about one entry per lattice point.
 
 The optional hooks `default_projection()` (strategy `azh`) and
 `abstraction_projection()` (strategy `abstraction`) return a dict mapping

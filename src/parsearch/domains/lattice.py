@@ -9,7 +9,7 @@ nonnegative cost to each axis-increment pattern.
 from __future__ import annotations
 
 from itertools import product
-from operator import add, le
+from operator import add, lt
 
 from parsearch.domains.base import Feature, State
 
@@ -20,8 +20,8 @@ class LatticeProblem:
         lengths: tuple[int, ...],
         step_costs: dict[tuple[int, ...], float] | None = None,
     ):
-        if not lengths or any(l < 1 for l in lengths):
-            raise ValueError("per-axis lengths must be positive")
+        if not lengths or any(type(l) is not int or l < 1 for l in lengths):
+            raise ValueError("per-axis lengths must be positive ints")
         self.lengths = tuple(lengths)
         self.dim = len(lengths)
         patterns = [p for p in product((0, 1), repeat=self.dim) if any(p)]
@@ -33,7 +33,7 @@ class LatticeProblem:
             if not step_costs[p] >= 0:  # also rejects NaN
                 raise ValueError(f"cost for move pattern {p} must be >= 0")
         self.step_costs = dict(step_costs)
-        self._moves = [(p, self.step_costs[p]) for p in patterns]
+        self._room_moves = RoomMoveTable([(p, self.step_costs[p]) for p in patterns])
         self.initial = (0,) * self.dim
         self.goal = self.lengths
 
@@ -41,14 +41,15 @@ class LatticeProblem:
         return state == self.goal
 
     def successors(self, state: tuple[int, ...], h: float) -> list[tuple]:
-        """(child, cost, 0.0, None) per in-bounds move; h is 0 everywhere."""
-        out = []
-        lengths = self.lengths
-        for pat, cost in self._moves:
-            nxt = tuple(map(add, state, pat))
-            if all(map(le, nxt, lengths)):
-                out.append((nxt, cost, 0.0, None))
-        return out
+        """(child, cost, 0.0, None) per in-bounds move; h is 0 everywhere.
+
+        The room of a state, which axes are still below their length,
+        selects its in-bounds moves from the room table."""
+        room = tuple(map(lt, state, self.lengths))
+        return [
+            (tuple(map(add, state, pat)), cost, 0.0, None)
+            for pat, cost in self._room_moves[room]
+        ]
 
     def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
         return [(child, cost) for child, cost, _, _ in self.successors(state, 0.0)]
@@ -75,3 +76,26 @@ class LatticeProblem:
     def all_states(self):
         """Every lattice point; exhaustive checks only (small lattices)."""
         return product(*(range(l + 1) for l in self.lengths))
+
+
+class RoomMoveTable(dict):
+    """Room -> the `(pattern, cost)` moves that fit it, in pattern order.
+
+    A room is a tuple of bools, one per axis, true where the coordinate is
+    below the axis length; a move fits when it increments only such axes.
+    `table[room]` fills a missing entry on first use, so a problem holds at
+    most one entry per room it has expanded (2^d rooms in d dimensions).
+    """
+
+    def __init__(self, moves: list[tuple[tuple[int, ...], float]]):
+        super().__init__()
+        self._moves = moves
+
+    def __missing__(self, room: tuple[bool, ...]) -> list:
+        entry = [
+            (pat, cost)
+            for pat, cost in self._moves
+            if all(free or not step for step, free in zip(pat, room))
+        ]
+        self[room] = entry
+        return entry

@@ -6,6 +6,7 @@ where 0 is the blank. The goal places tiles in order with the blank last.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -16,6 +17,8 @@ class TilePuzzle:
     """n x n sliding-tile puzzle with unit move costs and Manhattan h."""
 
     def __init__(self, initial: tuple[int, ...], n: int | None = None):
+        if any(type(t) is not int for t in initial):
+            raise ValueError("initial state holds a tile that is not an int")
         if n is None:
             n = math.isqrt(len(initial))
         if n < 2 or n * n != len(initial):
@@ -26,28 +29,7 @@ class TilePuzzle:
         self.ncells = n * n
         self.initial = tuple(initial)
         self.goal = goal_state(n)
-
-        # Blank moves per cell and Manhattan contribution per (tile, pos).
-        self._moves: list[tuple[int, ...]] = []
-        for i in range(self.ncells):
-            r, c = divmod(i, n)
-            m = []
-            if r > 0:
-                m.append(i - n)
-            if r < n - 1:
-                m.append(i + n)
-            if c > 0:
-                m.append(i - 1)
-            if c < n - 1:
-                m.append(i + 1)
-            self._moves.append(tuple(m))
-        contrib = [0] * (self.ncells * self.ncells)
-        for tile in range(1, self.ncells):
-            gr, gc = divmod(tile - 1, n)
-            for pos in range(self.ncells):
-                r, c = divmod(pos, n)
-                contrib[tile * self.ncells + pos] = abs(r - gr) + abs(c - gc)
-        self._contrib = contrib
+        self._contrib, self._blank_moves = _board_tables(n)
 
     def is_goal(self, state: State) -> bool:
         return state == self.goal
@@ -57,24 +39,19 @@ class TilePuzzle:
 
         The blank moves from cell b to cell j and tile t = state[j] from j
         to b, which changes t's Manhattan distance alone; the move is the
-        int (b * n² + j) * n² + t.
+        int (b * n² + j) * n² + t. Both come from the board's tables: one
+        `(j, delta, base)` entry per blank move, with delta[t] the change
+        in h and base + t the move.
         """
         b = state.index(0)
-        ncells = self.ncells
-        contrib = self._contrib
+        lst = list(state)
         out = []
-        for j in self._moves[b]:
-            t = state[j]
-            lst = list(state)
+        for j, delta, base in self._blank_moves[b]:
+            t = lst[j]
             lst[b] = t
             lst[j] = 0
-            base = t * ncells
-            out.append((
-                tuple(lst),
-                1.0,
-                h + contrib[base + b] - contrib[base + j],
-                (b * ncells + j) * ncells + t,
-            ))
+            out.append((tuple(lst), 1.0, h + delta[t], base + t))
+            lst[j] = t
         return out
 
     def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
@@ -122,6 +99,47 @@ class TilePuzzle:
             for tile in range(self.ncells):
                 proj[(pos, tile)] = ("rp", block, tile)
         return proj
+
+
+@functools.cache
+def _board_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Tables of the n x n board, built once per size and shared by every
+    puzzle of that size: the Manhattan contribution per (tile, position),
+    at tile * n² + position, and per blank cell b one `(j, delta, base)`
+    entry per blank move to cell j, in up/down/left/right order, where
+    delta[t] is the change in h when tile t slides from j to b and
+    base = (b * n² + j) * n²."""
+    ncells = n * n
+    contrib = [0] * (ncells * ncells)
+    for tile in range(1, ncells):
+        gr, gc = divmod(tile - 1, n)
+        for pos in range(ncells):
+            r, c = divmod(pos, n)
+            contrib[tile * ncells + pos] = abs(r - gr) + abs(c - gc)
+    blank_moves = []
+    for b in range(ncells):
+        r, c = divmod(b, n)
+        targets = []
+        if r > 0:
+            targets.append(b - n)
+        if r < n - 1:
+            targets.append(b + n)
+        if c > 0:
+            targets.append(b - 1)
+        if c < n - 1:
+            targets.append(b + 1)
+        blank_moves.append(tuple(
+            (
+                j,
+                tuple(
+                    contrib[t * ncells + b] - contrib[t * ncells + j]
+                    for t in range(ncells)
+                ),
+                (b * ncells + j) * ncells,
+            )
+            for j in targets
+        ))
+    return tuple(contrib), tuple(blank_moves)
 
 
 def goal_state(n: int) -> tuple[int, ...]:

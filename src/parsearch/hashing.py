@@ -15,7 +15,10 @@ that key. The Zobrist family xors the parent's key with one bit string per
 move: the xor over the domain's `move_features(move)`, kept in a table
 bounded by the number of distinct moves. On a None move (every domain
 without the hook) it recomputes the key from the child's features, as the
-other strategies always do. No strategy keeps memory per state.
+other strategies always do. Lattice moves are None by design: the xor of
+a lattice move depends on the parent's coordinates, so a move table would
+hold about one entry per lattice point, as much as a per-state key cache.
+No strategy keeps memory per state.
 """
 
 from __future__ import annotations

@@ -158,6 +158,13 @@ class TestSolve:
         record = json.loads(out.read_text())
         assert record["seed"] == 123
 
+    def test_non_integer_env_seed_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setenv("PARSEARCH_SEED", "abc")
+        assert run_cli("solve", "--domain", "tile", "--gen", "n=3,seed=1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "PARSEARCH_SEED" in err
+        assert "Traceback" not in err
+
 
 class TestBench:
     @pytest.fixture()

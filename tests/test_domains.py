@@ -92,6 +92,38 @@ class TestTiles:
                     assert child_h == p.h(child)
                 state, _, h, _ = rng.choice(records)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_successors_match_reference_blank_moves(self, n):
+        # Reference move rule, independent of the puzzle's tables: the blank
+        # swaps with its up, down, left and right neighbour, in that order.
+        # Rotating the tiles puts every tile on every neighbour of every
+        # blank cell, so each move the tables hold is checked.
+        p = TilePuzzle(goal_state(n))
+        ntiles = n * n - 1
+        for b in range(n * n):
+            r, c = divmod(b, n)
+            for k in range(ntiles):
+                tiles = [(i + k) % ntiles + 1 for i in range(ntiles)]
+                tiles.insert(b, 0)
+                state = tuple(tiles)
+                want = []
+                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                    if 0 <= r + dr < n and 0 <= c + dc < n:
+                        j = (r + dr) * n + c + dc
+                        child = list(state)
+                        child[b], child[j] = child[j], child[b]
+                        want.append(tuple(child))
+                records = p.successors(state, p.h(state))
+                assert [child for child, _, _, _ in records] == want
+                parent_features = set(p.features(state))
+                for child, cost, child_h, move in records:
+                    assert cost == 1.0
+                    assert child_h == p.h(child)
+                    child_features = set(p.features(child))
+                    features = p.move_features(move)
+                    assert set(features[:2]) == parent_features - child_features
+                    assert set(features[2:]) == child_features - parent_features
+
     def test_random_solvable_all_reachable(self, tile3_bfs):
         rng = random.Random(123)
         for _ in range(10_000):
@@ -132,6 +164,11 @@ class TestTiles:
             TilePuzzle((0, 1, 2))
         with pytest.raises(ValueError):
             TilePuzzle((0, 0, 1, 2))
+        # Floats and bools pass the permutation test (1.0 == 1, True == 1)
+        # but are not tiles; the board's tables are indexed by tile.
+        for initial in ((1.0, 2.0, 0.0, 3.0), (1, 2, 0.0, 3), (True, 2, 0, 3)):
+            with pytest.raises(ValueError, match="not an int"):
+                TilePuzzle(initial)
 
 
 class TestGrid:
@@ -248,20 +285,31 @@ class TestLattice:
         assert seen == len(states)
 
     def test_successors_match_expand_with_zero_h(self):
-        patterns = [pat for pat in product((0, 1), repeat=3) if any(pat)]
-        lengths = (3, 2, 4)
-        p = LatticeProblem(lengths, {pat: 1.0 + sum(pat) for pat in patterns})
-        for s in p.all_states():
-            # Reference move rules: add each pattern, keep in-bounds points.
-            want = []
-            for pat in patterns:
-                child = tuple(x + d for x, d in zip(s, pat))
-                if all(x <= l for x, l in zip(child, lengths)):
-                    want.append((child, 1.0 + sum(pat)))
-            assert p.expand(s) == want
-            assert p.successors(s, 0.0) == [
-                (child, cost, 0.0, None) for child, cost in want
-            ]
+        # 1-D to 4-D (15 patterns, 16 rooms), distinct per-pattern costs.
+        for lengths in ((5,), (3, 2), (3, 2, 4), (2, 1, 3, 2)):
+            patterns = [pat for pat in product((0, 1), repeat=len(lengths)) if any(pat)]
+            costs = {pat: 1.0 + 0.5 * i for i, pat in enumerate(patterns)}
+            p = LatticeProblem(lengths, costs)
+            for s in p.all_states():
+                # Reference move rules: add each pattern, keep in-bounds points.
+                want = []
+                for pat in patterns:
+                    child = tuple(x + d for x, d in zip(s, pat))
+                    if all(x <= l for x, l in zip(child, lengths)):
+                        want.append((child, costs[pat]))
+                assert p.expand(s) == want
+                assert p.successors(s, 0.0) == [
+                    (child, cost, 0.0, None) for child, cost in want
+                ]
+            # Every point has been expanded, so every room has its entry:
+            # the moves whose incremented axes are all below their length.
+            assert len(p._room_moves) == 2 ** len(lengths)
+            for room, moves in p._room_moves.items():
+                assert moves == [
+                    (pat, costs[pat])
+                    for pat in patterns
+                    if all(free or not step for step, free in zip(pat, room))
+                ]
 
     def test_costs_come_from_table(self):
         costs = {(1, 0): 2.0, (0, 1): 3.0, (1, 1): 5.0}
@@ -272,6 +320,12 @@ class TestLattice:
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError):
             LatticeProblem((1, 1), {(1, 0): -1.0, (0, 1): 1.0, (1, 1): 1.0})
+
+    @pytest.mark.parametrize("lengths", [(2.5, 2), (2, 2.0), (True, 2), (2, False)])
+    def test_rejects_non_int_lengths(self, lengths):
+        # A float length let A* return cost inf; bools are not lengths.
+        with pytest.raises(ValueError, match="positive ints"):
+            LatticeProblem(lengths)
 
     def test_rejects_nan_cost(self):
         # NaN fails `< 0` too; accepted, it made A* report cost inf on a
