@@ -125,25 +125,16 @@ def ia_total_cost(
         if model.kind == "continuous" or not model.spare_reuse:
             total += single_run_cost(width, duration, model)
         else:
+            # Widths never shrink and every live group is reused whole, so
+            # the pool never holds more HAUs than this width.
             end = now + duration
             pool = [g for g in pool if g[1] > now + _CEIL_EPS]
-            covered = 0
-            for group in sorted(pool, key=lambda g: -g[1]):
-                if covered >= width:
-                    break
-                take = min(group[0], width - covered)
+            for group in pool:
                 if group[1] < end - _CEIL_EPS:
                     extra = _ceil(end - group[1])
-                    total += extra * take
-                    if take < group[0]:
-                        group[0] -= take
-                        pool.append([take, group[1] + extra])
-                    else:
-                        group[1] += extra
-                else:
-                    pass  # still paid up: free reuse
-                covered += take
-            fresh = width - covered
+                    total += extra * group[0]
+                    group[1] += extra
+            fresh = width - sum(g[0] for g in pool)
             if fresh > 0:
                 hours = _ceil(duration)
                 total += hours * fresh

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from parsearch.allocation import CostModel, ratio_bounds, sweep
-from parsearch.common import INF, ConfigError, NodeLimitExceeded
+from parsearch.common import ConfigError, NodeLimitExceeded
 from parsearch.domains import (
     GridProblem,
     LatticeProblem,
@@ -115,7 +115,7 @@ def build_problem(
             state = random_scramble(n, int(gen["depth"]), seed)
         else:
             state = random_solvable(n, seed)
-        return TilePuzzle(state, n), f"tile-n{n}-s{seed}"
+        return TilePuzzle(state), f"tile-n{n}-s{seed}"
     if domain == "grid":
         if file:
             grid = parse_grid(Path(file).read_text())
@@ -157,10 +157,7 @@ def run_algorithm(problem, args, strategy_config: dict):
     if algo == "wastar":
         return wastar(problem, args.weight, node_limit=args.node_limit)
     if algo == "dovetail":
-        weights = [
-            INF if w.strip() in ("inf", "infinity") else float(w)
-            for w in args.weights.split(",")
-        ]
+        weights = [float(w) for w in args.weights.split(",")]
         return dovetail(problem, weights, node_limit=args.node_limit)
     if algo not in PARALLEL_ENGINES:
         raise ConfigError(f"unknown algorithm {algo!r}")

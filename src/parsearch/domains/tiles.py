@@ -16,11 +16,10 @@ from parsearch.domains.base import Feature, State
 class TilePuzzle:
     """n x n sliding-tile puzzle with unit move costs and Manhattan h."""
 
-    def __init__(self, initial: tuple[int, ...], n: int | None = None):
+    def __init__(self, initial: tuple[int, ...]):
         if any(type(t) is not int for t in initial):
             raise ValueError("initial state holds a tile that is not an int")
-        if n is None:
-            n = math.isqrt(len(initial))
+        n = math.isqrt(len(initial))
         if n < 2 or n * n != len(initial):
             raise ValueError("initial state is not an n*n permutation, n >= 2")
         if sorted(initial) != list(range(n * n)):

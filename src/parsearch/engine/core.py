@@ -22,8 +22,8 @@ validate it and report a `Solution`. An engine supplies:
   step(w)      one atomic action of worker w; setting `finished` ends the run
   ready()      ascending ids of the workers the driver may step now
                (default: every worker)
-  deliver(c)   deliver the head of transport channel c (default: the
-               transport's deliver)
+  deliver(c)   deliver the head of transport channel c; an engine with a
+               transport defines it
   result()     (cost, path) once finished; path [] when unsolved
   check()      post-run invariants, raising SearchInvariantError (default: none)
   meta()       its own Solution.meta fields beside the common ones
@@ -108,9 +108,6 @@ class Engine:
 
     def ready(self) -> list[int]:
         return list(range(self.p))
-
-    def deliver(self, channel: tuple[int, int]) -> None:
-        self.transport.deliver(channel)
 
     def check(self) -> None:
         pass

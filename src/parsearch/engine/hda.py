@@ -59,12 +59,16 @@ class _Worker:
 
     @property
     def quiescent(self) -> bool:
-        """Mailbox drained, batches flushed, open at or above the incumbent."""
+        """Mailbox drained, open at or above the incumbent, batches flushed.
+
+        The open test comes before the O(p) batch scan, so a worker with
+        work below the incumbent answers without it.
+        """
         if self.box:
             return False
-        if any(self.out):
+        if self.table.min_f() < self.incumbent.cost - EPS:
             return False
-        return self.table.min_f() >= self.incumbent.cost - EPS
+        return not any(self.out)
 
 
 class HDAStar(Engine):
@@ -119,15 +123,10 @@ class HDAStar(Engine):
     # -- runner interface ----------------------------------------------------
 
     def _can_step(self, w: int) -> bool:
-        if self.transport.boxes[w]:
-            return True
-        worker = self.workers[w]
-        if worker.table.min_f() < self.incumbent.cost - EPS:
-            return True
-        if any(worker.out):
-            return True
-        # Worker w is quiescent here: nothing else is left for it to do.
-        return w == 0 and not self.detect_in_flight and self._work_since_detect
+        """Worker w has work, or is worker 0 due to start a detection round."""
+        return not self.workers[w].quiescent or (
+            w == 0 and not self.detect_in_flight and self._work_since_detect
+        )
 
     def _recheck(self, w: int) -> None:
         ready = self._ready

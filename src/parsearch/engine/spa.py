@@ -1,19 +1,21 @@
 """Simple parallel A*: one shared open/closed list.
 
-A worker's step pops a globally best node, expands it and inserts the
-successors back into the shared lists. The driver runs one step at a time,
-so a step is atomic, as if the whole of it held the survey's exclusive lock.
-A worker that finds a goal lowers the shared incumbent; the search ends as
-soon as nothing on the open list beats the incumbent, because at that check
-every other worker is idle.
+The survey's SPA* is serial A* whose workers take the shared open list in
+turn under a lock. On the interleaved driver a step runs to completion
+before the next action, as if the whole of it held that lock, so the
+workers pop nodes in exactly serial A*'s order. `SPAStar` is therefore one
+`serial.BestFirstSearch` whose steps the workers take: worker w's step is
+A*'s step charged to worker w's counters and trace. The first goal popped
+is optimal, because no other worker can hold a cheaper node at that moment,
+and the search stops there.
 """
 
 from __future__ import annotations
 
 from parsearch.common import EPS, SearchInvariantError
-from parsearch.domains.base import SearchProblem, successors_of
-from parsearch.engine.core import Engine, EngineConfig, Incumbent
-from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
+from parsearch.domains.base import SearchProblem
+from parsearch.engine.core import Engine, EngineConfig
+from parsearch.serial import BestFirstSearch, SearchStats, Solution, reconstruct_path
 
 
 class SPAStar(Engine):
@@ -21,39 +23,25 @@ class SPAStar(Engine):
 
     def __init__(self, problem: SearchProblem, config: EngineConfig | None = None):
         super().__init__(problem, config)
-        self.incumbent = Incumbent()
-        self.successors = successors_of(problem)
-        self.table = NodeTable(node_limit=self.config.node_limit, where="shared lists")
-        self.stats = [SearchStats() for _ in range(self.p)]
+        self.search = BestFirstSearch(problem, node_limit=self.config.node_limit)
+        # Worker 0's counters are the search's own, which hold the root insert.
+        self.stats = [self.search.stats, *(SearchStats() for _ in range(self.p - 1))]
         if self.config.record_trace:
             self.traces = [[] for _ in range(self.p)]
-        root = problem.initial
-        self.table.insert(root, 0.0, problem.h(root), None, self.stats[0])
 
     def step(self, w: int) -> None:
-        """Pop, expand, reinsert; finish when nothing beats the incumbent."""
-        table = self.table
-        if table.min_f() >= self.incumbent.cost - EPS:
+        """A*'s step on the shared lists, charged to worker w."""
+        trace = self.traces[w] if self.traces is not None else None
+        if not self.search.step(self.stats[w], trace):
             self.finished = True
-            return
-        stats = self.stats[w]
-        state, g, h, _ = table.pop(stats)
-        if self.traces is not None:
-            self.traces[w].append((state, g, g + h))
-        if self.problem.is_goal(state):
-            self.incumbent.offer(g, state)
-        successors = self.successors(state, h)
-        stats.generated += len(successors)
-        for succ, cost, h1, _ in successors:
-            table.insert(succ, g + cost, h1, state, stats)
 
     def check(self) -> None:
-        if self.table.min_f() < self.incumbent.cost - EPS:
+        if self.search.table.min_f() < self.search.goal_cost - EPS:
             raise SearchInvariantError("premature termination: open beats incumbent")
 
     def result(self):
-        path = reconstruct_path(self.incumbent.state, self.table.entry)
-        return self.incumbent.cost, path
+        search = self.search
+        return search.goal_cost, reconstruct_path(search.goal_state, search.table.entry)
 
 
 def spastar(problem: SearchProblem, config: EngineConfig | None = None) -> Solution:

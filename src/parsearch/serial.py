@@ -231,17 +231,18 @@ class BestFirstSearch:
             problem.initial, 0.0, problem.h(problem.initial), None, self.stats
         )
 
-    def step(self) -> bool:
-        """Expand one node. Returns False once the search has finished."""
+    def step(self, stats: SearchStats, trace: list | None) -> bool:
+        """Expand one node, charging it to `stats` and appending it to
+        `trace` (None records nothing). Returns False once the search has
+        finished."""
         if self.goal_cost < INF:
             return False
-        stats = self.stats
         node = self.table.pop(stats)
         if node is None:
             return False
         state, g, h, _ = node
-        if self.trace is not None:
-            self.trace.append((state, g, g + h))
+        if trace is not None:
+            trace.append((state, g, g + h))
         if self.problem.is_goal(state):
             self.goal_state = state
             self.goal_cost = g
@@ -255,7 +256,8 @@ class BestFirstSearch:
 
     def run(self) -> Solution:
         start = time.perf_counter()
-        while self.step():
+        stats, trace = self.stats, self.trace
+        while self.step(stats, trace):
             pass
         self.stats.wall_time = time.perf_counter() - start
         path = reconstruct_path(self.goal_state, self.table.entry)

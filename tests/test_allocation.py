@@ -90,6 +90,16 @@ class TestIterativeAllocation:
         assert iters == 3
         assert abs(total - (0.4 * 1 + 0.4 * 2 + 2.0 * 4)) <= 1e-12
 
+    def test_discrete_cost_with_and_without_spare_reuse(self):
+        # Widths 1, 2, 4. With reuse both failures fit the first hour of
+        # their HAUs (1 + 1); the success extends those two HAUs by two
+        # hours each (2 * 2) and pays two fresh HAUs for two hours (2 * 2).
+        # Without reuse every run pays its own whole hours: 1 + 2 + 2 * 4.
+        profile = SolverProfile(3, makespan=2.0, fail_time=0.4)
+        for reuse, want in ((True, 10.0), (False, 11.0)):
+            model = CostModel("discrete", spare_reuse=reuse)
+            assert ia_total_cost(profile, 2.0, model) == (want, 3), reuse
+
     def test_doubling_never_pays_more_than_four_times(self):
         model = CostModel("discrete")
         worst = 0.0

@@ -92,9 +92,13 @@ class TestSolve:
         assert run_cli(
             "solve", "--domain", "tile", "--algo", "wastar", "--weight", "nan",
         ) == 3
-        assert run_cli(
-            "solve", "--domain", "tile", "--algo", "dovetail", "--weights", "1,nan",
-        ) == 3
+        # float() reads inf in any case and with spaces, nan as nan: the
+        # first two lists run, the last is refused.
+        for weights, code in (("1, INF ", 0), ("1,Infinity", 0), ("1,nan", 3)):
+            assert run_cli(
+                "solve", "--domain", "tile", "--algo", "dovetail",
+                "--weights", weights,
+            ) == code, weights
 
     def test_grid_file_with_blocked_start(self, tmp_path):
         m = tmp_path / "m.txt"

@@ -134,8 +134,9 @@ def test_contract_fallback_matches_successors_hook():
 class TestSPAStar:
     def test_single_worker_matches_serial_expanded_set(self, tile_suite_small):
         # A step is atomic under the driver, so at any worker count SPA*
-        # expands exactly serial A*'s nodes; a stop while another worker
-        # still held a popped node would lose expansions here.
+        # expands and generates exactly serial A*'s nodes, stopping at the
+        # goal it pops; a stop while another worker still held a popped
+        # node would lose expansions here.
         for p in tile_suite_small[:5]:
             serial = astar(p, record_trace=True)
             serial_set = {s for s, _, _ in serial.meta["trace"]}
@@ -144,7 +145,9 @@ class TestSPAStar:
                 assert par.cost == serial.cost
                 par_set = {s for trace in par.meta["trace"] for s, _, _ in trace}
                 assert serial_set == par_set, workers
-                assert par.stats.expanded == serial.stats.expanded, workers
+                for name in ("expanded", "generated", "duplicates", "reopened"):
+                    got, want = getattr(par.stats, name), getattr(serial.stats, name)
+                    assert got == want, (workers, name)
 
     def test_matches_oracle(self, tile_suite_small, tile3_bfs):
         for p in tile_suite_small:
