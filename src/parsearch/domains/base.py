@@ -36,13 +36,12 @@ the hook a strategy uses the identity projection.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol
 
 State = Hashable
 Feature = tuple
 
 
-@runtime_checkable
 class SearchProblem(Protocol):
     """Implicit-graph contract consumed by all searchers."""
 

@@ -34,8 +34,6 @@ class ExplicitGraph:
             self.nodes.add(v)
         self.nodes.add(start)
         self.nodes.update(goals)
-        if start not in self.nodes:
-            raise ValueError("start not in node set")
         if not goals:
             raise ValueError("at least one goal required")
         self.initial = start

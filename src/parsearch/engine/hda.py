@@ -54,8 +54,16 @@ class _Worker:
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
-        self.sent_msgs = 0
-        self.received_msgs = 0
+
+    @property
+    def sent_msgs(self) -> int:
+        """Work messages sent (termination counter): one per flushed batch."""
+        return self.stats.sent_batches
+
+    @property
+    def received_msgs(self) -> int:
+        """Work messages received (termination counter): one per batch."""
+        return self.stats.received_batches
 
     @property
     def quiescent(self) -> bool:
@@ -199,7 +207,6 @@ class HDAStar(Engine):
         _, _src, stamp, batch = item
         self._work_since_detect = True
         stats = worker.stats
-        worker.received_msgs += 1
         stats.received_batches += 1
         stats.received += len(batch)
         if stamp > worker.max_received_stamp:
@@ -243,7 +250,6 @@ class HDAStar(Engine):
         itself and the worker starts a new one."""
         buf = worker.out[dst]
         worker.out[dst] = []
-        worker.sent_msgs += 1
         worker.stats.sent_batches += 1
         worker.stats.sent += len(buf)
         self.transport.send(worker.id, dst, ("W", worker.id, worker.clock, buf))

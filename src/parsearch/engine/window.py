@@ -43,11 +43,11 @@ class ParallelWindow(Engine):
 
     def ready(self) -> list[int]:
         """Every worker while a bound is left to claim; otherwise the busy
-        ones, or every worker when none is busy (a step must conclude)."""
+        ones. Some worker is busy then: the step that ends the last running
+        iteration with no bound left to claim finishes the run."""
         if self._peek_claim() is not None:
             return list(range(self.p))
-        busy = [w for w, dfs in enumerate(self.slots) if dfs is not None]
-        return busy or list(range(self.p))
+        return [w for w, dfs in enumerate(self.slots) if dfs is not None]
 
     def _try_finish(self) -> None:
         """Finish when the wait-for-lower-bounds rule allows it."""
@@ -62,9 +62,6 @@ class ParallelWindow(Engine):
         dfs = self.slots[w]
         if dfs is None:
             bound = self._peek_claim()
-            if bound is None:
-                self._try_finish()
-                return
             self.claimed.append(bound)
             self.slots[w] = BoundedDFS(
                 self.problem,
@@ -93,7 +90,7 @@ class ParallelWindow(Engine):
     def meta(self) -> dict:
         logs = self.solution_logs
         return {
-            "bounds": sorted(self.claimed),
+            "bounds": list(self.claimed),
             "first_incumbent": next((log[0] for log in logs.values() if log), None),
             "solution_logs": logs,
         }

@@ -38,9 +38,6 @@ class OverheadReport:
     communication_overhead: float
     load_balance: float
     speedup: float
-    expanded_serial: int
-    expanded_parallel: int
-    per_worker_expanded: list[int]
 
 
 def _stats_of(run) -> SearchStats:
@@ -68,9 +65,6 @@ def overheads(serial, run: Solution) -> OverheadReport:
         communication_overhead=co,
         load_balance=lb,
         speedup=speedup,
-        expanded_serial=serial_stats.expanded,
-        expanded_parallel=stats.expanded,
-        per_worker_expanded=per_worker,
     )
 
 

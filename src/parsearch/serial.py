@@ -233,10 +233,9 @@ class BestFirstSearch:
 
     def step(self, stats: SearchStats, trace: list | None) -> bool:
         """Expand one node, charging it to `stats` and appending it to
-        `trace` (None records nothing). Returns False once the search has
-        finished."""
-        if self.goal_cost < INF:
-            return False
+        `trace` (None records nothing). Returns False when the search has
+        finished: it popped a goal or emptied the open list. Callers stop
+        stepping a search once it has returned False."""
         node = self.table.pop(stats)
         if node is None:
             return False
@@ -314,6 +313,10 @@ class BoundedDFS:
     the parallel window engine needs that stronger guarantee because its
     bound sequence may skip values. Every f-value pruned by the bound is
     recorded in `exceed_values`; the next IDA* bound is their minimum.
+
+    The bound must be at least h(initial), so the root is never pruned: IDA*
+    starts at h(initial) and only raises its bound, and the parallel window
+    engine claims h(initial) first and ever larger bounds after it.
     """
 
     def __init__(
@@ -334,31 +337,20 @@ class BoundedDFS:
         self.best_cost = INF
         self.best_path: list = []
         self.done = False
-        self._on_path: set = set()
         self._successors = successors_of(problem)
         # Stack frames: [state, g, h, successor records, next index]; the
         # frames' states are the current path from the root.
         self._stack: list = []
-        self._enter(problem.initial, 0.0)
-
-    def _enter(self, state: State, g: float) -> None:
-        h = self.problem.h(state)
-        f = g + h
-        if f > self.bound + EPS:
-            self.exceed_values.add(f)
-            return
-        if self.find_best and f >= self.best_cost - EPS:
-            return
-        if self.problem.is_goal(state):
-            self.solution_log.append(g)
-            if g < self.best_cost:
-                self.best_cost = g
-                self.best_path = [frame[0] for frame in self._stack] + [state]
-            if not self.find_best:
-                self.done = True
-            return
-        self._stack.append([state, g, h, None, 0])
-        self._on_path.add(state)
+        self._on_path: set = set()
+        root = problem.initial
+        if problem.is_goal(root):
+            self.solution_log.append(0.0)
+            self.best_cost = 0.0
+            self.best_path = [root]
+            self.done = True
+        else:
+            self._stack.append([root, 0.0, problem.h(root), None, 0])
+            self._on_path.add(root)
 
     def run_chunk(self, n: int) -> bool:
         """Advance up to n node events; False once the iteration is over."""
@@ -438,21 +430,20 @@ def idastar(
     start = time.perf_counter()
     stats = SearchStats()
     bound = problem.h(problem.initial)
-    while True:
+    while True:  # runs once even when h(initial) is inf
         it = BoundedDFS(problem, bound, expansion_limit=node_limit).run()
         stats.iteration_expansions.append(it.expanded)
         stats.expanded += it.expanded
         stats.generated += it.generated
-        if it.best_cost < INF:
-            stats.wall_time = time.perf_counter() - start
-            validate_path(problem, it.best_path)
-            return Solution(
-                it.best_cost,
-                it.best_path,
-                stats,
-                meta={"algorithm": "idastar", "bounds": len(stats.iteration_expansions)},
-            )
         bound = min(it.exceed_values, default=INF)
-        if bound == INF:
-            stats.wall_time = time.perf_counter() - start
-            return Solution(INF, [], stats, meta={"algorithm": "idastar"})
+        if it.best_cost < INF or bound == INF:
+            break
+    stats.wall_time = time.perf_counter() - start
+    if it.best_path:
+        validate_path(problem, it.best_path)
+    return Solution(
+        it.best_cost,
+        it.best_path,
+        stats,
+        meta={"algorithm": "idastar", "bounds": len(stats.iteration_expansions)},
+    )

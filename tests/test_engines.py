@@ -472,6 +472,21 @@ class TestParallelWindow:
             sol = parallel_window(g, EngineConfig(workers=workers))
             assert sol.cost == INF
 
+    def test_initial_is_goal(self):
+        p = TilePuzzle(goal_state(3))
+        for workers in (1, 3):
+            sol = parallel_window(p, EngineConfig(workers=workers))
+            assert sol.cost == 0.0
+            assert sol.path == [p.initial]
+            assert sol.meta["bounds"] == [0.0]
+            assert sol.stats.expanded == 0
+
+    def test_infinite_root_heuristic_unsolvable(self):
+        # The first bound is h(initial) = inf; the root is still searched.
+        g = ExplicitGraph([("s", "a", 1)], "s", {"t"}, {"s": INF})
+        assert idastar(g).cost == INF
+        assert parallel_window(g, EngineConfig(workers=2)).cost == INF
+
     def test_claimed_bounds_strictly_ascend(self, tile_suite_small):
         # The dispenser reads the last claim as the largest one.
         pairs = 0

@@ -1,4 +1,5 @@
-"""Static check: no module under src/parsearch imports a name it never uses."""
+"""Static checks on src/parsearch: no module imports a name it never uses,
+and no private function or method is defined without being referenced."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,44 @@ def test_check_sees_an_unused_import():
         "print(d)\n"
     )
     assert unused_imports(tree) == ["os (line 2)", "b (line 3)"]
+
+
+def orphaned_privates(trees: list[ast.Module]) -> list[str]:
+    """Private (single-underscore) functions and methods defined in `trees`
+    whose name no tree reads, as a plain name or as an attribute."""
+    defined = {}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.setdefault(node.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name not in used
+    ]
+
+
+def test_no_orphaned_private_functions():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    assert orphaned_privates(trees) == []
+
+
+def test_check_sees_an_orphaned_private_function():
+    tree = ast.parse(
+        "def _used(): pass\n"
+        "def _orphan(): pass\n"
+        "def __dunder__(): pass\n"
+        "class C:\n"
+        "    def _method(self): pass\n"
+        "    def _stale(self): pass\n"
+        "    def public(self):\n"
+        "        _used()\n"
+        "        return self._method()\n"
+    )
+    assert orphaned_privates([tree]) == ["_orphan (line 2)", "_stale (line 6)"]

@@ -114,7 +114,9 @@ class TestIdastar:
 
     def test_unsolvable_finite_space(self):
         g = ExplicitGraph([("s", "a", 1), ("a", "s", 1)], "s", {"t"})
-        assert idastar(g).cost == INF
+        sol = idastar(g)
+        assert sol.cost == INF
+        assert sol.meta["bounds"] == len(sol.stats.iteration_expansions) == 2
 
 
 class TestWeightedAstar:
