@@ -52,7 +52,7 @@ class PinnedOwners(Strategy):
 
 engine = HDAStar(
     missorder_graph(),
-    EngineConfig(workers=2, batch_size=1, burst=1),
+    EngineConfig(workers=2, batch_size=1),
     strategy=PinnedOwners({"a": 0, "c": 0, "d": 0, "b": 1}),
     policy=EagerWorkerPolicy(),
 )

@@ -26,7 +26,7 @@ for bias in (0.9, 0.5, 0.15):
     for mode in ("two-wave", "time"):
         engine = HDAStar(
             puzzle,
-            EngineConfig(workers=3, termination=mode, seed=4, burst=1),
+            EngineConfig(workers=3, termination=mode, seed=4),
             policy=SchedulePolicy(seed=4, delivery_bias=bias),
         )
         sol = engine.run()

@@ -207,8 +207,6 @@ def make_record(solution, args, instance: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    if args.node_limit < 0:
-        raise ConfigError("node limit must be an integer >= 0")
     strategy_config = {}
     if args.hash_config:
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())

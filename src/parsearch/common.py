@@ -1,4 +1,4 @@
-"""Shared constants and exception types."""
+"""Shared constants, exception types and the integer check for settings."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ INF = float("inf")
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown strategy token, bad parameter, etc."""
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ConfigError unless value is an int (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}")
 
 
 class ParseError(ValueError):

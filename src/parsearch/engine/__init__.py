@@ -6,7 +6,6 @@ from parsearch.engine.core import (
     EngineConfig,
     Incumbent,
     SchedulePolicy,
-    default_batch_size,
 )
 from parsearch.engine.dovetail import DEFAULT_WEIGHTS, dovetail
 from parsearch.engine.hda import HDAStar, hdastar
@@ -19,7 +18,6 @@ __all__ = [
     "EngineConfig",
     "Incumbent",
     "SchedulePolicy",
-    "default_batch_size",
     "DEFAULT_WEIGHTS",
     "dovetail",
     "HDAStar",

@@ -41,42 +41,30 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from parsearch.common import INF, ConfigError
+from parsearch.common import INF, ConfigError, check_count
 from parsearch.domains.base import validate_path
 from parsearch.serial import DEFAULT_NODE_LIMIT, Solution, merge_stats
-
-
-def default_batch_size(workers: int) -> int:
-    """Message packing: 10 states below 16 workers, 100 at or above."""
-    return 10 if workers < 16 else 100
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}")
 
 
 @dataclass
 class EngineConfig:
     workers: int = 1
     strategy: str = "zobrist"
-    batch_size: int | None = None
+    batch_size: int | None = None  # HDA* work items per message; None: 10
     seed: int = 42
     node_limit: int = DEFAULT_NODE_LIMIT
     termination: str = "two-wave"  # "two-wave" | "time"
     record_trace: bool = False
-    burst: int = 16  # HDA*: expansions per scheduler tick
     strategy_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_count("workers", self.workers)
+        check_count("workers", self.workers)
         if self.batch_size is None:
-            self.batch_size = default_batch_size(self.workers)
-        _check_count("batch size", self.batch_size)
+            self.batch_size = 10
+        check_count("batch size", self.batch_size)
         if self.termination not in ("two-wave", "time"):
             raise ConfigError("termination must be 'two-wave' or 'time'")
-        _check_count("burst", self.burst)
-        _check_count("node limit", self.node_limit, 0)
+        check_count("node limit", self.node_limit, 0)
 
 
 class Incumbent:

@@ -9,7 +9,10 @@ h and move, and the strategy turns the parent's key and the move into the
 child's key. Both travel with the state, in the (state, g, h, parent, key)
 work item and in the owner's open list.
 Sends are non-blocking and batched per destination; termination is proved
-by message counting (see `parsearch.termination`).
+by message counting (see `parsearch.termination`). One step of a worker is
+one iteration of the paper's worker loop: take every message that has
+arrived, then expand one node, or, with nothing below the incumbent, flush
+the batches and maybe start a detection round.
 
 A `_Worker` holds its node table, its outgoing batches, its counters and
 termination bookkeeping, its mailbox deque and the shared incumbent; the
@@ -174,7 +177,8 @@ class HDAStar(Engine):
 
     def _iterate(self, w: int) -> None:
         """One loop iteration of worker w: drain mailbox fully, then expand
-        or, with nothing below the incumbent, flush and maybe detect."""
+        one node or, with nothing below the incumbent, flush and maybe
+        detect."""
         worker = self.workers[w]
         box = self.transport.boxes[w]
         while box:
@@ -185,15 +189,8 @@ class HDAStar(Engine):
                 self._handle_control(worker, item[1])
             if self.finished:
                 return
-        table = worker.table
-        if table.min_f() < self.incumbent.cost - EPS:
-            # No message can arrive mid-step (the scheduler is the only
-            # deliverer), so a burst of expansions is equivalent to that
-            # many drain-then-expand iterations.
-            for _ in range(self.config.burst):
-                self._expand(worker)
-                if table.min_f() >= self.incumbent.cost - EPS:
-                    break
+        if worker.table.min_f() < self.incumbent.cost - EPS:
+            self._expand(worker)
             return
         for dst, buf in enumerate(worker.out):
             if buf:

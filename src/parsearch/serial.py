@@ -18,6 +18,7 @@ from parsearch.common import (
     ConfigError,
     NodeLimitExceeded,
     SearchInvariantError,
+    check_count,
 )
 from parsearch.domains.base import SearchProblem, State, successors_of, validate_path
 
@@ -106,6 +107,7 @@ class NodeTable:
         node_limit: int = DEFAULT_NODE_LIMIT,
         where: str = "search",
     ):
+        check_count("node limit", node_limit, 0)
         self.weight = weight
         self.node_limit = node_limit
         self.where = where  # names the table in NodeLimitExceeded
@@ -326,6 +328,7 @@ class BoundedDFS:
         find_best: bool = False,
         expansion_limit: int = DEFAULT_NODE_LIMIT,
     ):
+        check_count("node limit", expansion_limit, 0)
         self.problem = problem
         self.bound = bound
         self.find_best = find_best

@@ -318,7 +318,6 @@ def _termination_fuzz(seed):
             batch_size=2,
             seed=seed,
             termination=termination,
-            burst=1,
         )
         engine = HDAStar(
             problem, config, policy=AdversarialPolicy(seed), on_detect_pass=on_pass

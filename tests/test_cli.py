@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from parsearch.cli import main
+from parsearch.cli import ALGOS, main
 from parsearch.domains import random_solvable
 from parsearch.serial import astar
 
@@ -78,7 +78,7 @@ class TestSolve:
             ) == 2
 
     def test_bad_node_limit_exit_three(self):
-        for algo in ("astar", "spastar", "hdastar", "dovetail"):
+        for algo in ALGOS:
             for limit in ("-3", "1.5"):
                 assert run_cli(
                     "solve", "--domain", "tile", "--algo", algo,

@@ -1,8 +1,12 @@
 """Static checks on src/parsearch: no module imports a name it never uses,
-and no private function or method is defined without being referenced."""
+no private function or method is defined without being referenced, and no
+EngineConfig field goes unread."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from parsearch.engine import EngineConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parsearch"
 
@@ -95,3 +99,44 @@ def test_check_sees_an_orphaned_private_function():
         "        return self._method()\n"
     )
     assert orphaned_privates([tree]) == ["_orphan (line 2)", "_stale (line 6)"]
+
+
+def unread_fields(trees: list[ast.Module], cls: str, names: list[str]) -> list[str]:
+    """The `names` that no tree reads as an attribute outside the body of
+    the class named `cls` (which may set or check them itself)."""
+    read = set()
+    for tree in trees:
+        own = {
+            id(node)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for node in ast.walk(c)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in own
+            ):
+                read.add(node.attr)
+    return [name for name in names if name not in read]
+
+
+def test_every_engine_config_field_is_read():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    names = [f.name for f in fields(EngineConfig)]
+    assert unread_fields(trees, "EngineConfig", names) == []
+
+
+def test_check_sees_an_unread_field():
+    tree = ast.parse(
+        "class Config:\n"
+        "    used: int = 1\n"
+        "    unread: int = 2\n"
+        "    def __post_init__(self):\n"
+        "        check(self.used, self.unread)\n"
+        "def run(config):\n"
+        "    config.unread = 3\n"
+        "    return config.used\n"
+    )
+    assert unread_fields([tree], "Config", ["used", "unread"]) == ["unread"]

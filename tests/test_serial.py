@@ -64,6 +64,19 @@ class TestAstar:
         with pytest.raises(NodeLimitExceeded):
             astar(p, node_limit=50)
 
+    def test_bad_node_limit_is_a_config_error(self):
+        p = TilePuzzle(random_scramble(3, 10, 1))
+        for call in (
+            lambda: astar(p, node_limit=-1),
+            lambda: astar(p, node_limit=2.5),
+            lambda: wastar(p, 2.0, node_limit=True),
+            lambda: uniform_cost_oracle(p, node_limit=None),
+            lambda: idastar(p, node_limit=-1),
+            lambda: idastar(TilePuzzle(goal_state(3)), node_limit=-1),
+        ):
+            with pytest.raises(ConfigError):
+                call()
+
 
 class TestUniformCost:
     def test_agrees_with_astar(self, tile_suite_small, graph_suite):

@@ -108,7 +108,6 @@ def _fuzz_one(seed: int, termination: str, instance, oracle_cost: float):
         batch_size=2,
         seed=seed,
         termination=termination,
-        burst=1,
     )
     engine = HDAStar(
         instance, config, policy=AdversarialPolicy(seed), on_detect_pass=on_pass
