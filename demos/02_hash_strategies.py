@@ -1,9 +1,10 @@
 """How the work-distribution strategies split states across workers.
 
 Samples random 15-puzzle boards and shows each strategy's bucket balance at
-p=8, then the expected fraction of cross-worker traffic. Zobrist spreads
-nearly perfectly (max/mean close to 1) but sends almost every generated
-state away; abstraction keeps states local at the price of balance.
+p=8, a state going to `owner(key(state), p)`, then the expected fraction of
+cross-worker traffic. Zobrist spreads nearly perfectly (max/mean close to 1)
+but sends almost every generated state away; abstraction keeps states local
+at the price of balance.
 """
 
 import random
@@ -22,9 +23,8 @@ print(f"{'strategy':>12} {'max/mean':>9} {'buckets (p=8)':>40}")
 for token in ("zobrist", "azh", "mult", "abstraction", "random"):
     strategy = make_strategy(token, puzzle, seed=17)
     counts = [0] * WORKERS
-    draw = random.Random(2)
     for s in states:
-        counts[strategy.owner(s, WORKERS, draw)] += 1
+        counts[strategy.owner(strategy.key(s), WORKERS)] += 1
     ratio = max(counts) / (sum(counts) / WORKERS)
     print(f"{token:>12} {ratio:>9.3f} {str(counts):>40}")
 

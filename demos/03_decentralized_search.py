@@ -38,6 +38,8 @@ print("Expansion misordering (4-node digraph, h==0):")
 
 
 class PinnedOwners(Strategy):
+    """The key is the worker; the inherited owner(key, p) is key % p."""
+
     name = "pinned"
 
     def __init__(self, assign):
@@ -45,9 +47,6 @@ class PinnedOwners(Strategy):
 
     def key(self, state):
         return self.assign[state]
-
-    def owner(self, state, p, rng=None, key=None):
-        return self.assign[state] % p
 
 
 engine = HDAStar(

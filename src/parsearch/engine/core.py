@@ -125,10 +125,10 @@ class Engine:
         return Solution(cost, path, stats, per_worker=self.stats, meta=meta)
 
 
-# Message envelopes: ("W", src, stamp, batch) with batch a list of
+# Message envelopes: ("W", stamp, batch) with batch a list of
 # (state, g, h, parent, key) work items, h being the state's heuristic as
-# carried from its parent and key its hash key (or None when the strategy
-# needs none), or ("C", ControlMessage).
+# carried from its parent and key the strategy's key, which names the
+# owner; or ("C", ControlMessage).
 
 
 class ChannelTransport:

@@ -23,7 +23,6 @@ a run's tables as soon as the caller drops the engine.
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 
 from parsearch.common import EPS, SearchInvariantError
@@ -53,7 +52,6 @@ class _Worker:
         self.table = NodeTable(node_limit=config.node_limit, where=f"worker {wid}")
         self.out = [[] for _ in range(config.workers)]  # per-destination batches
         self.stats = SearchStats()
-        self.rng = random.Random(config.seed * 1_000_003 + wid)
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -86,7 +84,9 @@ class HDAStar(Engine):
     """Decentralized A* engine (Algorithm: drain mailbox, then expand).
 
     The work distribution is the configured strategy token, or an explicit
-    `strategy` object; a custom strategy subclasses `hashing.Strategy`.
+    `strategy` object. A custom strategy subclasses `hashing.Strategy`,
+    defines `key(state)`, and inherits `child_key` (a full recompute) and
+    `owner(key, p)` (`key % p`).
     """
 
     algorithm = "hdastar"
@@ -124,10 +124,9 @@ class HDAStar(Engine):
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
         self.waves = 0  # wave/ring traversals launched
-        seed_rng = random.Random(self.config.seed ^ 0x5EED)
         root = problem.initial
         key = self.strategy.key(root)
-        owner = self.workers[self.strategy.owner(root, self.p, seed_rng, key)]
+        owner = self.workers[self.strategy.owner(key, self.p)]
         owner.table.insert(root, 0.0, problem.h(root), None, owner.stats, key)
         self._ready = [w for w in range(self.p) if self._can_step(w)]
 
@@ -180,7 +179,7 @@ class HDAStar(Engine):
         one node or, with nothing below the incumbent, flush and maybe
         detect."""
         worker = self.workers[w]
-        box = self.transport.boxes[w]
+        box = worker.box
         while box:
             item = box.popleft()
             if item[0] == "W":
@@ -201,18 +200,17 @@ class HDAStar(Engine):
     # -- search mechanics ----------------------------------------------------
 
     def _receive_work(self, worker: _Worker, item) -> None:
-        _, _src, stamp, batch = item
+        _, stamp, batch = item
         self._work_since_detect = True
         stats = worker.stats
         stats.received_batches += 1
         stats.received += len(batch)
         if stamp > worker.max_received_stamp:
             worker.max_received_stamp = stamp
-        strategy = self.strategy
-        owner = strategy.owner if strategy.deterministic else None
+        owner = self.strategy.owner
         insert = worker.table.insert
         for state, g1, h1, parent, key in batch:
-            if owner is not None and owner(state, self.p, None, key) != worker.id:
+            if owner(key, self.p) != worker.id:
                 raise SearchInvariantError("state delivered to a non-owner worker")
             insert(state, g1, h1, parent, stats, key)
 
@@ -224,7 +222,9 @@ class HDAStar(Engine):
         if self.traces is not None:
             self.traces[worker.id].append((state, g, g + h))
         if self.problem.is_goal(state):
+            # Its children have f >= g, the incumbent: none is ever expanded.
             self.incumbent.offer(g, state)
+            return
         batch_size = self.config.batch_size
         child_key = self.strategy.child_key
         owner_of = self.strategy.owner
@@ -233,7 +233,7 @@ class HDAStar(Engine):
         for succ, cost, h1, move in records:
             g1 = g + cost
             k = child_key(key, succ, move)
-            owner = owner_of(succ, self.p, worker.rng, k)
+            owner = owner_of(k, self.p)
             if owner == worker.id:
                 table.insert(succ, g1, h1, state, stats, k)
             else:
@@ -249,7 +249,7 @@ class HDAStar(Engine):
         worker.out[dst] = []
         worker.stats.sent_batches += 1
         worker.stats.sent += len(buf)
-        self.transport.send(worker.id, dst, ("W", worker.id, worker.clock, buf))
+        self.transport.send(worker.id, dst, ("W", worker.clock, buf))
 
     # -- termination ----------------------------------------------------------
 
@@ -312,7 +312,7 @@ class HDAStar(Engine):
         for item in self.transport.unprocessed_items():
             if item[0] != "W":
                 continue
-            for state, g1, *_ in item[3]:
+            for state, g1, *_ in item[2]:
                 if g1 + self.problem.h(state) < bound:
                     bad.append((state, g1))
         for worker in self.workers:

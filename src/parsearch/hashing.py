@@ -8,17 +8,18 @@ it; `make_strategy` takes the projection from the domain's
 `default_projection()` or `abstraction_projection()` hook. Keys are 64-bit;
 duplicate detection always compares full states, never keys alone.
 
-Keys are carried, not cached: `child_key(parent_key, child, move)` derives
-a successor's key from its parent's key and the move that the domain's
-`successors` hook reported, and `owner(state, p, rng, key)` routes with
-that key. The Zobrist family xors the parent's key with one bit string per
-move: the xor over the domain's `move_features(move)`, kept in a table
-bounded by the number of distinct moves. On a None move (every domain
-without the hook) it recomputes the key from the child's features, as the
-other strategies always do. Lattice moves are None by design: the xor of
-a lattice move depends on the parent's coordinates, so a move table would
-hold about one entry per lattice point, as much as a per-state key cache.
-No strategy keeps memory per state.
+A state's key is its one routing input: `owner(key, p)` maps it to a
+worker, by `key % p` except for the multiplicative strategy. Keys are
+carried, not cached: `child_key(parent_key, child, move)` derives a
+successor's key from its parent's key and the move that the domain's
+`successors` hook reported. The Zobrist family xors the parent's key with
+one bit string per move: the xor over the domain's `move_features(move)`,
+kept in a table bounded by the number of distinct moves. On a None move
+(every domain without the hook) it recomputes the key from the child's
+features, as the other strategies always do. Lattice moves are None by
+design: the xor of a lattice move depends on the parent's coordinates, so a
+move table would hold about one entry per lattice point, as much as a
+per-state key cache. No strategy keeps memory per state.
 """
 
 from __future__ import annotations
@@ -232,22 +233,17 @@ def hyperplane_fanout_bound(n: int, d) -> int:
 class Strategy:
     """Defaults shared by the strategy objects.
 
-    A strategy defines `key(state)`. `child_key(parent_key, child, move)`
-    derives a successor's key (here: a full recompute) and `owner` maps a
-    state to a worker in [0, p), using `key` when the caller passes one.
-    `rng` is drawn from only by non-deterministic strategies.
+    A strategy defines `key(state)`, its one routing input.
+    `child_key(parent_key, child, move)` derives a successor's key (here: a
+    full recompute) and `owner(key, p)` maps a key to a worker in [0, p).
     """
-
-    deterministic = True
 
     def child_key(self, parent_key, child: State, move):
         return self.key(child)
 
-    def owner(self, state: State, p: int, rng=None, key=None) -> int:
+    def owner(self, key: int, p: int) -> int:
         if p < 1:
             raise ConfigError("worker count must be >= 1")
-        if key is None:
-            key = self.key(state)
         return key % p
 
 
@@ -294,58 +290,46 @@ class MultiplicativeStrategy(Strategy):
     def key(self, state: State) -> int:
         return fold_key(self.problem.canonical_bytes(state))
 
-    def owner(self, state: State, p: int, rng=None, key=None) -> int:
+    def owner(self, key: int, p: int) -> int:
         if p < 1:
             raise ConfigError("worker count must be >= 1")
-        if key is None:
-            key = self.key(state)
         return _mult_slot(key, p, self._a_fixed)
 
 
-class HyperplaneStrategy(ZobristStrategy):
-    """Lattice-only owner bounding the fan-out; Zobrist keys pick sub-planes."""
+class HyperplaneStrategy(Strategy):
+    """Lattice-only owner bounding the fan-out; the key is the plane index,
+    with Zobrist-selected sub-planes at a fractional thickness."""
+
+    name = "hyperplane"
 
     def __init__(self, problem: SearchProblem, d=1, seed: int = 42):
         if not isinstance(problem, LatticeProblem):
             raise ConfigError("hyperplane strategy requires a lattice problem")
-        super().__init__(problem, seed, name="hyperplane")
+        self.problem = problem
         self.d = normalize_thickness(d)
+        self.table = ZobristTable(seed)
 
-    def child_key(self, parent_key, child: State, move):
-        # An integer-thickness plane depends on the coordinate sum alone.
-        if isinstance(self.d, int):
-            return None
-        return super().child_key(parent_key, child, move)
-
-    def owner(self, state: State, p: int, rng=None, key=None) -> int:
-        if p < 1:
-            raise ConfigError("worker count must be >= 1")
-        d = self.d
-        if key is None and not isinstance(d, int):
-            key = self.key(state)
-        return _plane(state, d, key) % p
+    def key(self, state: State) -> int:
+        zkey = None
+        if not isinstance(self.d, int):
+            zkey = zobrist_key(self.table, self.problem.features(state))
+        return _plane(state, self.d, zkey)
 
 
 class RandomStrategy(Strategy):
-    """Uniform random owner per send; duplicates may land anywhere."""
+    """Uniform random owner per routed state; duplicates may land anywhere.
+
+    Each `key` call draws afresh from one stream seeded at construction, so
+    a strategy object reused for a second run routes it differently.
+    """
 
     name = "random"
-    deterministic = False
 
     def __init__(self, problem: SearchProblem, seed: int = 42):
-        self.problem = problem
-        self._fallback = random.Random(seed)
+        self._rng = random.Random(seed)
 
     def key(self, state: State) -> int:
-        return fold_key(self.problem.canonical_bytes(state))
-
-    def child_key(self, parent_key, child: State, move) -> None:
-        return None  # the owner is drawn, never derived from a key
-
-    def owner(self, state: State, p: int, rng=None, key=None) -> int:
-        if p < 1:
-            raise ConfigError("worker count must be >= 1")
-        return (rng or self._fallback).randrange(p)
+        return self._rng.getrandbits(64)
 
 
 def parse_strategy_config(text: str) -> dict[str, str]:
@@ -362,14 +346,27 @@ def parse_strategy_config(text: str) -> dict[str, str]:
     return out
 
 
+# The config keys each token reads; a token reads no key it is not listed with.
+_CONFIG_KEYS = {"mult": ("multiplier",), "hyperplane": ("d",)}
+
+
 def make_strategy(
     token: str,
     problem: SearchProblem,
     seed: int = 42,
     config: dict[str, str] | None = None,
 ):
-    """Build a strategy from its CLI token."""
+    """Build a strategy from its CLI token; refuse config keys it never reads."""
+    if token not in STRATEGY_TOKENS:
+        raise ConfigError(
+            f"unknown strategy {token!r}; expected one of {', '.join(STRATEGY_TOKENS)}"
+        )
     config = config or {}
+    unread = sorted(set(config).difference(_CONFIG_KEYS.get(token, ())))
+    if unread:
+        raise ConfigError(
+            f"strategy {token!r} reads no config key {', '.join(map(repr, unread))}"
+        )
     if token == "zobrist":
         return ZobristStrategy(problem, seed)
     if token in ("azh", "abstraction"):
@@ -381,8 +378,4 @@ def make_strategy(
         return MultiplicativeStrategy(problem, a)
     if token == "hyperplane":
         return HyperplaneStrategy(problem, config.get("d", 1), seed)
-    if token == "random":
-        return RandomStrategy(problem, seed)
-    raise ConfigError(
-        f"unknown strategy {token!r}; expected one of {', '.join(STRATEGY_TOKENS)}"
-    )
+    return RandomStrategy(problem, seed)

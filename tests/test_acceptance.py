@@ -172,12 +172,12 @@ def test_criterion_2_hash_identities():
         strategy = make_strategy(token, puzzle, seed=11)
         for p in range(1, 65):
             for s in tile_states:
-                assert 0 <= strategy.owner(s, p, rng) < p
+                assert 0 <= strategy.owner(strategy.key(s), p) < p
                 checks += 1
     hyper = make_strategy("hyperplane", lattice, seed=11, config={"d": "1/2"})
     for p in range(1, 65):
         for s in lattice_states:
-            assert 0 <= hyper.owner(s, p) < p
+            assert 0 <= hyper.owner(hyper.key(s), p) < p
             checks += 1
     _report(
         2,
@@ -207,9 +207,10 @@ def test_criterion_3_hyperplane_bound():
             bound = hyperplane_fanout_bound(n, d)
             for p in (7, 64):
                 for s in lattice.all_states():
-                    own = strategy.owner(s, p)
+                    own = strategy.owner(strategy.key(s), p)
                     owners = {
-                        strategy.owner(t, p) for t, _ in lattice.expand(s)
+                        strategy.owner(strategy.key(t), p)
+                        for t, _ in lattice.expand(s)
                     }
                     assert len(owners - {own}) <= bound, (n, d, p, s, owners)
                     assert len(owners) <= bound + 1
@@ -286,7 +287,7 @@ def test_criterion_5_zobrist_balance():
     workers = 8
     counts = [0] * workers
     for _ in range(100_000):
-        counts[strategy.owner(random_solvable(4, rng), workers)] += 1
+        counts[strategy.owner(strategy.key(random_solvable(4, rng)), workers)] += 1
     ratio = max(counts) / (sum(counts) / workers)
     assert ratio <= 1.05, counts
     _report(

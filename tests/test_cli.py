@@ -128,6 +128,18 @@ class TestSolve:
             "--hash-config", str(cfg),
         ) == 3
 
+    def test_unread_hash_config_key_exit_three(self, tmp_path, capsys):
+        # A misspelt multiplier and a thickness mult never reads.
+        cfg = tmp_path / "strategy.cfg"
+        cfg.write_text("multipler = 0.5\nd = 3\n")
+        assert run_cli(
+            "solve", "--domain", "tile", "--gen", "n=3,seed=2",
+            "--algo", "hdastar", "--workers", "3", "--hash", "mult",
+            "--hash-config", str(cfg),
+        ) == 3
+        err = capsys.readouterr().err
+        assert "strategy 'mult' reads no config key 'd', 'multipler'" in err
+
     def test_unreadable_hash_config_exit_three(self, tmp_path):
         assert run_cli(
             "solve", "--domain", "tile", "--algo", "hdastar",

@@ -77,9 +77,6 @@ class MappedStrategy(Strategy):
     def key(self, state):
         return self.assign[state]
 
-    def owner(self, state, p, rng=None, key=None):
-        return self.assign[state] % p
-
 
 class ContractOnly:
     """A problem seen through the six contract members alone: no hooks."""
@@ -203,7 +200,7 @@ from parsearch.engine.spa import SPAStar
 g = ExplicitGraph([("s", "a", 1), ("a", "t", 1)], "s", {"t"})
 
 def plant(engine):
-    engine.transport.boxes[0].append(("W", 1, 0, [("s", 0.0, None)]))
+    engine.transport.boxes[0].append(("W", 0, [("s", 0.0, None)]))
 
 print("debug:", __debug__)
 try:
@@ -238,7 +235,8 @@ else:
 
     def test_non_owner_delivery_raises_under_optimized_python(self):
         # A triplet planted in a non-owner's mailbox must be refused on
-        # receipt, also under -O, which strips assert statements.
+        # receipt, also under -O, which strips assert statements; a random
+        # key names its owner as any other key does.
         script = """
 from parsearch.common import SearchInvariantError
 from parsearch.domains import TilePuzzle, random_scramble
@@ -246,20 +244,21 @@ from parsearch.engine import EngineConfig
 from parsearch.engine.hda import HDAStar
 
 puzzle = TilePuzzle(random_scramble(3, 12, 1))
-engine = HDAStar(puzzle, EngineConfig(workers=2, seed=1))
-state = puzzle.expand(puzzle.initial)[0][0]
-key = engine.strategy.key(state)
-wrong = 1 - engine.strategy.owner(state, 2)
-engine.transport.boxes[wrong].append(
-    ("W", 1 - wrong, 0, [(state, 1.0, puzzle.h(state), puzzle.initial, key)])
-)
 print("debug:", __debug__)
-try:
-    engine.step(wrong)
-except SearchInvariantError as exc:
-    print("raised:", exc)
-else:
-    print("not raised")
+for token in ("zobrist", "random"):
+    engine = HDAStar(puzzle, EngineConfig(workers=2, seed=1, strategy=token))
+    state = puzzle.expand(puzzle.initial)[0][0]
+    key = engine.strategy.key(state)
+    wrong = 1 - engine.strategy.owner(key, 2)
+    engine.transport.boxes[wrong].append(
+        ("W", 0, [(state, 1.0, puzzle.h(state), puzzle.initial, key)])
+    )
+    try:
+        engine.step(wrong)
+    except SearchInvariantError as exc:
+        print(token, "raised:", exc)
+    else:
+        print(token, "not raised")
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run(
@@ -271,7 +270,9 @@ else:
         )
         assert out.returncode == 0, out.stderr
         assert "debug: False" in out.stdout
-        assert "raised: state delivered to a non-owner worker" in out.stdout
+        for token in ("zobrist", "random"):
+            want = f"{token} raised: state delivered to a non-owner worker"
+            assert want in out.stdout, out.stdout
 
     def test_carried_keys_equal_recomputed_keys(self):
         from parsearch.domains import LatticeProblem
@@ -296,7 +297,7 @@ else:
 
             def record(src, dst, item, send=send):
                 if item[0] == "W":
-                    sent.extend(item[3])
+                    sent.extend(item[2])
                 send(src, dst, item)
 
             eng.transport.send = record
@@ -325,7 +326,7 @@ else:
 
             def record(src, dst, item, send=send):
                 if item[0] == "W":
-                    sent.extend(item[3])
+                    sent.extend(item[2])
                 send(src, dst, item)
 
             eng.transport.send = record
@@ -360,6 +361,15 @@ else:
             move_xor = getattr(strategy, "_move_xor", None)
             if move_xor is not None:
                 assert 0 < len(move_xor) <= 4 * 4 * 3 * 15, token
+
+    def test_popped_goal_generates_no_children(self):
+        # t is a goal with a child u; its children have f >= g(t), the
+        # incumbent, so none would ever be expanded, and none is generated.
+        g = ExplicitGraph([("s", "t", 1), ("t", "u", 1)], "s", {"t"})
+        for workers in (1, 2):
+            sol = hdastar(g, EngineConfig(workers=workers, seed=1))
+            assert sol.cost == 1.0 and sol.path == ["s", "t"]
+            assert sol.stats.generated == 1, workers
 
     def test_missorder_forces_reopen_and_stays_optimal(self):
         g = missorder_graph()
@@ -854,9 +864,9 @@ class TestRunMemory:
 # HDA* p=4, recorded with separate open and closed dicts; the duplicate and
 # reopen rules of any NodeTable layout must reproduce them.
 PINNED_TABLE_COUNTERS = {
-    ("tile", 1): ((676, 1799, 0, 708, 399), (1107, 2946, 4, 1194, 178)),
-    ("tile", 2): ((495, 1308, 0, 515, 284), (920, 2452, 5, 967, 153)),
-    ("tile", 3): ((410, 1102, 0, 432, 257), (499, 1349, 2, 530, 94)),
+    ("tile", 1): ((676, 1799, 0, 708, 399), (1107, 2944, 4, 1193, 178)),
+    ("tile", 2): ((495, 1308, 0, 515, 284), (920, 2450, 5, 966, 153)),
+    ("tile", 3): ((410, 1102, 0, 432, 257), (499, 1347, 2, 529, 94)),
     ("lattice", 1): ((1000, 5859, 0, 4860, 185), (1116, 6271, 116, 5029, 93)),
 }
 TABLE_COUNTERS = ("expanded", "generated", "reopened", "duplicates", "max_open")

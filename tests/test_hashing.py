@@ -1,5 +1,6 @@
 """Hash strategies: key identities, owner ranges, balance, fan-out bounds."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -102,8 +103,9 @@ class TestZobrist:
                 for strategy, parent_key in zip(strategies, keys):
                     got = strategy.child_key(parent_key, child, move)
                     assert got == strategy.key(child), strategy.name
-                # The owner is drawn, never derived from a key.
-                assert random_strategy.child_key(None, child, move) is None
+                # A random key is a fresh draw, routed like any other key.
+                k = random_strategy.child_key(None, child, move)
+                assert random_strategy.owner(k, 7) == k % 7
             succ, _, _, move = rng.choice(records)
             key ^= zobrist_key(t, p.move_features(move))
             assert key == zobrist_key(t, p.features(succ))
@@ -167,7 +169,7 @@ class TestMultiplicative:
             strat = make_strategy("mult", problem, config={"multiplier": str(a)})
             for p in range(1, 65):
                 for k in keys:
-                    assert strat.owner(None, p, key=k) == mult_owner(k, p, a)
+                    assert strat.owner(k, p) == mult_owner(k, p, a)
 
     def test_bad_multiplier_rejected_at_construction(self):
         problem = TilePuzzle(goal_state(3))
@@ -189,7 +191,7 @@ class TestHyperplane:
         p = LatticeProblem((5, 5))
         strat = HyperplaneStrategy(p, d=1)
         for s in p.all_states():
-            owners = {strat.owner(t, 64) for t, _ in p.expand(s)}
+            owners = {strat.owner(strat.key(t), 64) for t, _ in p.expand(s)}
             assert len(owners) <= hyperplane_fanout_bound(2, 1)
 
     def test_integer_thickness_needs_no_key(self):
@@ -197,9 +199,11 @@ class TestHyperplane:
         for d in (1, 2):
             strat = HyperplaneStrategy(lattice, d=d)
             for s in lattice.all_states():
+                key = strat.key(s)
+                assert key == hyperplane_plane(s, d, 0)
                 for t, _ in lattice.expand(s):
-                    assert strat.child_key(None, t, None) is None
-                assert strat.owner(s, 7) == hyperplane_owner(s, d, 7, zkey=0)
+                    assert strat.child_key(key, t, None) == hyperplane_plane(t, d, 0)
+                assert strat.owner(key, 7) == hyperplane_owner(s, d, 7, zkey=0)
             assert len(strat.table) == 0
 
     def test_fractional_thickness_parsing(self):
@@ -229,7 +233,9 @@ class TestAbstraction:
         s1 = (1, 2, 3, 4, 5, 6, 7, 8, 0)
         s2 = (1, 2, 3, 4, 5, 6, 8, 7, 0)  # tiles 7/8 swapped; 1,2,3 fixed
         for p_count in (2, 4, 8):
-            assert strat.owner(s1, p_count) == strat.owner(s2, p_count)
+            assert strat.owner(strat.key(s1), p_count) == strat.owner(
+                strat.key(s2), p_count
+            )
 
     def test_grid_blocks(self):
         g = parse_grid("8 8 8\n" + "\n".join(["." * 8] * 8))
@@ -243,17 +249,16 @@ class TestRandomStrategy:
     def test_single_worker(self):
         p = TilePuzzle(goal_state(3))
         strat = RandomStrategy(p, seed=1)
-        assert all(strat.owner(p.goal, 1) == 0 for _ in range(50))
+        assert all(strat.owner(strat.key(p.goal), 1) == 0 for _ in range(50))
 
     def test_uniform_frequencies(self):
         p = TilePuzzle(goal_state(3))
         strat = RandomStrategy(p, seed=1)
-        rng = random.Random(3)
         workers = 8
         counts = [0] * workers
         draws = 1_000_000
         for _ in range(draws):
-            counts[strat.owner(p.goal, workers, rng)] += 1
+            counts[strat.owner(strat.key(p.goal), workers)] += 1
         for c in counts:
             assert abs(c / draws - 1 / workers) <= 0.02
         off_worker = sum(c for w, c in enumerate(counts) if w != 0) / draws
@@ -271,11 +276,11 @@ class TestStrategySurface:
             strat = make_strategy(token, tile, seed=11)
             for p in range(1, 65):
                 for s in tile_states[:10]:
-                    assert 0 <= strat.owner(s, p, rng) < p
+                    assert 0 <= strat.owner(strat.key(s), p) < p
         strat = make_strategy("hyperplane", lattice, seed=11, config={"d": "2"})
         for p in range(1, 65):
             for s in lattice_states[:10]:
-                assert 0 <= strat.owner(s, p) < p
+                assert 0 <= strat.owner(strat.key(s), p) < p
 
     def test_single_worker_maps_everything_to_zero(self):
         tile = TilePuzzle(goal_state(3))
@@ -283,18 +288,17 @@ class TestStrategySurface:
         states = [random_solvable(3, rng) for _ in range(20)]
         for token in ("zobrist", "azh", "mult", "abstraction", "random"):
             strat = make_strategy(token, tile, seed=5)
-            assert all(strat.owner(s, 1, rng) == 0 for s in states)
+            assert all(strat.owner(strat.key(s), 1) == 0 for s in states)
 
     @pytest.mark.parametrize("token", STRATEGY_TOKENS)
     def test_owner_rejects_worker_count_below_one(self, token):
         lattice = LatticeProblem((4, 4))
-        strat = make_strategy(token, lattice, seed=3, config={"d": "1/2"})
-        state = (1, 2)
+        config = {"d": "1/2"} if token == "hyperplane" else None
+        strat = make_strategy(token, lattice, seed=3, config=config)
+        key = strat.key((1, 2))
         for p in (0, -1):
             with pytest.raises(ConfigError, match="worker count must be >= 1"):
-                strat.owner(state, p, random.Random(0))
-            with pytest.raises(ConfigError, match="worker count must be >= 1"):
-                strat.owner(state, p, random.Random(0), strat.key(state))
+                strat.owner(key, p)
 
     def test_unknown_token_rejected(self):
         with pytest.raises(ConfigError):
@@ -307,7 +311,7 @@ class TestStrategySurface:
         workers = 8
         counts = [0] * workers
         for _ in range(10_000):
-            counts[strat.owner(random_solvable(4, rng), workers)] += 1
+            counts[strat.owner(strat.key(random_solvable(4, rng)), workers)] += 1
         mean = sum(counts) / workers
         assert max(counts) / mean <= 1.06
 
@@ -321,3 +325,48 @@ class TestStrategySurface:
         p = TilePuzzle(goal_state(3))
         strat = MultiplicativeStrategy(p)
         assert strat.a == GOLDEN_FRAC
+
+    @pytest.mark.parametrize(
+        "token, config, named",
+        [
+            ("mult", {"multipler": "0.5", "d": "3"}, "'d', 'multipler'"),
+            ("hyperplane", {"d": "2", "multiplier": "0.5"}, "'multiplier'"),
+            ("zobrist", {"d": "1/2"}, "'d'"),
+            ("azh", {"multiplier": "0.5"}, "'multiplier'"),
+            ("abstraction", {"seed": "1"}, "'seed'"),
+            ("random", {"d": "1"}, "'d'"),
+        ],
+    )
+    def test_unread_config_key_rejected(self, token, config, named):
+        lattice = LatticeProblem((4, 4))
+        with pytest.raises(ConfigError, match=f"reads no config key {named}$"):
+            make_strategy(token, lattice, config=config)
+
+
+# sha256 over the owner bytes of 300 15-puzzle states and every point of a
+# 5x4x3 lattice, for each deterministic token and thickness, at p = 2, 3, 8
+# and 32. Recorded when `owner` still took the state (and computed its key
+# itself), so routing by key alone sends every state where it went before.
+ROUTING_DIGEST = "af19b797f7764647e99d3b0fdc16e9f7fc3ca3b430f38fe7e7561ea9681d7ab6"
+
+
+def test_routing_digest_pinned():
+    rng = random.Random(20)
+    tile = TilePuzzle(goal_state(4))
+    tile_states = [random_solvable(4, rng) for _ in range(300)]
+    lattice = LatticeProblem((5, 4, 3))
+    lattice_states = list(lattice.all_states())
+    tokens = ("zobrist", "azh", "abstraction", "mult")
+    runs = [(tile, tile_states, token, None) for token in tokens]
+    runs += [(lattice, lattice_states, token, None) for token in tokens]
+    runs += [
+        (lattice, lattice_states, "hyperplane", {"d": d})
+        for d in ("1", "2", "1/2", "1/3")
+    ]
+    digest = hashlib.sha256()
+    for problem, states, token, config in runs:
+        strategy = make_strategy(token, problem, config=config)
+        for p in (2, 3, 8, 32):
+            digest.update(bytes(strategy.owner(strategy.key(s), p) for s in states))
+    assert len(lattice_states) == 120
+    assert digest.hexdigest() == ROUTING_DIGEST

@@ -1,6 +1,7 @@
 """Static checks on src/parsearch: no module imports a name it never uses,
-no private function or method is defined without being referenced, and no
-EngineConfig field goes unread."""
+no private function or method is defined without being referenced, no
+EngineConfig field goes unread, and no override renames its base's
+parameters."""
 
 import ast
 from dataclasses import fields
@@ -140,3 +141,67 @@ def test_check_sees_an_unread_field():
         "    return config.used\n"
     )
     assert unread_fields([tree], "Config", ["used", "unread"]) == ["unread"]
+
+
+def renamed_parameters(trees: list[ast.Module]) -> list[str]:
+    """Non-dunder methods that override a method of a base class defined in
+    `trees` under parameter names other than those of the nearest base
+    definition (bases are searched depth first, as written)."""
+    classes = {
+        node.name: node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def methods(cls: ast.ClassDef) -> dict:
+        return {
+            node.name: node
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+
+    def params(fn) -> list[str]:
+        args = fn.args
+        return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+    def inherited(cls: ast.ClassDef, name: str):
+        for base in cls.bases:
+            parent = classes.get(getattr(base, "id", getattr(base, "attr", None)))
+            if parent is not None:
+                found = methods(parent).get(name) or inherited(parent, name)
+                if found is not None:
+                    return found
+        return None
+
+    found = []
+    for cls in classes.values():
+        for name, fn in methods(cls).items():
+            if name.startswith("__"):
+                continue
+            base = inherited(cls, name)
+            if base is not None and params(base) != params(fn):
+                found.append(f"{cls.name}.{name} (line {fn.lineno})")
+    return found
+
+
+def test_overrides_keep_parameter_names():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    assert renamed_parameters(trees) == []
+
+
+def test_check_sees_a_renamed_parameter():
+    tree = ast.parse(
+        "class Strategy:\n"
+        "    def owner(self, key, p): pass\n"
+        "    def key(self, state): pass\n"
+        "    def __init__(self): pass\n"
+        "class Zobrist(Strategy):\n"
+        "    def key(self, state): pass\n"
+        "class Pinned(Zobrist):\n"
+        "    def __init__(self, assign): pass\n"
+        "    def owner(self, state, p): pass\n"
+        "class Other(Unknown):\n"
+        "    def owner(self, state): pass\n"
+    )
+    assert renamed_parameters([tree]) == ["Pinned.owner (line 9)"]
