@@ -209,6 +209,8 @@ def make_record(solution, args, instance: str) -> dict:
 def cmd_solve(args) -> int:
     strategy_config = {}
     if args.hash_config:
+        if args.algo != "hdastar":
+            raise ConfigError("--hash-config is read only by --algo hdastar")
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
     gen = _parse_kv(args.gen or "")
     problem, instance = build_problem(

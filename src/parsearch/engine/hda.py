@@ -14,9 +14,8 @@ one iteration of the paper's worker loop: take every message that has
 arrived, then expand one node, or, with nothing below the incumbent, flush
 the batches and maybe start a detection round.
 
-A `_Worker` holds its node table, its outgoing batches, its counters and
-termination bookkeeping, its mailbox deque and the shared incumbent; the
-last two are all its quiescence test needs. It holds no reference to the
+A `_Worker` is a `serial.BestFirstSearch` whose `place` routes children: it
+inserts those it owns and batches the rest. It holds no reference to the
 engine, so no engine object graph has a cycle and reference counting frees
 a run's tables as soon as the caller drops the engine.
 """
@@ -25,11 +24,17 @@ from __future__ import annotations
 
 from bisect import insort
 
-from parsearch.common import EPS, SearchInvariantError
+from parsearch.common import EPS, ConfigError, SearchInvariantError
 from parsearch.domains.base import SearchProblem, successors_of
 from parsearch.engine.core import ChannelTransport, Engine, EngineConfig, Incumbent
 from parsearch.hashing import make_strategy
-from parsearch.serial import NodeTable, SearchStats, Solution, reconstruct_path
+from parsearch.serial import (
+    BestFirstSearch,
+    NodeTable,
+    SearchStats,
+    Solution,
+    reconstruct_path,
+)
 from parsearch.termination import (
     ControlMessage,
     conclude,
@@ -42,16 +47,27 @@ from parsearch.termination import (
 )
 
 
-class _Worker:
-    """One search worker: local open/closed, outgoing batches, counters."""
+class _Worker(BestFirstSearch):
+    """One search worker: A* on its own table, whose `place` routes children.
+    It skips `BestFirstSearch.__init__`, whose root insert the engine makes
+    in the root's owner instead, and copies its set-up from the engine
+    without keeping a reference to it."""
 
-    def __init__(self, wid: int, config: EngineConfig, box, incumbent: Incumbent):
+    def __init__(self, wid: int, engine: HDAStar):
+        config = engine.config
         self.id = wid
-        self.box = box
-        self.incumbent = incumbent
+        self.problem = engine.problem
+        self.successors = successors_of(engine.problem)
         self.table = NodeTable(node_limit=config.node_limit, where=f"worker {wid}")
-        self.out = [[] for _ in range(config.workers)]  # per-destination batches
         self.stats = SearchStats()
+        self.trace: list | None = [] if config.record_trace else None
+        self.transport = engine.transport
+        self.box = engine.transport.boxes[wid]
+        self.strategy = engine.strategy
+        self.p = engine.p
+        self.batch_size = config.batch_size
+        self.incumbent = engine.incumbent
+        self.out = [[] for _ in range(self.p)]  # per-destination batches
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -78,6 +94,33 @@ class _Worker:
         if self.table.min_f() < self.incumbent.cost - EPS:
             return False
         return not any(self.out)
+
+    def place(self, state, g: float, key, records: list, stats: SearchStats):
+        """Derive each child's key; insert the children this worker owns and
+        batch the others for their owners, sending a batch once it is full."""
+        child_key = self.strategy.child_key
+        owner_of = self.strategy.owner
+        insert = self.table.insert
+        for succ, cost, h1, move in records:
+            g1 = g + cost
+            k = child_key(key, succ, move)
+            owner = owner_of(k, self.p)
+            if owner == self.id:
+                insert(succ, g1, h1, state, stats, k)
+            else:
+                buf = self.out[owner]
+                buf.append((succ, g1, h1, state, k))
+                if len(buf) >= self.batch_size:
+                    self.flush(owner)
+
+    def flush(self, dst: int) -> None:
+        """Send the non-empty batch for dst; the message takes the list
+        itself and the worker starts a new one."""
+        buf = self.out[dst]
+        self.out[dst] = []
+        self.stats.sent_batches += 1
+        self.stats.sent += len(buf)
+        self.transport.send(self.id, dst, ("W", self.clock, buf))
 
 
 class HDAStar(Engine):
@@ -107,19 +150,17 @@ class HDAStar(Engine):
                 self.config.seed,
                 self.config.strategy_config,
             )
+        elif self.config.strategy_config:
+            raise ConfigError("strategy_config applies only to a configured strategy")
         self.strategy = strategy
-        self.successors = successors_of(problem)
         self.policy = policy
         self.on_detect_pass = on_detect_pass
         self.transport = ChannelTransport(self.p)
         self.incumbent = Incumbent()
-        self.workers = [
-            _Worker(w, self.config, self.transport.boxes[w], self.incumbent)
-            for w in range(self.p)
-        ]
+        self.workers = [_Worker(w, self) for w in range(self.p)]
         self.stats = [w.stats for w in self.workers]
         if self.config.record_trace:
-            self.traces = [[] for _ in range(self.p)]
+            self.traces = [w.trace for w in self.workers]
         self.detect_in_flight = False
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
@@ -189,11 +230,14 @@ class HDAStar(Engine):
             if self.finished:
                 return
         if worker.table.min_f() < self.incumbent.cost - EPS:
-            self._expand(worker)
+            self._work_since_detect = True
+            if not worker.step(worker.stats, worker.trace):
+                # A goal: none of its children (f >= g) is ever expanded.
+                self.incumbent.offer(worker.goal_cost, worker.goal_state)
             return
         for dst, buf in enumerate(worker.out):
             if buf:
-                self._flush(worker, dst)
+                worker.flush(dst)
         if w == 0:
             self._maybe_initiate(worker)
 
@@ -213,43 +257,6 @@ class HDAStar(Engine):
             if owner(key, self.p) != worker.id:
                 raise SearchInvariantError("state delivered to a non-owner worker")
             insert(state, g1, h1, parent, stats, key)
-
-    def _expand(self, worker: _Worker) -> None:
-        stats = worker.stats
-        table = worker.table
-        state, g, h, key = table.pop(stats)
-        self._work_since_detect = True
-        if self.traces is not None:
-            self.traces[worker.id].append((state, g, g + h))
-        if self.problem.is_goal(state):
-            # Its children have f >= g, the incumbent: none is ever expanded.
-            self.incumbent.offer(g, state)
-            return
-        batch_size = self.config.batch_size
-        child_key = self.strategy.child_key
-        owner_of = self.strategy.owner
-        records = self.successors(state, h)
-        stats.generated += len(records)
-        for succ, cost, h1, move in records:
-            g1 = g + cost
-            k = child_key(key, succ, move)
-            owner = owner_of(k, self.p)
-            if owner == worker.id:
-                table.insert(succ, g1, h1, state, stats, k)
-            else:
-                buf = worker.out[owner]
-                buf.append((succ, g1, h1, state, k))
-                if len(buf) >= batch_size:
-                    self._flush(worker, owner)
-
-    def _flush(self, worker: _Worker, dst: int) -> None:
-        """Send worker's non-empty batch for dst; the message takes the list
-        itself and the worker starts a new one."""
-        buf = worker.out[dst]
-        worker.out[dst] = []
-        worker.stats.sent_batches += 1
-        worker.stats.sent += len(buf)
-        self.transport.send(worker.id, dst, ("W", worker.clock, buf))
 
     # -- termination ----------------------------------------------------------
 

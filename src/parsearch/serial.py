@@ -213,6 +213,9 @@ class BestFirstSearch:
     tie-breaking and the reopening branch.
     """
 
+    goal_state: State | None = None  # the last goal popped, and its g
+    goal_cost = INF
+
     def __init__(
         self,
         problem: SearchProblem,
@@ -225,8 +228,6 @@ class BestFirstSearch:
         self.problem = problem
         self.stats = SearchStats()
         self.trace: list | None = [] if record_trace else None
-        self.goal_state: State | None = None
-        self.goal_cost = INF
         self.successors = successors_of(problem)
         self.table = NodeTable(weight, node_limit)
         self.table.insert(
@@ -235,25 +236,29 @@ class BestFirstSearch:
 
     def step(self, stats: SearchStats, trace: list | None) -> bool:
         """Expand one node, charging it to `stats` and appending it to
-        `trace` (None records nothing). Returns False when the search has
-        finished: it popped a goal or emptied the open list. Callers stop
-        stepping a search once it has returned False."""
+        `trace` (None records nothing); `place` takes its children. Returns
+        False on a goal or an empty open list. A* then stops stepping; HDA*
+        steps a worker again after a goal once cheaper work reaches it."""
         node = self.table.pop(stats)
         if node is None:
             return False
-        state, g, h, _ = node
+        state, g, h, key = node
         if trace is not None:
             trace.append((state, g, g + h))
         if self.problem.is_goal(state):
             self.goal_state = state
             self.goal_cost = g
             return False
-        successors = self.successors(state, h)
-        stats.generated += len(successors)
-        insert = self.table.insert
-        for succ, cost, h1, _ in successors:
-            insert(succ, g + cost, h1, state, stats)
+        records = self.successors(state, h)
+        stats.generated += len(records)
+        self.place(state, g, key, records, stats)
         return True
+
+    def place(self, state: State, g: float, key, records: list, stats: SearchStats):
+        """Insert the children of `state` (reached at cost g) into the table."""
+        insert = self.table.insert
+        for succ, cost, h1, _ in records:
+            insert(succ, g + cost, h1, state, stats)
 
     def run(self) -> Solution:
         start = time.perf_counter()

@@ -140,6 +140,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "strategy 'mult' reads no config key 'd', 'multipler'" in err
 
+    @pytest.mark.parametrize("algo", ["spastar", "astar"])
+    def test_hash_config_without_hdastar_exit_three(self, tmp_path, capsys, algo):
+        # Only HDA* reads a strategy config; any other algorithm refuses one.
+        cfg = tmp_path / "strategy.cfg"
+        cfg.write_text("multipler = 0.5\nd = 3\n")
+        assert run_cli(
+            "solve", "--domain", "tile", "--gen", "n=3,seed=2",
+            "--algo", algo, "--workers", "3", "--hash", "mult",
+            "--hash-config", str(cfg),
+        ) == 3
+        assert "--hash-config is read only by --algo hdastar" in capsys.readouterr().err
+
     def test_unreadable_hash_config_exit_three(self, tmp_path):
         assert run_cli(
             "solve", "--domain", "tile", "--algo", "hdastar",

@@ -381,6 +381,14 @@ for token in ("zobrist", "random"):
         assert sol.per_worker[0].reopened >= 1
         assert sol.path == ["a", "b", "d"]
 
+    def test_explicit_strategy_refuses_strategy_config(self):
+        g = missorder_graph()
+        strategy = MappedStrategy({"a": 0, "c": 0, "d": 0, "b": 1})
+        config = EngineConfig(workers=2, strategy_config={"multiplier": "0.5"})
+        with pytest.raises(ConfigError, match="strategy_config"):
+            HDAStar(g, config, strategy=strategy)
+        assert HDAStar(g, EngineConfig(workers=2), strategy=strategy).run().cost == 2.0
+
     def test_message_conservation(self, tile_suite_small):
         p = tile_suite_small[1]
         sol = hdastar(p, EngineConfig(workers=4, seed=2))

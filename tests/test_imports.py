@@ -1,7 +1,7 @@
 """Static checks on src/parsearch: no module imports a name it never uses,
 no private function or method is defined without being referenced, no
-EngineConfig field goes unread, and no override renames its base's
-parameters."""
+EngineConfig field goes unread, no override renames its base's
+parameters, and only `BestFirstSearch.step` pops a node table."""
 
 import ast
 from dataclasses import fields
@@ -205,3 +205,56 @@ def test_check_sees_a_renamed_parameter():
         "    def owner(self, state): pass\n"
     )
     assert renamed_parameters([tree]) == ["Pinned.owner (line 9)"]
+
+
+def table_pops(trees: list[ast.Module]) -> list[str]:
+    """Every function that reads `pop` off a node table, as `Class.method
+    (line)`: off a name `table` or `NodeTable`, or off an attribute
+    `.table`, whether it calls the method or binds it."""
+    found = []
+
+    def visit(node, scope: list[str], where: str | None) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = [*scope, node.name]
+            if not isinstance(node, ast.ClassDef):
+                where = ".".join(scope)
+        elif isinstance(node, ast.Attribute) and node.attr == "pop":
+            receiver = node.value
+            name = getattr(receiver, "id", getattr(receiver, "attr", None))
+            if name in ("table", "NodeTable"):
+                found.append(f"{where or '<module>'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, where)
+
+    for tree in trees:
+        visit(tree, [], None)
+    return found
+
+
+def test_only_the_best_first_step_pops_a_node_table():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    sites = table_pops(trees)
+    assert [site.partition(" ")[0] for site in sites] == ["BestFirstSearch.step"]
+
+
+def test_check_sees_a_second_table_pop():
+    tree = ast.parse(
+        "class BestFirstSearch:\n"
+        "    def step(self, stats):\n"
+        "        return self.table.pop(stats)\n"
+        "class Engine:\n"
+        "    def _expand(self, worker):\n"
+        "        table = worker.table\n"
+        "        return table.pop(worker.stats)\n"
+        "    def drain(self):\n"
+        "        pop = self.workers[0].table.pop\n"
+        "        return [].pop(), self.stack.pop(), pop(None)\n"
+        "def helper(search):\n"
+        "    return NodeTable.pop(search.table, None)\n"
+    )
+    assert table_pops([tree]) == [
+        "BestFirstSearch.step (line 3)",
+        "Engine._expand (line 7)",
+        "Engine.drain (line 9)",
+        "helper (line 12)",
+    ]
