@@ -163,7 +163,7 @@ def run_algorithm(problem, args, strategy_config: dict):
         raise ConfigError(f"unknown algorithm {algo!r}")
     config = EngineConfig(
         workers=args.workers,
-        strategy=args.hash,
+        strategy=args.hash or "zobrist",
         batch_size=args.batch,
         seed=args.seed,
         node_limit=args.node_limit,
@@ -207,10 +207,16 @@ def make_record(solution, args, instance: str) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.algo != "hdastar":
+        for flag, value in (
+            ("--hash-config", args.hash_config),
+            ("--hash", args.hash),
+            ("--batch", args.batch),
+        ):
+            if value is not None:
+                raise ConfigError(f"{flag} is read only by --algo hdastar")
     strategy_config = {}
     if args.hash_config:
-        if args.algo != "hdastar":
-            raise ConfigError("--hash-config is read only by --algo hdastar")
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
     gen = _parse_kv(args.gen or "")
     problem, instance = build_problem(
@@ -366,10 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--start", help="grid start cell x,y")
     solve.add_argument("--goal", help="grid goal cell x,y")
     solve.add_argument("--algo", default="astar", choices=ALGOS)
-    solve.add_argument("--hash", default="zobrist", choices=STRATEGY_TOKENS)
+    solve.add_argument(
+        "--hash", choices=STRATEGY_TOKENS, help="hdastar work distribution (zobrist)"
+    )
     solve.add_argument("--hash-config", help="key = value strategy config file")
     solve.add_argument("--workers", type=int, default=1)
-    solve.add_argument("--batch", type=int, default=None)
+    solve.add_argument("--batch", type=int, help="hdastar states per message (10)")
     solve.add_argument("--weight", type=float, default=2.0, help="wastar weight")
     solve.add_argument(
         "--weights", default="1,1.5,2,3,inf", help="dovetail weight list"

@@ -8,11 +8,14 @@ the state is generated: the domain's `successors` pass reports each child's
 h and move, and the strategy turns the parent's key and the move into the
 child's key. Both travel with the state, in the (state, g, h, parent, key)
 work item and in the owner's open list.
-Sends are non-blocking and batched per destination; termination is proved
-by message counting (see `parsearch.termination`). One step of a worker is
-one iteration of the paper's worker loop: take every message that has
-arrived, then expand one node, or, with nothing below the incumbent, flush
-the batches and maybe start a detection round.
+Sends are non-blocking and batched per destination. A batch is sent when
+it is full or when it takes a child on its parent's f-layer, which the
+search must expand before it leaves the layer it is on; deeper children
+wait for a full batch or for their worker to go idle. Termination is
+proved by message counting (see `parsearch.termination`). One step of a
+worker is one iteration of the paper's worker loop: take every message
+that has arrived, then expand one node, or, with nothing below the
+incumbent, flush the remaining batches and maybe start a detection round.
 
 A `_Worker` is a `serial.BestFirstSearch` whose `place` routes children: it
 inserts those it owns and batches the rest. It holds no reference to the
@@ -95,12 +98,19 @@ class _Worker(BestFirstSearch):
             return False
         return not any(self.out)
 
-    def place(self, state, g: float, key, records: list, stats: SearchStats):
+    def place(
+        self, state, g: float, h: float, key, records: list, stats: SearchStats
+    ):
         """Derive each child's key; insert the children this worker owns and
-        batch the others for their owners, sending a batch once it is full."""
+        batch the others for their owners. A batch is sent once it is full
+        or once the child just added lies on its parent's f-layer: under a
+        consistent h that child must be expanded before the search leaves
+        the layer it is expanding now, so it does not wait behind deeper
+        ones."""
         child_key = self.strategy.child_key
         owner_of = self.strategy.owner
         insert = self.table.insert
+        layer = g + h + EPS
         for succ, cost, h1, move in records:
             g1 = g + cost
             k = child_key(key, succ, move)
@@ -110,7 +120,7 @@ class _Worker(BestFirstSearch):
             else:
                 buf = self.out[owner]
                 buf.append((succ, g1, h1, state, k))
-                if len(buf) >= self.batch_size:
+                if len(buf) >= self.batch_size or g1 + h1 <= layer:
                     self.flush(owner)
 
     def flush(self, dst: int) -> None:
@@ -192,8 +202,9 @@ class HDAStar(Engine):
 
         Kept up to date rather than rescanned: a worker's mailbox, open list
         and batches change only in its own step or a delivery to it, and
-        worker 0's detection flags may change in any step; only a lower
-        incumbent can change every worker's answer at once.
+        another worker's step changes worker 0's detection flags only by
+        setting `_work_since_detect`; only a lower incumbent can change
+        every worker's answer at once.
         """
         return self._ready.copy()
 
@@ -207,18 +218,20 @@ class HDAStar(Engine):
         """Run worker w's loop iteration, then bring the ready list up to
         date with what it changed."""
         bound = self.incumbent.cost
+        flagged = self._work_since_detect
         self._iterate(w)
         if self.incumbent.cost < bound:
             self._ready = [v for v in range(self.p) if self._can_step(v)]
         else:
             self._recheck(w)
-            if w:
+            if w and not flagged and self._work_since_detect:
                 self._recheck(0)
 
     def _iterate(self, w: int) -> None:
         """One loop iteration of worker w: drain mailbox fully, then expand
-        one node or, with nothing below the incumbent, flush and maybe
-        detect."""
+        one node (whose same-layer children `place` sends at once) or, with
+        nothing below the incumbent, flush the partial batches of deeper
+        children and maybe detect."""
         worker = self.workers[w]
         box = worker.box
         while box:

@@ -251,11 +251,14 @@ class BestFirstSearch:
             return False
         records = self.successors(state, h)
         stats.generated += len(records)
-        self.place(state, g, key, records, stats)
+        self.place(state, g, h, key, records, stats)
         return True
 
-    def place(self, state: State, g: float, key, records: list, stats: SearchStats):
-        """Insert the children of `state` (reached at cost g) into the table."""
+    def place(
+        self, state: State, g: float, h: float, key, records: list, stats: SearchStats
+    ):
+        """Insert the children of `state` (reached at cost g, with heuristic
+        h) into the table."""
         insert = self.table.insert
         for succ, cost, h1, _ in records:
             insert(succ, g + cost, h1, state, stats)

@@ -152,6 +152,28 @@ class TestSolve:
         ) == 3
         assert "--hash-config is read only by --algo hdastar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["spastar", "astar"])
+    @pytest.mark.parametrize("flag", [("--hash", "mult"), ("--batch", "5")])
+    def test_hda_flag_without_hdastar_exit_three(self, capsys, algo, flag):
+        # Only HDA* hashes and batches its work; any other algorithm
+        # refuses the flags rather than ignore them.
+        assert run_cli(
+            "solve", "--domain", "tile", "--gen", "n=3,seed=2",
+            "--algo", algo, "--workers", "3", *flag,
+        ) == 3
+        want = f"{flag[0]} is read only by --algo hdastar"
+        assert want in capsys.readouterr().err
+
+    def test_hdastar_routes_by_zobrist_by_default(self, tmp_path):
+        out = tmp_path / "record.json"
+        assert run_cli(
+            "solve", "--domain", "tile", "--gen", "n=3,seed=2",
+            "--algo", "hdastar", "--workers", "3", "--out", str(out),
+        ) == 0
+        record = json.loads(out.read_text())
+        assert record["strategy"] == "zobrist"
+        assert record["batch_size"] == 10
+
     def test_unreadable_hash_config_exit_three(self, tmp_path):
         assert run_cli(
             "solve", "--domain", "tile", "--algo", "hdastar",
