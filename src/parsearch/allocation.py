@@ -76,14 +76,6 @@ def _width(b: float, i: int) -> int:
         raise ConfigError(f"width {b}**{i} overflows") from None
 
 
-def geometric_sequence(b: float, k: int) -> list[int]:
-    """HAU counts ceil(b^i) for iterations i = 0..k-1."""
-    _check_base(b)
-    if k < 1:
-        raise ConfigError("need at least one iteration")
-    return [_width(b, i) for i in range(k)]
-
-
 def single_run_cost(width: int, duration: float, model: CostModel) -> float:
     """Cost of one clairvoyant run: duration * width, rounded up per HAU."""
     if model.kind == "continuous":

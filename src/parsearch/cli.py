@@ -32,6 +32,7 @@ from parsearch.domains import (
 )
 from parsearch.domains.tiles import random_scramble
 from parsearch.engine import EngineConfig, dovetail, hdastar, parallel_window, spastar
+from parsearch.engine.dovetail import DEFAULT_WEIGHTS
 from parsearch.hashing import STRATEGY_TOKENS, parse_strategy_config
 from parsearch.metrics import csv_row, efficiency_fraction, overheads, rows_to_csv
 from parsearch.serial import astar, idastar, uniform_cost_oracle, wastar
@@ -67,6 +68,23 @@ PARALLEL_ENGINES = {
     "window": parallel_window,
 }
 ALGOS = ("astar", "idastar", "wastar", "ucs", *PARALLEL_ENGINES, "dovetail")
+
+# solve flag (argparse dest) -> the algorithms that read it; any other
+# algorithm refuses the flag. The HDA*-only flags come first, so they are the
+# ones named when several unread flags are given.
+_FLAG_READERS = {
+    "hash_config": ("hdastar",),
+    "hash": ("hdastar",),
+    "batch": ("hdastar",),
+    "termination": ("hdastar",),
+    "workers": tuple(PARALLEL_ENGINES),
+    "weight": ("wastar",),
+    "weights": ("dovetail",),
+}
+
+# The suite keys bench reads, and those that only HDA* runs read.
+_HDA_SUITE_KEYS = ("strategies", "batch", "termination")
+_SUITE_KEYS = ("instances", "algos", "workers", "seed", *_HDA_SUITE_KEYS)
 
 
 def default_seed() -> int:
@@ -155,19 +173,22 @@ def run_algorithm(problem, args, strategy_config: dict):
     if algo == "idastar":
         return idastar(problem, node_limit=args.node_limit)
     if algo == "wastar":
-        return wastar(problem, args.weight, node_limit=args.node_limit)
+        weight = 2.0 if args.weight is None else args.weight
+        return wastar(problem, weight, node_limit=args.node_limit)
     if algo == "dovetail":
-        weights = [float(w) for w in args.weights.split(",")]
+        weights = DEFAULT_WEIGHTS
+        if args.weights is not None:
+            weights = [float(w) for w in args.weights.split(",")]
         return dovetail(problem, weights, node_limit=args.node_limit)
     if algo not in PARALLEL_ENGINES:
         raise ConfigError(f"unknown algorithm {algo!r}")
     config = EngineConfig(
-        workers=args.workers,
+        workers=1 if args.workers is None else args.workers,
         strategy=args.hash or "zobrist",
         batch_size=args.batch,
         seed=args.seed,
         node_limit=args.node_limit,
-        termination=args.termination,
+        termination=args.termination or "two-wave",
         strategy_config=strategy_config,
     )
     return PARALLEL_ENGINES[algo](problem, config)
@@ -207,14 +228,10 @@ def make_record(solution, args, instance: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    if args.algo != "hdastar":
-        for flag, value in (
-            ("--hash-config", args.hash_config),
-            ("--hash", args.hash),
-            ("--batch", args.batch),
-        ):
-            if value is not None:
-                raise ConfigError(f"{flag} is read only by --algo hdastar")
+    for dest, readers in _FLAG_READERS.items():
+        if getattr(args, dest) is not None and args.algo not in readers:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} is read only by --algo {', '.join(readers)}")
     strategy_config = {}
     if args.hash_config:
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
@@ -278,6 +295,15 @@ def cmd_bench(args) -> int:
     suite = json.loads(Path(args.suite).read_text())
     if not isinstance(suite, dict):
         raise ConfigError("suite must be a JSON object")
+    unknown = sorted(set(suite).difference(_SUITE_KEYS))
+    if unknown:
+        raise ConfigError(f"bench reads no suite key {', '.join(map(repr, unknown))}")
+    algos = _suite_list(suite, "algos", ["hdastar"])
+    unread = [key for key in _HDA_SUITE_KEYS if key in suite]
+    if unread and "hdastar" not in algos:
+        raise ConfigError(
+            f"only hdastar runs read suite key {', '.join(map(repr, unread))}"
+        )
     seed = suite.get("seed", args.seed)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("suite seed must be an integer")
@@ -288,7 +314,7 @@ def cmd_bench(args) -> int:
     workers = _suite_list(suite, "workers", [2, 4])
     # (algo, strategy, workers, config) cells, validated before any run.
     cells = []
-    for algo in _suite_list(suite, "algos", ["hdastar"]):
+    for algo in algos:
         if not isinstance(algo, str) or algo not in PARALLEL_ENGINES:
             raise ConfigError(f"bench does not support algo {algo!r}")
         for strategy in strategies if algo == "hdastar" else [""]:
@@ -376,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--hash", choices=STRATEGY_TOKENS, help="hdastar work distribution (zobrist)"
     )
     solve.add_argument("--hash-config", help="key = value strategy config file")
-    solve.add_argument("--workers", type=int, default=1)
+    solve.add_argument("--workers", type=int, help="spastar/hdastar/window workers (1)")
     solve.add_argument("--batch", type=int, help="hdastar states per message (10)")
-    solve.add_argument("--weight", type=float, default=2.0, help="wastar weight")
+    solve.add_argument("--weight", type=float, help="wastar weight (2)")
+    solve.add_argument("--weights", help="dovetail weight list (1,1.5,2,3,inf)")
     solve.add_argument(
-        "--weights", default="1,1.5,2,3,inf", help="dovetail weight list"
+        "--termination", choices=["two-wave", "time"], help="hdastar detection (two-wave)"
     )
-    solve.add_argument("--termination", default="two-wave", choices=["two-wave", "time"])
     solve.add_argument("--node-limit", type=int, default=10_000_000)
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--out", help="write run record JSON here")

@@ -150,7 +150,6 @@ class HDAStar(Engine):
         config: EngineConfig | None = None,
         strategy=None,
         policy=None,
-        on_detect_pass=None,
     ):
         super().__init__(problem, config)
         if strategy is None:
@@ -164,7 +163,6 @@ class HDAStar(Engine):
             raise ConfigError("strategy_config applies only to a configured strategy")
         self.strategy = strategy
         self.policy = policy
-        self.on_detect_pass = on_detect_pass
         self.transport = ChannelTransport(self.p)
         self.incumbent = Incumbent()
         self.workers = [_Worker(w, self) for w in range(self.p)]
@@ -313,8 +311,6 @@ class HDAStar(Engine):
             self.transport.send(worker.id, dst, ("C", fwd))
 
     def _detection_passed(self) -> None:
-        if self.on_detect_pass is not None:
-            self.on_detect_pass(self)
         self.detect_in_flight = False
         self.finished = True
 
@@ -323,9 +319,10 @@ class HDAStar(Engine):
     def improving_work_pending(self) -> list:
         """Undelivered or unprocessed work items that beat the incumbent.
 
-        Empty at any correct termination; the schedule-fuzzing tests call
-        this from the detection-pass hook. It recomputes each item's h in
-        full rather than trusting the carried one, as an independent check.
+        Empty at any correct termination. `check` calls it once the run has
+        stopped, which only a passing detection round does; nothing changes
+        between that pass and the call. It recomputes each item's h in full
+        rather than trusting the carried one, as an independent check.
         """
         bound = self.incumbent.cost - EPS
         bad = []
@@ -378,6 +375,5 @@ def hdastar(
     config: EngineConfig | None = None,
     strategy=None,
     policy=None,
-    on_detect_pass=None,
 ) -> Solution:
-    return HDAStar(problem, config, strategy, policy, on_detect_pass).run()
+    return HDAStar(problem, config, strategy, policy).run()

@@ -9,17 +9,18 @@ it; `make_strategy` takes the projection from the domain's
 duplicate detection always compares full states, never keys alone.
 
 A state's key is its one routing input: `owner(key, p)` maps it to a
-worker, by `key % p` except for the multiplicative strategy. Keys are
-carried, not cached: `child_key(parent_key, child, move)` derives a
-successor's key from its parent's key and the move that the domain's
-`successors` hook reported. The Zobrist family xors the parent's key with
-one bit string per move: the xor over the domain's `move_features(move)`,
-kept in a table bounded by the number of distinct moves. On a None move
-(every domain without the hook) it recomputes the key from the child's
-features, as the other strategies always do. Lattice moves are None by
-design: the xor of a lattice move depends on the parent's coordinates, so a
-move table would hold about one entry per lattice point, as much as a
-per-state key cache. No strategy keeps memory per state.
+worker, by `key % p` except for the multiplicative strategy. The strategy
+objects hold the one form of each routing rule. Keys are carried, not
+cached: `child_key(parent_key, child, move)` derives a successor's key from
+its parent's key and the move that the domain's `successors` hook reported.
+The Zobrist family xors the parent's key with one bit string per move: the
+xor over the domain's `move_features(move)`, kept in a table bounded by the
+number of distinct moves. On a None move (every domain without the hook) it
+recomputes the key from the child's features, as the other strategies
+always do. Lattice moves are None by design: the xor of a lattice move
+depends on the parent's coordinates, so a move table would hold about one
+entry per lattice point, as much as a per-state key cache. No strategy
+keeps memory per state.
 """
 
 from __future__ import annotations
@@ -114,20 +115,6 @@ class MoveXorTable(dict):
         return entry
 
 
-def zobrist_update(
-    key: int,
-    removed: Iterable[Feature],
-    added: Iterable[Feature],
-    table: ZobristTable,
-) -> int:
-    """Incremental key after a move; equals a full recompute."""
-    for f in removed:
-        key ^= table[f]
-    for f in added:
-        key ^= table[f]
-    return key
-
-
 def azh_key(
     table: ZobristTable,
     projection: dict[Feature, Feature | None] | None,
@@ -154,20 +141,10 @@ def _mult_fixed(a: float) -> int:
 
 
 def _mult_slot(kappa: int, p: int, a_fixed: int) -> int:
-    """floor(p * frac(kappa * a)) for a quantized multiplier a."""
+    """floor(p * frac(kappa * a)) for a multiplier a quantized to 64
+    fractional bits, after which the product and its fractional part are
+    exact for any 64-bit kappa: no precision is lost to a float frac()."""
     return (p * (((kappa & MASK64) * a_fixed) & MASK64)) >> 64
-
-
-def mult_owner(kappa: int, p: int, a: float = GOLDEN_FRAC) -> int:
-    """floor(p * frac(kappa * a)) computed in 64-bit fixed point.
-
-    a is quantized to 64 fractional bits, after which the product and its
-    fractional part are exact for any 64-bit kappa; this avoids the severe
-    precision loss of evaluating frac() in floating point.
-    """
-    if p < 1:
-        raise ConfigError("worker count must be >= 1")
-    return _mult_slot(kappa, p, _mult_fixed(a))
 
 
 def normalize_thickness(d) -> int | Fraction:
@@ -197,28 +174,18 @@ def normalize_thickness(d) -> int | Fraction:
     raise ConfigError("thickness < 1 must be a unit fraction 1/m")
 
 
-def hyperplane_plane(coords: tuple[int, ...], d, zkey: int) -> int:
-    """Plane index of a lattice point for thickness d.
-
-    Integer d: floor(sum(x)/d). Unit-fraction d = 1/m: m*sum(x) + (Z mod m),
-    which interleaves m Zobrist-selected sub-planes per coordinate sum.
-    """
-    return _plane(coords, normalize_thickness(d), zkey)
-
-
 def _plane(coords: tuple[int, ...], d: int | Fraction, zkey: int | None) -> int:
-    """hyperplane_plane for an already normalized d; integer d ignores zkey."""
+    """Plane index of a lattice point for a normalized thickness d.
+
+    Integer d: floor(sum(x)/d), ignoring zkey. Unit-fraction d = 1/m:
+    m*sum(x) + (Z mod m) for the point's Zobrist key Z, which interleaves m
+    Zobrist-selected sub-planes per coordinate sum.
+    """
     total = sum(coords)
     if isinstance(d, int):
         return total // d
     m = d.denominator
     return m * total + (zkey % m)
-
-
-def hyperplane_owner(coords: tuple[int, ...], d, p: int, zkey: int) -> int:
-    if p < 1:
-        raise ConfigError("worker count must be >= 1")
-    return hyperplane_plane(coords, d, zkey) % p
 
 
 def hyperplane_fanout_bound(n: int, d) -> int:
@@ -276,8 +243,8 @@ class ZobristStrategy(Strategy):
 class MultiplicativeStrategy(Strategy):
     """Golden-ratio multiplicative hash over a folded state key.
 
-    The multiplier is validated and quantized once, here; `owner` then
-    computes the same fixed-point product as `mult_owner`.
+    The multiplier a is validated and quantized once, here; `owner` then
+    computes floor(p * frac(key * a)) exactly in 64-bit fixed point.
     """
 
     name = "mult"

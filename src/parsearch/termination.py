@@ -46,30 +46,29 @@ class TerminationView(Protocol):
 class ControlMessage:
     kind: str  # "wave1" | "wave2" | "ring"
     initiator: int
-    acc: int = 0  # accumulated received (wave1) or sent (wave2) counters
-    expected: int = 0  # R* carried into wave 2
-    ok: bool = True
-    T: int = 0
-    sum_sent: int = 0
-    sum_received: int = 0
+    ok: bool = True  # every worker visited was quiescent (ring: and T-clean)
+    T: int = 0  # ring: the largest clock seen
+    sum_sent: int = 0  # added up by the ring and by wave 2
+    sum_received: int = 0  # added up by the ring and wave 1; wave 2 carries it
 
 
 def start_two_wave(initiator: int, view: TerminationView) -> ControlMessage:
     return ControlMessage(
         kind="wave1",
         initiator=initiator,
-        acc=view.received_msgs,
+        sum_received=view.received_msgs,
         ok=view.quiescent,
     )
 
 
 def start_second_wave(msg: ControlMessage, view: TerminationView) -> ControlMessage:
-    """At the initiator, after a clean first wave, launch the sent-count wave."""
+    """At the initiator, after a clean first wave, launch the sent-count
+    wave, which carries the first wave's received sum."""
     return ControlMessage(
         kind="wave2",
         initiator=msg.initiator,
-        acc=view.sent_msgs,
-        expected=msg.acc,
+        sum_sent=view.sent_msgs,
+        sum_received=msg.sum_received,
         ok=msg.ok and view.quiescent,
     )
 
@@ -96,10 +95,10 @@ def on_control(
     initiator is handled by `conclude`.
     """
     if msg.kind == "wave1":
-        msg.acc += view.received_msgs
+        msg.sum_received += view.received_msgs
         msg.ok = msg.ok and view.quiescent
     elif msg.kind == "wave2":
-        msg.acc += view.sent_msgs
+        msg.sum_sent += view.sent_msgs
         msg.ok = msg.ok and view.quiescent
     elif msg.kind == "ring":
         view.clock = max(view.clock, msg.T)
@@ -121,14 +120,9 @@ def conclude(msg: ControlMessage, view: TerminationView) -> str:
     """
     if msg.kind == "wave1":
         return "wave2" if msg.ok else "fail"
-    if msg.kind == "wave2":
-        if msg.ok and view.quiescent and msg.acc == msg.expected:
-            return "pass"
-        return "fail"
-    if msg.kind == "ring":
-        if msg.ok and view.quiescent and msg.sum_sent == msg.sum_received:
-            return "pass"
-        return "fail"
+    if msg.kind in ("wave2", "ring"):
+        ok = msg.ok and view.quiescent and msg.sum_sent == msg.sum_received
+        return "pass" if ok else "fail"
     raise ValueError(f"unknown control kind {msg.kind!r}")
 
 

@@ -21,7 +21,7 @@ from parsearch.allocation import (
     min_width_cost,
     ratio_bounds,
 )
-from parsearch.common import INF
+from parsearch.common import INF, SearchInvariantError
 from parsearch.domains import (
     LatticeProblem,
     TilePuzzle,
@@ -31,7 +31,7 @@ from parsearch.domains import (
     state_count,
 )
 from parsearch.engine import AdversarialPolicy, EngineConfig
-from parsearch.engine.hda import HDAStar, hdastar
+from parsearch.engine.hda import hdastar
 from parsearch.engine.spa import spastar
 from parsearch.engine.window import parallel_window
 from parsearch.hashing import (
@@ -42,7 +42,6 @@ from parsearch.hashing import (
     hyperplane_fanout_bound,
     make_strategy,
     zobrist_key,
-    zobrist_update,
 )
 from parsearch.serial import astar, idastar
 from tests.conftest import (
@@ -149,12 +148,13 @@ def test_criterion_2_hash_identities():
     table = ZobristTable(42)
     rng = random.Random(2)
     state = random_solvable(3, rng)
-    key = zobrist_key(table, puzzle.features(state))
+    # The key path HDA* runs: one xor per move, carried along a random walk
+    # and checked against a full recompute over a separate table.
+    strategy = ZobristStrategy(puzzle, 42)
+    key = strategy.key(state)
     for _ in range(10_000):
-        succ = rng.choice(puzzle.expand(state))[0]
-        removed = [(i, a) for i, (a, b) in enumerate(zip(state, succ)) if a != b]
-        added = [(i, b) for i, (a, b) in enumerate(zip(state, succ)) if a != b]
-        key = zobrist_update(key, removed, added, table)
+        succ, _, _, move = rng.choice(puzzle.successors(state, puzzle.h(state)))
+        key = strategy.child_key(key, succ, move)
         assert key == zobrist_key(table, puzzle.features(succ))
         state = succ
 
@@ -308,11 +308,6 @@ def _termination_fuzz(seed):
     costs = {}
     violations = []
     for termination in ("two-wave", "time"):
-        observed = []
-
-        def on_pass(engine):
-            observed.append(engine.improving_work_pending())
-
         config = EngineConfig(
             workers=3,
             strategy="zobrist",
@@ -320,13 +315,15 @@ def _termination_fuzz(seed):
             seed=seed,
             termination=termination,
         )
-        engine = HDAStar(
-            problem, config, policy=AdversarialPolicy(seed), on_detect_pass=on_pass
-        )
-        sol = engine.run()
-        costs[termination] = sol.cost
-        if not observed or any(observed):
-            violations.append((termination, observed))
+        # A run stops only at a passing detection round, and its post-run
+        # check raises if improving work was still pending there.
+        try:
+            sol = hdastar(problem, config, policy=AdversarialPolicy(seed))
+        except SearchInvariantError as exc:
+            costs[termination] = None
+            violations.append((termination, str(exc)))
+        else:
+            costs[termination] = sol.cost
     ok = (
         not violations
         and costs["two-wave"] == expected

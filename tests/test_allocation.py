@@ -7,7 +7,6 @@ import pytest
 from parsearch.allocation import (
     CostModel,
     SolverProfile,
-    geometric_sequence,
     ia_total_cost,
     min_width_cost,
     ratio_bounds,
@@ -16,29 +15,34 @@ from parsearch.allocation import (
 from parsearch.common import ConfigError
 
 
+def unit_cost(w_plus, b, max_width=1 << 20):
+    """Iterative allocation under the continuous model with unit times: the
+    total cost is the sum of the widths ceil(b^i) run up to W+."""
+    return ia_total_cost(SolverProfile(w_plus), b, CostModel("continuous"), max_width)
+
+
 class TestGeometricSequence:
     def test_doubling(self):
-        assert geometric_sequence(2.0, 4) == [1, 2, 4, 8]
+        assert unit_cost(8, 2.0) == (1 + 2 + 4 + 8, 4)
 
     def test_base_one_and_a_half(self):
-        assert geometric_sequence(1.5, 4) == [1, 2, 3, 4]
+        assert unit_cost(4, 1.5) == (1 + 2 + 3 + 4, 4)
 
     def test_single_iteration(self):
-        assert geometric_sequence(3.0, 1) == [1]
+        assert unit_cost(1, 3.0) == (1, 1)
 
     def test_rejects_bad_base(self):
         with pytest.raises(ConfigError):
-            geometric_sequence(1.0, 3)
+            unit_cost(4, 1.0)
         with pytest.raises(ConfigError):
-            geometric_sequence(2.0, 0)
-        with pytest.raises(ConfigError):
-            geometric_sequence(math.nan, 3)
+            unit_cost(4, math.nan)
 
     def test_rejects_infinite_base_and_overflowing_width(self):
         with pytest.raises(ConfigError):
-            geometric_sequence(math.inf, 2)
+            unit_cost(4, math.inf)
         with pytest.raises(ConfigError, match="overflows"):
-            geometric_sequence(1e200, 3)  # (1e200)**2 is not a float
+            # (1e200)**2 is not a float
+            unit_cost(10**201, 1e200, max_width=10**500)
 
 
 class TestRatioBounds:

@@ -164,6 +164,33 @@ class TestSolve:
         want = f"{flag[0]} is read only by --algo hdastar"
         assert want in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            (
+                ("--algo", "spastar", "--workers", "3", "--termination", "time"),
+                "--termination is read only by --algo hdastar",
+            ),
+            (
+                ("--algo", "astar", "--workers", "4"),
+                "--workers is read only by --algo spastar, hdastar, window",
+            ),
+            (
+                ("--algo", "window", "--workers", "2", "--weight", "3"),
+                "--weight is read only by --algo wastar",
+            ),
+            (
+                ("--algo", "astar", "--weights", "1,2"),
+                "--weights is read only by --algo dovetail",
+            ),
+        ],
+    )
+    def test_unread_flag_exit_three(self, capsys, flags, want):
+        # Each flag has its readers; any other algorithm refuses it rather
+        # than run without it.
+        assert run_cli("solve", "--domain", "tile", "--gen", "n=3,seed=2", *flags) == 3
+        assert want in capsys.readouterr().err
+
     def test_hdastar_routes_by_zobrist_by_default(self, tmp_path):
         out = tmp_path / "record.json"
         assert run_cli(
@@ -303,6 +330,18 @@ class TestBench:
             {"instances": [{"domain": "tile", "gen": {"n": "3,seed=9"}}]},
             {"instances": [{"domain": "tile", "gen": {"n": True}}]},
             {"instances": [{"domain": "tile", "gen": {"n": [3]}}]},
+            # Keys no run reads: HDA*'s keys without hdastar, a misspelt key.
+            {
+                "instances": [{"domain": "tile", "gen": {"n": 3, "seed": 1}}],
+                "algos": ["spastar"],
+                "workers": [2],
+                "batch": 7,
+                "batchsize": 5,
+                "termination": "time",
+                "strategies": ["mult"],
+            },
+            {"instances": [{"domain": "tile"}], "batchsize": 5},
+            {"instances": [{"domain": "tile"}], "algos": ["spastar"], "batch": 7},
         ],
     )
     def test_malformed_suite_exit_three(self, tmp_path, suite):

@@ -42,6 +42,7 @@ from parsearch.engine.window import ParallelWindow
 from parsearch.hashing import Strategy
 from parsearch.metrics import overheads
 from parsearch.serial import DEFAULT_NODE_LIMIT, BestFirstSearch, astar, idastar
+from parsearch.termination import time_ring_check, two_wave_check
 from tests.conftest import make_grid_problem
 
 
@@ -188,9 +189,9 @@ class TestHDAStar:
                 assert a == b, engine.__name__
 
     def test_post_run_check_survives_optimized_python(self):
-        # The detection-pass hook plants an improving triplet, and an SPA*
-        # step that only finishes leaves the root open; each engine's
-        # post-run check must catch it even under -O, which strips asserts.
+        # A step that only finishes leaves the root open in either engine;
+        # each engine's post-run check must catch it even under -O, which
+        # strips asserts.
         script = """
 from parsearch.common import SearchInvariantError
 from parsearch.domains import ExplicitGraph
@@ -200,12 +201,12 @@ from parsearch.engine.spa import SPAStar
 
 g = ExplicitGraph([("s", "a", 1), ("a", "t", 1)], "s", {"t"})
 
-def plant(engine):
-    engine.transport.boxes[0].append(("W", 0, [("s", 0.0, None)]))
-
 print("debug:", __debug__)
+# An HDA* run whose step stops at once leaves the root open below INF.
+hda = HDAStar(g, EngineConfig(workers=2, seed=1))
+hda.step = lambda w: setattr(hda, "finished", True)
 try:
-    HDAStar(g, EngineConfig(workers=2, seed=1), on_detect_pass=plant).run()
+    hda.run()
 except SearchInvariantError as exc:
     print("raised:", exc)
 else:
@@ -442,6 +443,25 @@ for token in ("zobrist", "random"):
         ((kind, _stamp, batch),) = eng.transport.channels[0, 1]
         assert kind == "W" and [item[0] for item in batch] == [same]
         assert [item[0] for item in eng.workers[0].out[1]] == [deeper]
+
+    def test_unflushed_batch_blocks_detection(self):
+        # Both children lie above the root's f-layer (h = 0), so they wait in
+        # worker 0's batch for worker 1 while worker 0's open list is empty
+        # and no message has been counted: only the batch scan in
+        # `quiescent` stands between the detectors and a false pass.
+        g = ExplicitGraph(
+            [("a", "b", 1), ("a", "c", 1), ("b", "t", 1), ("c", "t", 1)], "a", {"t"}
+        )
+        strategy = MappedStrategy({"a": 0, "b": 1, "c": 1, "t": 0})
+        config = EngineConfig(workers=2, batch_size=10, seed=1)
+        eng = HDAStar(g, config, strategy=strategy)
+        eng.step(0)
+        worker = eng.workers[0]
+        assert [item[0] for item in worker.out[1]] == ["b", "c"]
+        assert worker.table.min_f() == INF
+        assert not worker.quiescent
+        assert not two_wave_check(eng.workers)
+        assert not time_ring_check(eng.workers)
 
     def test_search_overhead_independent_of_batch_size(self):
         # Same-layer children do not wait for a full batch, so a larger
@@ -884,21 +904,26 @@ class TestRunMemory:
 
     def test_repeated_hda_solves_keep_nothing(self, gc_disabled):
         # A reference cycle anywhere in the engine would keep each solve's
-        # tables, about 5 MB here, until a cyclic collection.
+        # tables, about 5 MB here, until a cyclic collection: the collection
+        # after each solve must find nothing. A full collection also empties
+        # CPython's free lists, so each byte count is what the solve kept,
+        # not tuples cached for reuse.
         problem = TilePuzzle(random_scramble(4, 40, 3))
         kept = []
         tracemalloc.start()
         try:
             for _ in range(3):
+                gc.collect()
                 before = tracemalloc.get_traced_memory()[0]
                 engine = HDAStar(problem, EngineConfig(workers=8, seed=3))
                 cost = engine.run().cost
                 del engine
+                assert gc.collect() == 0
                 kept.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()
         assert cost == astar(problem).cost
-        assert max(kept[1:]) < 64 * 1024, kept
+        assert max(kept) < 64 * 1024, kept
 
 
 # (expanded, generated, reopened, duplicates, max_open) of serial A* and

@@ -1,7 +1,8 @@
 """Static checks on src/parsearch: no module imports a name it never uses,
-no private function or method is defined without being referenced, no
-EngineConfig field goes unread, no override renames its base's
-parameters, and only `BestFirstSearch.step` pops a node table."""
+no private function or method is defined without being referenced, every
+public function and class has a caller outside the tests (or a stated
+reason to be kept), no EngineConfig field goes unread, no override renames
+its base's parameters, and only `BestFirstSearch.step` pops a node table."""
 
 import ast
 from dataclasses import fields
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from parsearch.engine import EngineConfig
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "parsearch"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "parsearch"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -100,6 +102,81 @@ def test_check_sees_an_orphaned_private_function():
         "        return self._method()\n"
     )
     assert orphaned_privates([tree]) == ["_orphan (line 2)", "_stale (line 6)"]
+
+
+def uncalled_public(defining: list[ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Public module-level functions and classes defined in `defining` whose
+    name no tree in `callers` reads, as a plain name or as an attribute. An
+    import binds a name without reading it and `__all__` lists strings, so
+    neither counts as a caller."""
+    defined = set()
+    for tree in defining:
+        for node in tree.body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                defined.add(node.name)
+    read = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load
+            ):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return sorted(defined - read)
+
+
+# Public names that only tests call, each kept for the reason given.
+KEPT_UNCALLED = {
+    # The adversarial schedules of the termination fuzzers.
+    "AdversarialPolicy",
+    # An independent reference form of the projected Zobrist keys: it
+    # projects each feature before it looks it up in a plain table.
+    "azh_key",
+    # The bridge from capped real runs to the allocation model; ROADMAP
+    # item 11 gives it a caller.
+    "empirical_min_width",
+    # The fan-out bound of the hyperplane theorem, which criterion 3 checks.
+    "hyperplane_fanout_bound",
+    # The (n*n)!/2 reachable-state count that criterion 9 checks.
+    "state_count",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    defining = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    callers = [
+        ast.parse(p.read_text(), str(p))
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert uncalled_public(defining, callers) == sorted(KEPT_UNCALLED)
+
+
+def test_check_sees_an_uncalled_public_name():
+    defining = ast.parse(
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def imported(): pass\n"
+        "def called(): pass\n"
+        "def _private(): pass\n"
+        "class Read: pass\n"
+        "class Unread:\n"
+        "    def method(self): pass\n"
+        "def assigned(): pass\n"
+    )
+    caller = ast.parse(
+        "from m import imported, called\n"
+        "called()\n"
+        "x = m.Read\n"
+        "assigned = 1\n"
+    )
+    assert uncalled_public([defining], [caller]) == [
+        "Unread",
+        "assigned",
+        "exported",
+        "imported",
+    ]
 
 
 def unread_fields(trees: list[ast.Module], cls: str, names: list[str]) -> list[str]:

@@ -14,7 +14,7 @@ from parsearch.domains import (
     random_solvable,
 )
 from parsearch.domains.base import successors_of
-from parsearch.hashing import ZobristTable, azh_key, hyperplane_plane, make_strategy
+from parsearch.hashing import ZobristTable, azh_key, make_strategy
 
 LATTICE = LatticeProblem((5, 4, 3))
 
@@ -80,8 +80,8 @@ class TestProjectedKeys:
 
             def reference(state):
                 key = azh_key(table, proj, problem.features(state))
-                if token == "hyperplane":  # the key is the plane index
-                    return hyperplane_plane(state, "1/2", key)
+                if token == "hyperplane":  # the plane index at d = 1/2
+                    return 2 * sum(state) + key % 2
                 return key
 
             for s in states:
