@@ -32,10 +32,11 @@ from parsearch.domains import (
 )
 from parsearch.domains.tiles import random_scramble
 from parsearch.engine import EngineConfig, dovetail, hdastar, parallel_window, spastar
+from parsearch.engine.core import TERMINATIONS
 from parsearch.engine.dovetail import DEFAULT_WEIGHTS
 from parsearch.hashing import STRATEGY_TOKENS, parse_strategy_config
 from parsearch.metrics import csv_row, efficiency_fraction, overheads, rows_to_csv
-from parsearch.serial import astar, idastar, uniform_cost_oracle, wastar
+from parsearch.serial import DEFAULT_NODE_LIMIT, astar, idastar, uniform_cost_oracle, wastar
 
 SCHEMA_VERSION = 1
 
@@ -82,15 +83,11 @@ _FLAG_READERS = {
     "weights": ("dovetail",),
 }
 
-# The suite keys bench reads, and those that only HDA* runs read.
-_HDA_SUITE_KEYS = ("strategies", "batch", "termination")
-_SUITE_KEYS = ("instances", "algos", "workers", "seed", *_HDA_SUITE_KEYS)
-
 
 def default_seed() -> int:
     env = os.environ.get("PARSEARCH_SEED")
     if not env:
-        return 42
+        return EngineConfig.seed
     try:
         return int(env)
     except ValueError:
@@ -110,40 +107,51 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _refuse_unread(unread, what: str) -> None:
+    """Raise ConfigError naming the keys of `unread`, which no reader took."""
+    if unread:
+        raise ConfigError(f"{what} {', '.join(map(repr, sorted(unread)))}")
+
+
+def _domain_spec(gen: dict[str, str], fields: dict) -> dict[str, str]:
+    """The generator keys and the given fields in one dict; a key in both is refused."""
+    given = {key: value for key, value in fields.items() if value is not None}
+    _refuse_unread(set(gen) & set(given), "generator key also given as a field:")
+    return {**gen, **given}
+
+
 def _parse_cell(text: str) -> tuple[int, int]:
     x, y = text.split(",")
     return int(x), int(y)
 
 
-def build_problem(
-    domain: str,
-    gen: dict[str, str],
-    file: str | None,
-    start: str | None,
-    goal: str | None,
-    seed: int,
-) -> tuple[object, str]:
-    """Construct the search problem named by --domain/--file and the
-    generator fields `gen` (text values, e.g. {"n": "3", "seed": "7"})."""
+def build_problem(domain: str, spec: dict[str, str], seed: int) -> tuple[object, str]:
+    """Construct the problem of `domain` from `spec`, its inputs as text
+    (e.g. {"n": "3", "seed": "7"}): tile reads `n`, `seed`, `depth`; grid
+    `file`, `start`, `goal`, and without a file `w`, `h`, `fill`, `seed`,
+    `conn`; graph `file`; lattice `dims`. Any other input is a ConfigError.
+    `seed` is the default generator seed, or 1 when no generator input is given."""
+    spec = dict(spec)  # each domain pops the inputs it reads
     if domain == "tile":
-        gen = gen or {"seed": "1"}
-        n = int(gen.get("n", 3))
-        seed = int(gen.get("seed", seed))
-        if "depth" in gen:
-            state = random_scramble(n, int(gen["depth"]), seed)
+        spec = spec or {"seed": "1"}
+        n = int(spec.pop("n", 3))
+        seed = int(spec.pop("seed", seed))
+        if "depth" in spec:
+            state = random_scramble(n, int(spec.pop("depth")), seed)
         else:
             state = random_solvable(n, seed)
-        return TilePuzzle(state), f"tile-n{n}-s{seed}"
-    if domain == "grid":
+        problem, name = TilePuzzle(state), f"tile-n{n}-s{seed}"
+    elif domain == "grid":
+        file, start, goal = (spec.pop(key, None) for key in ("file", "start", "goal"))
         if file:
             grid = parse_grid(Path(file).read_text())
             name = Path(file).name
         else:
-            gen = gen or {"seed": "1"}
-            w, h = int(gen.get("w", 16)), int(gen.get("h", 16))
-            fill = float(gen.get("fill", 0.25))
-            seed = int(gen.get("seed", seed))
-            conn = int(gen.get("conn", 8))
+            spec = spec or {"seed": "1"}
+            w, h = int(spec.pop("w", 16)), int(spec.pop("h", 16))
+            fill = float(spec.pop("fill", 0.25))
+            seed = int(spec.pop("seed", seed))
+            conn = int(spec.pop("conn", 8))
             grid = random_grid(w, h, fill, seed, conn)
             name = f"grid-{w}x{h}-s{seed}"
         start = _parse_cell(start) if start else (0, 0)
@@ -151,16 +159,20 @@ def build_problem(
         if not file:
             blocked = set(grid.blocked) - {start, goal}
             grid = type(grid)(grid.width, grid.height, frozenset(blocked), grid.connectivity)
-        return GridProblem(grid, start, goal), name
-    if domain == "graph":
+        problem = GridProblem(grid, start, goal)
+    elif domain == "graph":
+        file = spec.pop("file", None)
         if not file:
             raise ConfigError("graph domain requires --file")
-        graph = parse_graph(Path(file).read_text())
-        return graph, Path(file).name
-    if domain == "lattice":
-        dims = tuple(int(d) for d in gen.get("dims", "4x4").split("x"))
-        return LatticeProblem(dims), f"lattice-{gen.get('dims', '4x4')}"
-    raise ConfigError(f"unknown domain {domain!r}")
+        problem, name = parse_graph(Path(file).read_text()), Path(file).name
+    elif domain == "lattice":
+        dims = spec.pop("dims", "4x4")
+        problem = LatticeProblem(tuple(int(d) for d in dims.split("x")))
+        name = f"lattice-{dims}"
+    else:
+        raise ConfigError(f"unknown domain {domain!r}")
+    _refuse_unread(spec, f"domain {domain!r} reads no input")
+    return problem, name
 
 
 def run_algorithm(problem, args, strategy_config: dict):
@@ -182,15 +194,13 @@ def run_algorithm(problem, args, strategy_config: dict):
         return dovetail(problem, weights, node_limit=args.node_limit)
     if algo not in PARALLEL_ENGINES:
         raise ConfigError(f"unknown algorithm {algo!r}")
-    config = EngineConfig(
-        workers=1 if args.workers is None else args.workers,
-        strategy=args.hash or "zobrist",
-        batch_size=args.batch,
-        seed=args.seed,
-        node_limit=args.node_limit,
-        termination=args.termination or "two-wave",
-        strategy_config=strategy_config,
+    settings = dict(
+        workers=args.workers, strategy=args.hash, batch_size=args.batch,
+        termination=args.termination, seed=args.seed, node_limit=args.node_limit,
     )
+    # Settings not given keep their EngineConfig defaults.
+    given = {key: value for key, value in settings.items() if value is not None}
+    config = EngineConfig(strategy_config=strategy_config, **given)
     return PARALLEL_ENGINES[algo](problem, config)
 
 
@@ -235,10 +245,9 @@ def cmd_solve(args) -> int:
     strategy_config = {}
     if args.hash_config:
         strategy_config = parse_strategy_config(Path(args.hash_config).read_text())
-    gen = _parse_kv(args.gen or "")
-    problem, instance = build_problem(
-        args.domain, gen, args.file, args.start, args.goal, args.seed
-    )
+    fields = {"file": args.file, "start": args.start, "goal": args.goal}
+    spec = _domain_spec(_parse_kv(args.gen or ""), fields)
+    problem, instance = build_problem(args.domain, spec, args.seed)
     solution = run_algorithm(problem, args, strategy_config)
     record = make_record(solution, args, instance)
     print(
@@ -253,30 +262,31 @@ def cmd_solve(args) -> int:
 
 
 def _suite_list(suite: dict, key: str, default: list) -> list:
-    value = suite.get(key, default)
+    value = suite.pop(key, default)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"suite {key!r} must be a non-empty list")
     return value
 
 
 def _suite_problem(entry, seed: int):
-    """Build one suite instance: {"domain", "gen", "file", "start", "goal",
-    "name"}, all strings except "gen", an object of generator fields whose
-    values are strings or numbers."""
+    """Build one suite instance: {"domain", "gen", "name", "file", "start",
+    "goal"}, all strings but "gen", an object of generator fields with string
+    or number values. build_problem refuses keys the domain does not read."""
     if not isinstance(entry, dict) or not isinstance(entry.get("domain"), str):
         raise ConfigError(f"suite instance {entry!r} is not an object with a domain")
-    gen = entry.get("gen", {})
-    fields = [entry.get(key) for key in ("file", "start", "goal", "name")]
+    fields = dict(entry)
+    domain, gen = fields.pop("domain"), fields.pop("gen", {})
+    name = fields.pop("name", None)
     plain_gen = isinstance(gen, dict) and all(
         isinstance(v, (str, int, float)) and not isinstance(v, bool)
         for v in gen.values()
     )
-    if not plain_gen or not all(f is None or isinstance(f, str) for f in fields):
+    strings = all(f is None or isinstance(f, str) for f in (name, *fields.values()))
+    if not plain_gen or not strings:
         raise ConfigError(f"suite instance {entry!r} has a malformed field")
-    file, start, goal, name = fields
     # Numbers become their text, as in a --gen spec.
     gen = {k: str(v) for k, v in gen.items()}
-    problem, auto_name = build_problem(entry["domain"], gen, file, start, goal, seed)
+    problem, auto_name = build_problem(domain, _domain_spec(gen, fields), seed)
     return problem, auto_name if name is None else name
 
 
@@ -295,39 +305,33 @@ def cmd_bench(args) -> int:
     suite = json.loads(Path(args.suite).read_text())
     if not isinstance(suite, dict):
         raise ConfigError("suite must be a JSON object")
-    unknown = sorted(set(suite).difference(_SUITE_KEYS))
-    if unknown:
-        raise ConfigError(f"bench reads no suite key {', '.join(map(repr, unknown))}")
+    # Each key is popped where it is read; a key left over is refused.
     algos = _suite_list(suite, "algos", ["hdastar"])
-    unread = [key for key in _HDA_SUITE_KEYS if key in suite]
-    if unread and "hdastar" not in algos:
-        raise ConfigError(
-            f"only hdastar runs read suite key {', '.join(map(repr, unread))}"
-        )
-    seed = suite.get("seed", args.seed)
+    instances = _suite_list(suite, "instances", [])
+    workers = _suite_list(suite, "workers", [2, 4])
+    seed = suite.pop("seed", args.seed)
+    strategies, hda_settings = [], {}
+    if "hdastar" in algos:
+        strategies = _suite_list(suite, "strategies", [EngineConfig.strategy])
+        for key, field in (("batch", "batch_size"), ("termination", "termination")):
+            if key in suite:
+                hda_settings[field] = suite.pop(key)
+    _refuse_unread(suite, "no run of this suite reads suite key")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("suite seed must be an integer")
-    problems = [
-        _suite_problem(entry, seed) for entry in _suite_list(suite, "instances", [])
-    ]
-    strategies = _suite_list(suite, "strategies", ["zobrist"])
-    workers = _suite_list(suite, "workers", [2, 4])
+    problems = [_suite_problem(entry, seed) for entry in instances]
     # (algo, strategy, workers, config) cells, validated before any run.
     cells = []
     for algo in algos:
         if not isinstance(algo, str) or algo not in PARALLEL_ENGINES:
             raise ConfigError(f"bench does not support algo {algo!r}")
-        for strategy in strategies if algo == "hdastar" else [""]:
-            if strategy and strategy not in STRATEGY_TOKENS:
+        hda = algo == "hdastar"
+        for strategy in strategies if hda else [""]:
+            if hda and strategy not in STRATEGY_TOKENS:
                 raise ConfigError(f"unknown strategy {strategy!r}")
+            settings = {"strategy": strategy, **hda_settings} if hda else {}
             for p in workers:
-                config = EngineConfig(
-                    workers=p,
-                    strategy=strategy or "zobrist",
-                    batch_size=suite.get("batch"),
-                    seed=seed,
-                    termination=suite.get("termination", "two-wave"),
-                )
+                config = EngineConfig(workers=p, seed=seed, **settings)
                 cells.append((algo, strategy, p, config))
     rows = []
     for problem, name in problems:
@@ -398,18 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--start", help="grid start cell x,y")
     solve.add_argument("--goal", help="grid goal cell x,y")
     solve.add_argument("--algo", default="astar", choices=ALGOS)
+    cfg = EngineConfig  # the help texts quote its defaults
     solve.add_argument(
-        "--hash", choices=STRATEGY_TOKENS, help="hdastar work distribution (zobrist)"
+        "--hash", choices=STRATEGY_TOKENS, help=f"hdastar work distribution ({cfg.strategy})"
     )
     solve.add_argument("--hash-config", help="key = value strategy config file")
-    solve.add_argument("--workers", type=int, help="spastar/hdastar/window workers (1)")
-    solve.add_argument("--batch", type=int, help="hdastar states per message (10)")
+    solve.add_argument(
+        "--workers", type=int, help=f"spastar/hdastar/window workers ({cfg.workers})"
+    )
+    solve.add_argument(
+        "--batch", type=int, help=f"hdastar states per message ({cfg.batch_size})"
+    )
     solve.add_argument("--weight", type=float, help="wastar weight (2)")
     solve.add_argument("--weights", help="dovetail weight list (1,1.5,2,3,inf)")
     solve.add_argument(
-        "--termination", choices=["two-wave", "time"], help="hdastar detection (two-wave)"
+        "--termination", choices=TERMINATIONS, help=f"hdastar detection ({cfg.termination})"
     )
-    solve.add_argument("--node-limit", type=int, default=10_000_000)
+    solve.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--out", help="write run record JSON here")
 

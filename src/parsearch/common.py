@@ -1,4 +1,4 @@
-"""Shared constants, exception types and the integer check for settings."""
+"""Shared constants, exception types, the settings check and LazyTable."""
 
 from __future__ import annotations
 
@@ -18,6 +18,20 @@ def check_count(name: str, value, least: int = 1) -> None:
     """Raise ConfigError unless value is an int (not a bool) >= least."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}")
+
+
+class LazyTable(dict):
+    """A dict whose `table[key]` stores and returns `fill(key)` when missing.
+    Bind a fill's other arguments with `functools.partial`: a closure over
+    the table's owner would make the owner a reference cycle."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        entry = self[key] = self._fill(key)
+        return entry
 
 
 class ParseError(ValueError):

@@ -8,10 +8,24 @@ nonnegative cost to each axis-increment pattern.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from operator import add, lt
 
+from parsearch.common import LazyTable
 from parsearch.domains.base import Feature, State
+
+
+def _fitting_moves(moves: list[tuple[tuple[int, ...], float]], room) -> list:
+    """The `(pattern, cost)` moves that fit a room, in pattern order: a room
+    is a tuple of bools, one per axis, true where the coordinate is below
+    the axis length, and a move fits when it increments only such axes. A
+    room table holds one entry per room expanded (2^d rooms in d dimensions)."""
+    return [
+        (pat, cost)
+        for pat, cost in moves
+        if all(free or not step for step, free in zip(pat, room))
+    ]
 
 
 class LatticeProblem:
@@ -33,7 +47,8 @@ class LatticeProblem:
             if not step_costs[p] >= 0:  # also rejects NaN
                 raise ValueError(f"cost for move pattern {p} must be >= 0")
         self.step_costs = dict(step_costs)
-        self._room_moves = RoomMoveTable([(p, self.step_costs[p]) for p in patterns])
+        moves = [(p, self.step_costs[p]) for p in patterns]
+        self._room_moves = LazyTable(partial(_fitting_moves, moves))
         self.initial = (0,) * self.dim
         self.goal = self.lengths
 
@@ -76,26 +91,3 @@ class LatticeProblem:
     def all_states(self):
         """Every lattice point; exhaustive checks only (small lattices)."""
         return product(*(range(l + 1) for l in self.lengths))
-
-
-class RoomMoveTable(dict):
-    """Room -> the `(pattern, cost)` moves that fit it, in pattern order.
-
-    A room is a tuple of bools, one per axis, true where the coordinate is
-    below the axis length; a move fits when it increments only such axes.
-    `table[room]` fills a missing entry on first use, so a problem holds at
-    most one entry per room it has expanded (2^d rooms in d dimensions).
-    """
-
-    def __init__(self, moves: list[tuple[tuple[int, ...], float]]):
-        super().__init__()
-        self._moves = moves
-
-    def __missing__(self, room: tuple[bool, ...]) -> list:
-        entry = [
-            (pat, cost)
-            for pat, cost in self._moves
-            if all(free or not step for step, free in zip(pat, room))
-        ]
-        self[room] = entry
-        return entry

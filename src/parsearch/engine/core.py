@@ -46,24 +46,27 @@ from parsearch.domains.base import validate_path
 from parsearch.serial import DEFAULT_NODE_LIMIT, Solution, merge_stats
 
 
+TERMINATIONS = ("two-wave", "time")  # HDA*'s termination detection modes
+
+
 @dataclass
 class EngineConfig:
+    """The run settings of every engine; each default is stated here only."""
+
     workers: int = 1
     strategy: str = "zobrist"
-    batch_size: int | None = None  # HDA* work items per message; None: 10
+    batch_size: int = 10  # HDA* work items per message
     seed: int = 42
     node_limit: int = DEFAULT_NODE_LIMIT
-    termination: str = "two-wave"  # "two-wave" | "time"
+    termination: str = "two-wave"  # one of TERMINATIONS
     record_trace: bool = False
     strategy_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_count("workers", self.workers)
-        if self.batch_size is None:
-            self.batch_size = 10
         check_count("batch size", self.batch_size)
-        if self.termination not in ("two-wave", "time"):
-            raise ConfigError("termination must be 'two-wave' or 'time'")
+        if self.termination not in TERMINATIONS:
+            raise ConfigError(f"termination must be {' or '.join(map(repr, TERMINATIONS))}")
         check_count("node limit", self.node_limit, 0)
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Iterable
 
-from parsearch.common import ConfigError
+from parsearch.common import ConfigError, LazyTable
 from parsearch.domains.base import Feature, SearchProblem, State, fold_key
 from parsearch.domains.lattice import LatticeProblem
 
@@ -66,7 +67,13 @@ def _stable_mix(acc: int, obj) -> int:
     raise ConfigError(f"feature component {obj!r} has no stable encoding")
 
 
-class ZobristTable(dict):
+def _zobrist_entry(base: int, projection: dict | None, feature: Feature) -> int:
+    """The bit string of a feature, or of its projection; 0 when dropped."""
+    target = feature if projection is None else projection[feature]
+    return 0 if target is None else splitmix64(_stable_mix(base, target))
+
+
+class ZobristTable(LazyTable):
     """Feature -> 64-bit random bit string.
 
     Entries are derived deterministically from the seed by a counter-based
@@ -78,15 +85,7 @@ class ZobristTable(dict):
     """
 
     def __init__(self, seed: int = 42, projection: dict | None = None):
-        super().__init__()
-        self._base = splitmix64(seed & MASK64)
-        self._projection = projection
-
-    def __missing__(self, feature: Feature) -> int:
-        target = feature if self._projection is None else self._projection[feature]
-        entry = 0 if target is None else splitmix64(_stable_mix(self._base, target))
-        self[feature] = entry
-        return entry
+        super().__init__(partial(_zobrist_entry, splitmix64(seed & MASK64), projection))
 
 
 def zobrist_key(table: ZobristTable, features: Iterable[Feature]) -> int:
@@ -97,22 +96,10 @@ def zobrist_key(table: ZobristTable, features: Iterable[Feature]) -> int:
     return key
 
 
-class MoveXorTable(dict):
-    """Move -> xor of a Zobrist table's bit strings over the move's features.
-
-    `table[move]` fills a missing entry from `move_features(move)` on first
-    use, so the table holds one entry per distinct move seen.
-    """
-
-    def __init__(self, table: ZobristTable, move_features):
-        super().__init__()
-        self._table = table
-        self._move_features = move_features
-
-    def __missing__(self, move) -> int:
-        entry = zobrist_key(self._table, self._move_features(move))
-        self[move] = entry
-        return entry
+def _move_xor_entry(table: ZobristTable, move_features, move) -> int:
+    """xor of a Zobrist table's bit strings over a move's features: the fill
+    of a strategy's move table, which holds one entry per distinct move."""
+    return zobrist_key(table, move_features(move))
 
 
 def azh_key(
@@ -222,9 +209,8 @@ class ZobristStrategy(Strategy):
         self.name = name
         self.table = ZobristTable(seed, projection)
         self._features = problem.features
-        self._move_xor = MoveXorTable(
-            self.table, getattr(problem, "move_features", None)
-        )
+        move_features = getattr(problem, "move_features", None)
+        self._move_xor = LazyTable(partial(_move_xor_entry, self.table, move_features))
 
     def key(self, state: State) -> int:
         return zobrist_key(self.table, self._features(state))
@@ -313,10 +299,6 @@ def parse_strategy_config(text: str) -> dict[str, str]:
     return out
 
 
-# The config keys each token reads; a token reads no key it is not listed with.
-_CONFIG_KEYS = {"mult": ("multiplier",), "hyperplane": ("d",)}
-
-
 def make_strategy(
     token: str,
     problem: SearchProblem,
@@ -328,21 +310,21 @@ def make_strategy(
         raise ConfigError(
             f"unknown strategy {token!r}; expected one of {', '.join(STRATEGY_TOKENS)}"
         )
-    config = config or {}
-    unread = sorted(set(config).difference(_CONFIG_KEYS.get(token, ())))
-    if unread:
-        raise ConfigError(
-            f"strategy {token!r} reads no config key {', '.join(map(repr, unread))}"
-        )
+    config = dict(config or {})  # each branch pops the keys it reads
     if token == "zobrist":
-        return ZobristStrategy(problem, seed)
-    if token in ("azh", "abstraction"):
+        strategy = ZobristStrategy(problem, seed)
+    elif token in ("azh", "abstraction"):
         hook = "default_projection" if token == "azh" else "abstraction_projection"
         project = getattr(problem, hook, None)  # no hook: identity projection
-        return ZobristStrategy(problem, seed, project() if project else None, token)
-    if token == "mult":
-        a = float(config.get("multiplier", GOLDEN_FRAC))
-        return MultiplicativeStrategy(problem, a)
-    if token == "hyperplane":
-        return HyperplaneStrategy(problem, config.get("d", 1), seed)
-    return RandomStrategy(problem, seed)
+        strategy = ZobristStrategy(problem, seed, project() if project else None, token)
+    elif token == "mult":
+        a = float(config.pop("multiplier", GOLDEN_FRAC))
+        strategy = MultiplicativeStrategy(problem, a)
+    elif token == "hyperplane":
+        strategy = HyperplaneStrategy(problem, config.pop("d", 1), seed)
+    else:
+        strategy = RandomStrategy(problem, seed)
+    if config:
+        unread = ", ".join(map(repr, sorted(config)))
+        raise ConfigError(f"strategy {token!r} reads no config key {unread}")
+    return strategy

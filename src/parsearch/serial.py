@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from heapq import heappop, heappush
 from types import SimpleNamespace
 
@@ -23,14 +23,6 @@ from parsearch.common import (
 from parsearch.domains.base import SearchProblem, State, successors_of, validate_path
 
 DEFAULT_NODE_LIMIT = 10_000_000
-
-# The scalar SearchStats fields, in record order. Merging sums them, except
-# the peaks, which it maximizes.
-COUNTERS = (
-    "expanded", "generated", "reopened", "duplicates", "max_open", "wall_time",
-    "sent", "received", "sent_batches", "received_batches",
-)
-PEAKS = ("max_open", "wall_time")
 
 
 @dataclass
@@ -53,6 +45,12 @@ class SearchStats:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in COUNTERS}
+
+
+# The scalar SearchStats fields (those without a default factory), in record
+# order. Merging sums them, except the peaks, which it maximizes.
+COUNTERS = tuple(f.name for f in fields(SearchStats) if f.default_factory is MISSING)
+PEAKS = ("max_open", "wall_time")
 
 
 def merge_stats(parts: list[SearchStats]) -> SearchStats:

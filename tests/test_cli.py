@@ -243,6 +243,58 @@ class TestSolve:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["solve", "--domain", "tile", "--gen", "n=3,sed=2"],
+            "domain 'tile' reads no input 'sed'",
+        ),
+        (
+            ["solve", "--domain", "tile", "--gen", "n=3,seed=2", "--file", "no-such-file.txt"],
+            "domain 'tile' reads no input 'file'",
+        ),
+        (
+            ["solve", "--domain", "tile", "--gen", "n=3,seed=2", "--start", "0,0"],
+            "domain 'tile' reads no input 'start'",
+        ),
+        (
+            ["solve", "--domain", "lattice", "--gen", "dims=3x3,seed=4"],
+            "domain 'lattice' reads no input 'seed'",
+        ),
+        (
+            ["solve", "--domain", "lattice", "--gen", "dims=3x3", "--goal", "1,1"],
+            "domain 'lattice' reads no input 'goal'",
+        ),
+        (
+            ["solve", "--domain", "grid", "--file", "{map}", "--gen", "w=9"],
+            "domain 'grid' reads no input 'w'",
+        ),
+        (
+            ["bench", "--suite", "{suite}"],
+            "domain 'tile' reads no input 'sed', 'start'",
+        ),
+        (
+            ["solve", "--domain", "grid", "--file", "{map}", "--gen", "file=x"],
+            "generator key also given as a field: 'file'",
+        ),
+    ],
+)
+def test_unread_domain_input_exit_three(tmp_path, capsys, argv, want):
+    # Each domain reads its own inputs; any other is refused, not ignored.
+    grid = tmp_path / "map.txt"
+    grid.write_text("4 4 8\n....\n....\n....\n....\n")
+    suite = tmp_path / "suite.json"
+    entry = {"domain": "tile", "gen": {"n": 3, "sed": 7}, "start": "0,0"}
+    suite.write_text(
+        json.dumps({"instances": [entry], "algos": ["spastar"], "workers": [2]})
+    )
+    argv = [arg.format(map=grid, suite=suite) for arg in argv]
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert want in captured.err and captured.out == ""
+
+
 class TestBench:
     @pytest.fixture()
     def suite_file(self, tmp_path):
@@ -342,12 +394,27 @@ class TestBench:
             },
             {"instances": [{"domain": "tile"}], "batchsize": 5},
             {"instances": [{"domain": "tile"}], "algos": ["spastar"], "batch": 7},
+            {"instances": [{"domain": "tile"}], "strategies": [""]},
         ],
     )
     def test_malformed_suite_exit_three(self, tmp_path, suite):
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(suite))
         assert run_cli("bench", "--suite", str(path)) == 3
+
+    def test_unread_suite_key_named(self, tmp_path, capsys):
+        # HDA*'s keys are read only when algos holds hdastar.
+        suite = {
+            "instances": [{"domain": "tile"}],
+            "algos": ["spastar"],
+            "batch": 7,
+            "batchsize": 5,
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        assert run_cli("bench", "--suite", str(path)) == 3
+        err = capsys.readouterr().err
+        assert "no run of this suite reads suite key 'batch', 'batchsize'" in err
 
     def test_unparseable_instance_aborts(self, tmp_path):
         bad = tmp_path / "bad.txt"

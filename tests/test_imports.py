@@ -2,7 +2,8 @@
 no private function or method is defined without being referenced, every
 public function and class has a caller outside the tests (or a stated
 reason to be kept), no EngineConfig field goes unread, no override renames
-its base's parameters, and only `BestFirstSearch.step` pops a node table."""
+its base's parameters, only `BestFirstSearch.step` pops a node table, and
+only `LazyTable` defines `__missing__`."""
 
 import ast
 from dataclasses import fields
@@ -108,7 +109,10 @@ def uncalled_public(defining: list[ast.Module], callers: list[ast.Module]) -> li
     """Public module-level functions and classes defined in `defining` whose
     name no tree in `callers` reads, as a plain name or as an attribute. An
     import binds a name without reading it and `__all__` lists strings, so
-    neither counts as a caller."""
+    neither counts as a caller. A read inside the body of an uncalled
+    definition does not count either, so a whole uncalled chain is flagged:
+    names are called when read outside the public definitions of
+    `defining`'s names, or inside one that is itself called."""
     defined = set()
     for tree in defining:
         for node in tree.body:
@@ -116,14 +120,30 @@ def uncalled_public(defining: list[ast.Module], callers: list[ast.Module]) -> li
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) and not node.name.startswith("_"):
                 defined.add(node.name)
-    read = set()
+
+    def reads(node) -> set[str]:
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        }
+
+    called = set()
+    reads_in = {}  # public name -> the names its definitions' bodies read
     for tree in callers:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
-                node.ctx, ast.Load
-            ):
-                read.add(node.id if isinstance(node, ast.Name) else node.attr)
-    return sorted(defined - read)
+        for node in tree.body:
+            name = getattr(node, "name", None)  # a def or class
+            if name in defined:
+                reads_in.setdefault(name, set()).update(reads(node))
+            else:
+                called.update(reads(node))
+    # Add the reads of every called definition until nothing changes.
+    todo = called & set(reads_in)
+    while todo:
+        new = reads_in.pop(todo.pop()) - called
+        called |= new
+        todo |= new & set(reads_in)
+    return sorted(defined - called)
 
 
 # Public names that only tests call, each kept for the reason given.
@@ -177,6 +197,20 @@ def test_check_sees_an_uncalled_public_name():
         "exported",
         "imported",
     ]
+
+
+def test_check_sees_a_whole_uncalled_chain():
+    # `head` is never called and `tail` only by `head`; `recursive` only by
+    # itself. `used` is called from module level and calls `helper`.
+    tree = ast.parse(
+        "def head(): return tail()\n"
+        "def tail(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def helper(): pass\n"
+        "def used(): return helper()\n"
+        "used()\n"
+    )
+    assert uncalled_public([tree], [tree]) == ["head", "recursive", "tail"]
 
 
 def unread_fields(trees: list[ast.Module], cls: str, names: list[str]) -> list[str]:
@@ -312,6 +346,48 @@ def test_only_the_best_first_step_pops_a_node_table():
     trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
     sites = table_pops(trees)
     assert [site.partition(" ")[0] for site in sites] == ["BestFirstSearch.step"]
+
+
+def missing_definers(trees: list[ast.Module]) -> list[str]:
+    """Every class that defines or assigns `__missing__` in its body, as
+    `Class (line)`."""
+    found = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                names = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+                if getattr(node, "name", None) == "__missing__" or "__missing__" in names:
+                    found.append(f"{cls.name} (line {node.lineno})")
+    return found
+
+
+def test_only_lazy_table_defines_missing():
+    # One type fills table entries on first use; other tables subclass it.
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+    sites = missing_definers(trees)
+    assert [site.partition(" ")[0] for site in sites] == ["LazyTable"]
+
+
+def test_check_sees_a_second_missing():
+    tree = ast.parse(
+        "class LazyTable(dict):\n"
+        "    def __missing__(self, key): pass\n"
+        "class ZobristTable(LazyTable):\n"
+        "    def __init__(self, seed): pass\n"
+        "class MoveTable(dict):\n"
+        "    def __init__(self, moves): pass\n"
+        "    def __missing__(self, move): pass\n"
+        "class Aliased(dict):\n"
+        "    __missing__ = fill\n"
+        "def __missing__(key): pass\n"
+    )
+    assert missing_definers([tree]) == [
+        "LazyTable (line 2)",
+        "MoveTable (line 7)",
+        "Aliased (line 9)",
+    ]
 
 
 def test_check_sees_a_second_table_pop():
