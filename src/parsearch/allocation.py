@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from parsearch.common import ConfigError
+from parsearch.common import DEFAULT_SEED, ConfigError
 
 _CEIL_EPS = 1e-9
 
@@ -193,7 +193,7 @@ def empirical_min_width(
     problem,
     per_worker_node_limit: int,
     max_workers: int = 64,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> int:
     """Bridge to real runs: smallest worker count that solves the problem
     when each worker's open+closed lists are capped at the given size."""

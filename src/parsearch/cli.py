@@ -175,6 +175,9 @@ def build_problem(domain: str, spec: dict[str, str], seed: int) -> tuple[object,
     return problem, name
 
 
+WASTAR_WEIGHT = 2.0  # wastar's weight when --weight is not given
+
+
 def run_algorithm(problem, args, strategy_config: dict):
     """Dispatch one run; returns a Solution."""
     algo = args.algo
@@ -185,7 +188,7 @@ def run_algorithm(problem, args, strategy_config: dict):
     if algo == "idastar":
         return idastar(problem, node_limit=args.node_limit)
     if algo == "wastar":
-        weight = 2.0 if args.weight is None else args.weight
+        weight = WASTAR_WEIGHT if args.weight is None else args.weight
         return wastar(problem, weight, node_limit=args.node_limit)
     if algo == "dovetail":
         weights = DEFAULT_WEIGHTS
@@ -413,8 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--batch", type=int, help=f"hdastar states per message ({cfg.batch_size})"
     )
-    solve.add_argument("--weight", type=float, help="wastar weight (2)")
-    solve.add_argument("--weights", help="dovetail weight list (1,1.5,2,3,inf)")
+    solve.add_argument(
+        "--weight", type=float, help=f"wastar weight ({WASTAR_WEIGHT:g})"
+    )
+    weights = ",".join(f"{w:g}" for w in DEFAULT_WEIGHTS)
+    solve.add_argument("--weights", help=f"dovetail weight list ({weights})")
     solve.add_argument(
         "--termination", choices=TERMINATIONS, help=f"hdastar detection ({cfg.termination})"
     )

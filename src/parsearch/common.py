@@ -9,6 +9,10 @@ EPS = 1e-9
 
 INF = float("inf")
 
+# The seed of every seeded default: engine schedules, hash strategies and
+# the allocation bridge's runs.
+DEFAULT_SEED = 42
+
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown strategy token, bad parameter, etc."""

@@ -9,12 +9,15 @@ every other worker and no engine state needs a lock. Runs are fully
 deterministic, and message delivery can be made adversarial, which the
 termination tests rely on.
 
-A tick costs O(ready) plus O(pending): it copies the engine's ready list
-and the transport's pending channels, and neither is rebuilt by a scan. The
-transport keeps its non-empty channels, in first-send order, up to date on
-every send and deliver (O(log channels) each); an engine whose readiness
-changes keeps its ready list up to date on its own steps and deliveries
-(HDA* re-checks only the workers a step or delivery can affect).
+A tick hands the policy the engine's ready list and the transport's
+pending channels as they are: neither is copied or rebuilt by a scan, so
+the driver's own cost per tick is O(1) and a tick costs what the policy's
+choice costs (O(1) for the seeded policies, O(ready) plus O(pending) for
+the eager one). The transport keeps its non-empty channels, in first-send
+order, up to date on every send and deliver (O(log channels) each); an
+engine whose readiness changes keeps its ready list up to date on its own
+steps and deliveries (HDA* re-checks only the workers a step or delivery
+can affect).
 
 `Engine.run` is the one run lifecycle: drive, check, take the result,
 validate it and report a `Solution`. An engine supplies:
@@ -41,7 +44,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from parsearch.common import INF, ConfigError, check_count
+from parsearch.common import DEFAULT_SEED, INF, ConfigError, check_count
 from parsearch.domains.base import validate_path
 from parsearch.serial import DEFAULT_NODE_LIMIT, Solution, merge_stats
 
@@ -56,7 +59,7 @@ class EngineConfig:
     workers: int = 1
     strategy: str = "zobrist"
     batch_size: int = 10  # HDA* work items per message
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     node_limit: int = DEFAULT_NODE_LIMIT
     termination: str = "two-wave"  # one of TERMINATIONS
     record_trace: bool = False
@@ -96,6 +99,9 @@ class Engine:
         self.p = self.config.workers
         self.finished = False
         self.ticks = 0  # scheduler ticks of the finished run
+
+    def step(self, w: int) -> None:
+        raise NotImplementedError
 
     def ready(self) -> list[int]:
         return list(range(self.p))
@@ -144,8 +150,8 @@ class ChannelTransport:
     first-send order (the insertion order of `channels`), so a seeded
     policy draws the same schedule however many channels were ever opened.
     `send` and `deliver` keep it with a bisect on the channel's creation
-    rank, O(log channels) each; `pending_channels` copies it, O(pending)
-    per tick.
+    rank, O(log channels) each; `pending_channels` returns the list itself,
+    which its caller reads and never keeps or changes.
     """
 
     def __init__(self, p: int):
@@ -174,7 +180,7 @@ class ChannelTransport:
             ]
 
     def pending_channels(self) -> list[tuple[int, int]]:
-        return self._pending.copy()
+        return self._pending
 
     def unprocessed_items(self):
         """Messages in a channel or waiting in a mailbox."""
@@ -187,7 +193,9 @@ class SchedulePolicy:
 
     A policy's `choose(steps, delivers)` gets the engine's ready list (the
     ids of the workers that may step now, ascending) and the pending channel
-    keys, and returns ("step", w) or ("deliver", c).
+    keys, and returns ("step", w) or ("deliver", c). Both lists are the
+    engine's and the transport's own: a policy reads them during the call
+    and never keeps or changes them.
 
     The default bias favors delivery, modeling a low-latency network where
     sent batches arrive promptly relative to expansion work; starving
@@ -236,21 +244,31 @@ def run_interleaved(engine, seed: int, policy=None):
     """Drive an engine's workers step by step from a seeded schedule.
 
     The engine is an Engine whose transport, if any, is a ChannelTransport.
+    The engine's `ready` and `step`, the transport's `pending_channels` and
+    the policy's `choose` are looked up once per run, on the instances, so
+    wrappers set on them before the run still see every call.
     Raises RuntimeError on a stall.
     """
-    policy = policy or SchedulePolicy(seed)
+    choose = (policy or SchedulePolicy(seed)).choose
+    ready = engine.ready
+    step = engine.step
     transport = engine.transport
+    if transport is None:
+        no_channels: list = []
+        pending = lambda: no_channels
+    else:
+        pending = transport.pending_channels
     ticks = 0
     while not engine.finished:
-        steps = engine.ready()
-        delivers = transport.pending_channels() if transport is not None else []
+        steps = ready()
+        delivers = pending()
         if not steps and not delivers:
             raise RuntimeError(
                 "interleaver stalled: no ready worker, nothing in flight"
             )
-        kind, arg = policy.choose(steps, delivers)
+        kind, arg = choose(steps, delivers)
         if kind == "step":
-            engine.step(arg)
+            step(arg)
         else:
             engine.deliver(arg)
         ticks += 1

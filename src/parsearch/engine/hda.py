@@ -9,13 +9,18 @@ h and move, and the strategy turns the parent's key and the move into the
 child's key. Both travel with the state, in the (state, g, h, parent, key)
 work item and in the owner's open list.
 Sends are non-blocking and batched per destination. A batch is sent when
-it is full or when it takes a child on its parent's f-layer, which the
-search must expand before it leaves the layer it is on; deeper children
-wait for a full batch or for their worker to go idle. Termination is
-proved by message counting (see `parsearch.termination`). One step of a
-worker is one iteration of the paper's worker loop: take every message
-that has arrived, then expand one node, or, with nothing below the
-incumbent, flush the remaining batches and maybe start a detection round.
+it is full, when it takes a child on its parent's f-layer, which the
+search must expand before it leaves the layer it is on, or before its
+worker expands a node of f = F while it holds a child with f < F - EPS.
+So the send invariant holds: at every pop, each child the worker holds
+unsent has f >= the popped f - EPS, and no child waits while its worker
+expands worse nodes; a child that ties the popped f waits for a full
+batch, a deeper pop or its worker going idle. Termination is proved by
+message counting (see `parsearch.termination`). One step of a worker is
+one iteration of the paper's worker loop: take every message that has
+arrived, send the batches the invariant makes due, then expand one node,
+or, with nothing below the incumbent, flush the remaining batches and
+maybe start a detection round.
 
 A `_Worker` is a `serial.BestFirstSearch` whose `place` routes children: it
 inserts those it owns and batches the rest. It holds no reference to the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from parsearch.common import EPS, ConfigError, SearchInvariantError
+from parsearch.common import EPS, INF, ConfigError, SearchInvariantError
 from parsearch.domains.base import SearchProblem, successors_of
 from parsearch.engine.core import ChannelTransport, Engine, EngineConfig, Incumbent
 from parsearch.hashing import make_strategy
@@ -71,6 +76,8 @@ class _Worker(BestFirstSearch):
         self.batch_size = config.batch_size
         self.incumbent = engine.incumbent
         self.out = [[] for _ in range(self.p)]  # per-destination batches
+        self.out_f = [INF] * self.p  # least f in each batch, INF when empty
+        self.due = INF  # a lower bound on every out_f entry
         # Termination bookkeeping (only this worker updates these).
         self.clock = 0
         self.max_received_stamp = -1
@@ -106,10 +113,13 @@ class _Worker(BestFirstSearch):
         or once the child just added lies on its parent's f-layer: under a
         consistent h that child must be expanded before the search leaves
         the layer it is expanding now, so it does not wait behind deeper
-        ones."""
+        ones. A child that stays held lowers its batch's `out_f` and
+        `due`, so `send_below` can keep the send invariant (module doc)
+        before the next pop."""
         child_key = self.strategy.child_key
         owner_of = self.strategy.owner
         insert = self.table.insert
+        out_f = self.out_f
         layer = g + h + EPS
         for succ, cost, h1, move in records:
             g1 = g + cost
@@ -120,17 +130,35 @@ class _Worker(BestFirstSearch):
             else:
                 buf = self.out[owner]
                 buf.append((succ, g1, h1, state, k))
-                if len(buf) >= self.batch_size or g1 + h1 <= layer:
+                f1 = g1 + h1
+                if len(buf) >= self.batch_size or f1 <= layer:
                     self.flush(owner)
+                elif f1 < out_f[owner]:
+                    out_f[owner] = f1
+                    if f1 < self.due:
+                        self.due = f1
 
     def flush(self, dst: int) -> None:
         """Send the non-empty batch for dst; the message takes the list
         itself and the worker starts a new one."""
         buf = self.out[dst]
         self.out[dst] = []
+        self.out_f[dst] = INF
         self.stats.sent_batches += 1
         self.stats.sent += len(buf)
         self.transport.send(self.id, dst, ("W", self.clock, buf))
+
+    def send_below(self, f: float) -> None:
+        """Send every batch that holds a child with f' < f - EPS, and make
+        `due` exact again for the batches still held."""
+        bound = f - EPS
+        due = INF
+        for dst, low in enumerate(self.out_f):
+            if low < bound:
+                self.flush(dst)
+            elif low < due:
+                due = low
+        self.due = due
 
 
 class HDAStar(Engine):
@@ -202,9 +230,10 @@ class HDAStar(Engine):
         and batches change only in its own step or a delivery to it, and
         another worker's step changes worker 0's detection flags only by
         setting `_work_since_detect`; only a lower incumbent can change
-        every worker's answer at once.
+        every worker's answer at once. The list is the engine's own: the
+        caller reads it and never keeps or changes it.
         """
-        return self._ready.copy()
+        return self._ready
 
     def deliver(self, channel: tuple[int, int]) -> None:
         self.transport.deliver(channel)
@@ -226,10 +255,12 @@ class HDAStar(Engine):
                 self._recheck(0)
 
     def _iterate(self, w: int) -> None:
-        """One loop iteration of worker w: drain mailbox fully, then expand
-        one node (whose same-layer children `place` sends at once) or, with
-        nothing below the incumbent, flush the partial batches of deeper
-        children and maybe detect."""
+        """One loop iteration of worker w: drain mailbox fully, then send
+        every batch holding a child below the f about to be popped and
+        expand one node (whose same-layer children `place` sends at once)
+        or, with nothing below the incumbent, flush the partial batches and
+        maybe detect. A step with nothing due pays one comparison for the
+        send invariant."""
         worker = self.workers[w]
         box = worker.box
         while box:
@@ -240,8 +271,11 @@ class HDAStar(Engine):
                 self._handle_control(worker, item[1])
             if self.finished:
                 return
-        if worker.table.min_f() < self.incumbent.cost - EPS:
+        mf = worker.table.min_f()
+        if mf < self.incumbent.cost - EPS:
             self._work_since_detect = True
+            if worker.due < mf - EPS:
+                worker.send_below(mf)
             if not worker.step(worker.stats, worker.trace):
                 # A goal: none of its children (f >= g) is ever expanded.
                 self.incumbent.offer(worker.goal_cost, worker.goal_state)

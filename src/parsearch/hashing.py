@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable
 
-from parsearch.common import ConfigError, LazyTable
+from parsearch.common import DEFAULT_SEED, ConfigError, LazyTable
 from parsearch.domains.base import Feature, SearchProblem, State, fold_key
 from parsearch.domains.lattice import LatticeProblem
 
@@ -84,7 +84,7 @@ class ZobristTable(LazyTable):
     state's key, one lookup per feature.
     """
 
-    def __init__(self, seed: int = 42, projection: dict | None = None):
+    def __init__(self, seed: int = DEFAULT_SEED, projection: dict | None = None):
         super().__init__(partial(_zobrist_entry, splitmix64(seed & MASK64), projection))
 
 
@@ -204,7 +204,9 @@ class Strategy:
 class ZobristStrategy(Strategy):
     """Zobrist hashing, over the features or over their projection."""
 
-    def __init__(self, problem: SearchProblem, seed=42, projection=None, name="zobrist"):
+    def __init__(
+        self, problem: SearchProblem, seed=DEFAULT_SEED, projection=None, name="zobrist"
+    ):
         self.problem = problem
         self.name = name
         self.table = ZobristTable(seed, projection)
@@ -255,7 +257,7 @@ class HyperplaneStrategy(Strategy):
 
     name = "hyperplane"
 
-    def __init__(self, problem: SearchProblem, d=1, seed: int = 42):
+    def __init__(self, problem: SearchProblem, d=1, seed: int = DEFAULT_SEED):
         if not isinstance(problem, LatticeProblem):
             raise ConfigError("hyperplane strategy requires a lattice problem")
         self.problem = problem
@@ -278,7 +280,7 @@ class RandomStrategy(Strategy):
 
     name = "random"
 
-    def __init__(self, problem: SearchProblem, seed: int = 42):
+    def __init__(self, problem: SearchProblem, seed: int = DEFAULT_SEED):
         self._rng = random.Random(seed)
 
     def key(self, state: State) -> int:
@@ -302,7 +304,7 @@ def parse_strategy_config(text: str) -> dict[str, str]:
 def make_strategy(
     token: str,
     problem: SearchProblem,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     config: dict[str, str] | None = None,
 ):
     """Build a strategy from its CLI token; refuse config keys it never reads."""

@@ -80,6 +80,40 @@ class MappedStrategy(Strategy):
         return self.assign[state]
 
 
+def reopening_lattice() -> LatticeProblem:
+    """A 9x9x9 lattice whose unequal step costs and h = 0 make HDA* reopen
+    often; serial A* expands 1000 nodes on it."""
+    patterns = [pat for pat in itertools.product((0, 1), repeat=3) if any(pat)]
+    costs = dict(zip(patterns, (1.0, 2.0, 2.5, 3.0, 3.5, 4.5, 5.0)))
+    return LatticeProblem((9, 9, 9), costs)
+
+
+# name -> build(seed) for each schedule policy the HDA* tests run under
+POLICIES = {
+    "default": SchedulePolicy,
+    "adversarial": AdversarialPolicy,
+    "eager": lambda seed: EagerWorkerPolicy(),
+}
+
+
+def check_send_invariant(engine) -> list:
+    """Wrap each worker's `step` to assert, before each pop, that every child
+    the worker holds unsent has f >= its open list's least f - EPS. The
+    returned list counts the pops made while some child was held."""
+    held_pops = [0]
+    for worker in engine.workers:
+
+        def checked(stats, trace, worker=worker, step=worker.step):
+            mf = worker.table.min_f()
+            held = [g + h for buf in worker.out for _, g, h, _, _ in buf]
+            assert all(f >= mf - EPS for f in held), (worker.id, mf, min(held))
+            held_pops[0] += bool(held)
+            return step(stats, trace)
+
+        worker.step = checked
+    return held_pops
+
+
 class ContractOnly:
     """A problem seen through the six contract members alone: no hooks."""
 
@@ -444,6 +478,53 @@ for token in ("zobrist", "random"):
         assert kind == "W" and [item[0] for item in batch] == [same]
         assert [item[0] for item in eng.workers[0].out[1]] == [deeper]
 
+    def test_held_child_is_sent_before_a_worse_pop(self):
+        # b (f = 1) lies above the root's f-layer and waits in worker 0's
+        # batch for worker 1; worker 0 must send it before it pops c (f = 2).
+        g = ExplicitGraph(
+            [("a", "b", 1), ("a", "c", 2), ("b", "t", 1), ("c", "t", 5)], "a", {"t"}
+        )
+        strategy = MappedStrategy({"a": 0, "b": 1, "c": 0, "t": 0})
+        config = EngineConfig(workers=2, batch_size=10, seed=1)
+        eng = HDAStar(g, config, strategy=strategy)
+        eng.step(0)
+        assert [item[0] for item in eng.workers[0].out[1]] == ["b"]
+        assert eng.transport.pending_channels() == []
+        eng.step(0)
+        assert eng.workers[0].stats.expanded == 2
+        ((kind, _stamp, batch),) = eng.transport.channels[0, 1]
+        assert kind == "W" and [item[0] for item in batch] == ["b"]
+        assert eng.workers[0].out[1] == []
+
+    def test_no_child_is_held_past_a_worse_pop(self):
+        # The send invariant holds at every pop, whatever the schedule.
+        # Under the eager policy HDA* runs for minutes on a 3x3 tile, so
+        # that policy runs only on the lattice.
+        lattice, tile = reopening_lattice(), TilePuzzle(random_scramble(3, 12, 32))
+        runs = [(lattice, policy) for policy in POLICIES]
+        runs += [(tile, "default"), (tile, "adversarial")]
+        held_pops = {lattice: 0, tile: 0}
+        for problem, policy in runs:
+            want = astar(problem).cost
+            for workers in (2, 8, 32):
+                engine = HDAStar(problem, EngineConfig(workers=workers, seed=1))
+                engine.policy = POLICIES[policy](1)
+                counted = check_send_invariant(engine)
+                assert engine.run().cost == want
+                held_pops[problem] += counted[0]
+        assert min(held_pops.values()) > 0, held_pops
+
+    def test_lattice_search_overhead_bounded(self):
+        # h = 0 and unequal step costs: children wait behind no worse pop,
+        # so HDA* expands at most 1.25x what A* does.
+        problem = reopening_lattice()
+        serial = astar(problem)
+        assert serial.stats.expanded == 1000
+        for workers in (16, 32):
+            sol = hdastar(problem, EngineConfig(workers=workers, seed=1))
+            assert sol.cost == serial.cost
+            assert sol.stats.expanded <= 1.25 * serial.stats.expanded, workers
+
     def test_unflushed_batch_blocks_detection(self):
         # Both children lie above the root's f-layer (h = 0), so they wait in
         # worker 0's batch for worker 1 while worker 0's open list is empty
@@ -734,12 +815,12 @@ class TestChannelTransport:
         # A change to the delivery order changes these counters.
         sol = hdastar(LatticeProblem((6, 6, 6)), EngineConfig(workers=32, seed=7))
         assert sol.cost == 6.0
-        assert sol.meta["ticks"] == 2126
+        assert sol.meta["ticks"] == 2067
         assert [w.expanded for w in sol.per_worker] == [
-            8, 12, 15, 12, 12, 10, 14, 12, 13, 11, 12, 10, 12, 11, 8, 14,
-            8, 13, 10, 11, 10, 15, 12, 16, 10, 10, 14, 11, 10, 12, 13, 14,
+            7, 11, 13, 9, 10, 11, 13, 9, 11, 12, 11, 11, 11, 13, 8, 14,
+            7, 14, 10, 11, 10, 15, 12, 12, 11, 10, 14, 10, 9, 10, 11, 14,
         ]
-        assert sol.stats.sent_batches == 1300
+        assert sol.stats.sent_batches == 1347
         assert sol.meta["detection_rounds"] == 2
         assert sol.meta["detection_waves"] == 3
 
@@ -772,16 +853,11 @@ class TestReadyList:
         patterns = [pat for pat in itertools.product((0, 1), repeat=3) if any(pat)]
         lattice = LatticeProblem((4, 4, 4), {pat: 1 + sum(pat) / 2 for pat in patterns})
         tile = TilePuzzle(random_scramble(3, 12, 32))
-        policies = {
-            "default": SchedulePolicy,
-            "adversarial": AdversarialPolicy,
-            "eager": lambda seed: EagerWorkerPolicy(),
-        }
         runs = [
             (lattice, workers, {}, termination, policy)
             for workers in (1, 3, 32)
             for termination in ("two-wave", "time")
-            for policy in policies
+            for policy in POLICIES
         ] + [
             (tile, 3, {"batch_size": 2}, termination, policy)
             for termination in ("two-wave", "time")
@@ -794,7 +870,7 @@ class TestReadyList:
             )
             engine = HDAStar(problem, config)
             improved = count_improvements(engine)
-            sol = self._checked_run(engine, policies[policy](2), scan_hda)
+            sol = self._checked_run(engine, POLICIES[policy](2), scan_hda)
             assert sol.cost == astar(problem).cost == improved[-1]
             assert (engine.policy.deliveries > 0) == (workers > 1)
             improvements[problem, workers, termination, policy] = len(improved)
@@ -802,7 +878,7 @@ class TestReadyList:
         # lowers it again after its first goal; in the tile runs the second
         # goal leaves an idle worker whose open list no longer beats the
         # incumbent, which only that re-check drops.
-        for termination, policy in itertools.product(("two-wave", "time"), policies):
+        for termination, policy in itertools.product(("two-wave", "time"), POLICIES):
             assert improvements[lattice, 32, termination, policy] >= 2
             assert improvements[lattice, 1, termination, policy] == 1
         for termination, policy in itertools.product(
@@ -930,23 +1006,20 @@ class TestRunMemory:
 # HDA* p=4, recorded with separate open and closed dicts; the duplicate and
 # reopen rules of any NodeTable layout must reproduce them.
 PINNED_TABLE_COUNTERS = {
-    ("tile", 1): ((676, 1799, 0, 708, 399), (870, 2313, 1, 922, 147)),
-    ("tile", 2): ((495, 1308, 0, 515, 284), (642, 1712, 4, 676, 112)),
-    ("tile", 3): ((410, 1102, 0, 432, 257), (462, 1233, 0, 487, 81)),
-    ("lattice", 1): ((1000, 5859, 0, 4860, 185), (1116, 6271, 116, 5029, 93)),
+    ("tile", 1): ((676, 1799, 0, 708, 399), (853, 2270, 1, 909, 146)),
+    ("tile", 2): ((495, 1308, 0, 515, 284), (532, 1418, 3, 555, 101)),
+    ("tile", 3): ((410, 1102, 0, 432, 257), (410, 1104, 0, 433, 71)),
+    ("lattice", 1): ((1000, 5859, 0, 4860, 185), (1117, 6278, 117, 5027, 89)),
 }
 TABLE_COUNTERS = ("expanded", "generated", "reopened", "duplicates", "max_open")
 
 
 def test_node_table_counters_pinned():
-    # The lattice's unequal step costs and h = 0 make HDA* reopen often.
-    patterns = [pat for pat in itertools.product((0, 1), repeat=3) if any(pat)]
-    costs = dict(zip(patterns, (1.0, 2.0, 2.5, 3.0, 3.5, 4.5, 5.0)))
     for (kind, seed), want in PINNED_TABLE_COUNTERS.items():
         if kind == "tile":
             problem = TilePuzzle(random_solvable(3, seed))
         else:
-            problem = LatticeProblem((9, 9, 9), costs)
+            problem = reopening_lattice()
         sols = astar(problem), hdastar(problem, EngineConfig(workers=4, seed=seed))
         got = tuple(
             tuple(getattr(sol.stats, name) for name in TABLE_COUNTERS)
