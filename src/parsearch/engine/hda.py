@@ -311,23 +311,13 @@ class HDAStar(Engine):
             return
         self._work_since_detect = False
         self.rounds += 1
-        if self.p == 1:
-            if self.config.termination == "two-wave":
-                self.waves += 2
-                ok = two_wave_check([worker])
-            else:
-                self.waves += 1
-                ok = time_ring_check([worker])
-            if ok:
-                self._detection_passed()
-            return
         if self.config.termination == "two-wave":
             msg = start_two_wave(0, worker)
         else:
             msg = start_time_ring(0, worker)
         self.waves += 1
         self.detect_in_flight = True
-        self.transport.send(0, 1, ("C", msg))
+        self.transport.send(0, 1 % self.p, ("C", msg))
 
     def _handle_control(self, worker: _Worker, msg: ControlMessage) -> None:
         if worker.id == msg.initiator:
@@ -336,17 +326,12 @@ class HDAStar(Engine):
                 self.waves += 1
                 msg2 = start_second_wave(msg, worker)
                 self.transport.send(worker.id, (worker.id + 1) % self.p, ("C", msg2))
-            elif verdict == "pass":
-                self._detection_passed()
             else:
                 self.detect_in_flight = False
+                self.finished = verdict == "pass"
         else:
             dst, fwd = on_control(msg, worker.id, worker, self.p)
             self.transport.send(worker.id, dst, ("C", fwd))
-
-    def _detection_passed(self) -> None:
-        self.detect_in_flight = False
-        self.finished = True
 
     # -- results ---------------------------------------------------------------
 
@@ -379,9 +364,18 @@ class HDAStar(Engine):
         return min(found, key=lambda e: e[0], default=None)
 
     def check(self) -> None:
-        """Post-termination invariants: nothing pending, counters balanced."""
+        """Post-termination invariants: nothing pending, the configured
+        detector passing once more in place over the stopped workers (a
+        global snapshot that confirms the asynchronous verdict and sees
+        held batches too), counters balanced."""
         if self.improving_work_pending():
             raise SearchInvariantError("premature termination")
+        if self.config.termination == "two-wave":
+            quiescent = two_wave_check(self.workers)
+        else:
+            quiescent = time_ring_check(self.workers)
+        if not quiescent:
+            raise SearchInvariantError("stopped system is not quiescent")
         sent = sum(s.sent for s in self.stats)
         received = sum(s.received for s in self.stats)
         if sent != received:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from io import StringIO
 
 from parsearch.common import EPS
-from parsearch.serial import SearchStats, Solution
+from parsearch.serial import Solution
 
 CSV_COLUMNS = [
     "instance",
@@ -40,13 +40,9 @@ class OverheadReport:
     speedup: float
 
 
-def _stats_of(run) -> SearchStats:
-    return run.stats if isinstance(run, Solution) else run
-
-
-def overheads(serial, run: Solution) -> OverheadReport:
+def overheads(serial: Solution, run: Solution) -> OverheadReport:
     """Compare a parallel run against its serial baseline on one instance."""
-    serial_stats = _stats_of(serial)
+    serial_stats = serial.stats
     stats = run.stats
     if serial_stats.expanded == 0:
         raise ValueError("serial baseline expanded no nodes")
@@ -68,13 +64,13 @@ def overheads(serial, run: Solution) -> OverheadReport:
     )
 
 
-def efficiency_fraction(run, c_star: float) -> float:
+def efficiency_fraction(run: Solution, c_star: float) -> float:
     """Fraction of expanded nodes with f below the optimal cost.
 
     Raises ValueError when nothing was expanded or the run did not record
     the f of every expansion (the parallel window engine records none).
     """
-    stats = _stats_of(run)
+    stats = run.stats
     if stats.expanded == 0:
         raise ValueError("efficiency fraction undefined: nothing expanded")
     if len(stats.expanded_f) != stats.expanded:

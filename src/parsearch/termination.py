@@ -126,7 +126,7 @@ def conclude(msg: ControlMessage, view: TerminationView) -> str:
     raise ValueError(f"unknown control kind {msg.kind!r}")
 
 
-# --- synchronous forms: one whole check driven in place (unit tests, p=1) ---
+# --- synchronous forms: one whole check in place (unit tests and `HDAStar.check`) ---
 
 
 def _around(msg: ControlMessage, workers: Sequence[TerminationView]) -> ControlMessage:

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from parsearch.common import EPS, INF, ConfigError, NodeLimitExceeded
+from parsearch.common import (
+    EPS,
+    INF,
+    ConfigError,
+    NodeLimitExceeded,
+    SearchInvariantError,
+)
 from parsearch.domains import (
     ExplicitGraph,
     LatticeProblem,
@@ -534,15 +540,23 @@ for token in ("zobrist", "random"):
             [("a", "b", 1), ("a", "c", 1), ("b", "t", 1), ("c", "t", 1)], "a", {"t"}
         )
         strategy = MappedStrategy({"a": 0, "b": 1, "c": 1, "t": 0})
-        config = EngineConfig(workers=2, batch_size=10, seed=1)
-        eng = HDAStar(g, config, strategy=strategy)
-        eng.step(0)
-        worker = eng.workers[0]
-        assert [item[0] for item in worker.out[1]] == ["b", "c"]
-        assert worker.table.min_f() == INF
-        assert not worker.quiescent
-        assert not two_wave_check(eng.workers)
-        assert not time_ring_check(eng.workers)
+        for termination in ("two-wave", "time"):
+            config = EngineConfig(
+                workers=2, batch_size=10, seed=1, termination=termination
+            )
+            eng = HDAStar(g, config, strategy=strategy)
+            eng.step(0)
+            worker = eng.workers[0]
+            assert [item[0] for item in worker.out[1]] == ["b", "c"]
+            assert worker.table.min_f() == INF
+            assert not worker.quiescent
+            assert not two_wave_check(eng.workers)
+            assert not time_ring_check(eng.workers)
+            # Stopped here, the run leaves no improving work in a channel or
+            # an open list, but the post-run check's detector sees the batch.
+            assert eng.improving_work_pending() == []
+            with pytest.raises(SearchInvariantError, match="not quiescent"):
+                eng.check()
 
     def test_search_overhead_independent_of_batch_size(self):
         # Same-layer children do not wait for a full batch, so a larger
@@ -754,6 +768,7 @@ class CheckedPolicy:
         self.scan = scan
         self.ticks = 0
         self.deliveries = 0
+        self.control_deliveries = 0
 
     def choose(self, steps, delivers):
         assert steps == self.scan(self.engine)
@@ -762,7 +777,9 @@ class CheckedPolicy:
             assert delivers == rescan(transport)
         kind, arg = self.inner.choose(steps, delivers)
         self.ticks += 1
-        self.deliveries += kind == "deliver"
+        if kind == "deliver":
+            self.deliveries += 1
+            self.control_deliveries += transport.channels[arg][0][0] == "C"
         return kind, arg
 
 
@@ -872,7 +889,12 @@ class TestReadyList:
             improved = count_improvements(engine)
             sol = self._checked_run(engine, POLICIES[policy](2), scan_hda)
             assert sol.cost == astar(problem).cost == improved[-1]
-            assert (engine.policy.deliveries > 0) == (workers > 1)
+            # A single worker sends no work, but its detection waves still
+            # travel the transport, one delivery each.
+            control = engine.policy.control_deliveries
+            assert (engine.policy.deliveries > control) == (workers > 1)
+            if workers == 1:
+                assert control == sol.meta["detection_waves"]
             improvements[problem, workers, termination, policy] = len(improved)
         # A lower incumbent re-checks every worker. Every p=32 lattice run
         # lowers it again after its first goal; in the tile runs the second

@@ -2,8 +2,9 @@
 no private function or method is defined without being referenced, every
 public function and class has a caller outside the tests (or a stated
 reason to be kept), no EngineConfig field goes unread, no override renames
-its base's parameters, only `BestFirstSearch.step` pops a node table, and
-only `LazyTable` defines `__missing__`."""
+its base's parameters, only `BestFirstSearch.step` pops a node table, only
+`LazyTable` defines `__missing__`, and HDA* imports and calls by name every
+termination function the benchmark's tracer wraps."""
 
 import ast
 from dataclasses import fields
@@ -411,3 +412,61 @@ def test_check_sees_a_second_table_pop():
         "Engine.drain (line 9)",
         "helper (line 12)",
     ]
+
+
+def assigned_strings(tree: ast.Module, name: str) -> list[str]:
+    """The literal sequence of strings assigned to `name` at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise LookupError(name)
+
+
+def unbound_names(tree: ast.Module, names: list[str]) -> list[str]:
+    """The `names` that `tree` does not both import unaliased by a `from`
+    import and call by that plain name. A wrapper set on the module's
+    attribute sees only such calls: a call through an alias, another
+    module's attribute or a table bypasses it."""
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname is None
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    return [name for name in names if name not in imported or name not in called]
+
+
+def test_hda_calls_every_traced_termination_function():
+    # The benchmark's traced pass replaces these names on
+    # `parsearch.engine.hda` to time the termination layer.
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    names = assigned_strings(spans, "TERMINATION_FUNCTIONS")
+    assert names
+    hda = ast.parse((SRC / "engine" / "hda.py").read_text())
+    assert unbound_names(hda, names) == []
+
+
+def test_check_sees_an_unbound_name():
+    spans = ast.parse("LAYERS = 1\nNAMES = ('called', 'aliased')\n")
+    assert assigned_strings(spans, "NAMES") == ["called", "aliased"]
+    tree = ast.parse(
+        "import m\n"
+        "from m import called, imported, aliased as a, held\n"
+        "TABLE = {'held': held}\n"
+        "def run():\n"
+        "    called()\n"
+        "    a()\n"
+        "    m.attribute()\n"
+        "    TABLE['held']()\n"
+        "    unimported()\n"
+    )
+    names = ["called", "imported", "aliased", "held", "attribute", "unimported"]
+    assert unbound_names(tree, names) == names[1:]

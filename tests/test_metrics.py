@@ -48,8 +48,8 @@ class TestOverheads:
 
     def test_load_balance_undefined_error(self):
         empty = Solution(0.0, [], SearchStats(), per_worker=[SearchStats()])
-        serial = SearchStats(expanded=10)
-        with pytest.raises(ValueError):
+        serial = Solution(1.0, [], SearchStats(expanded=10))
+        with pytest.raises(ValueError, match="load balance undefined"):
             overheads(serial, empty)
 
 
@@ -92,8 +92,8 @@ class TestEfficiencyFraction:
             )
 
     def test_zero_expansions_error(self):
-        with pytest.raises(ValueError):
-            efficiency_fraction(SearchStats(), 1.0)
+        with pytest.raises(ValueError, match="nothing expanded"):
+            efficiency_fraction(Solution(1.0, [], SearchStats()), 1.0)
 
     def test_unrecorded_expansion_f_error(self):
         # the window engine records no per-expansion f: no fraction, not 0.0

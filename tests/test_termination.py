@@ -3,7 +3,7 @@
 import random
 from dataclasses import dataclass
 
-from parsearch.domains import TilePuzzle, random_scramble
+from parsearch.domains import TilePuzzle, random_scramble, random_solvable
 from parsearch.engine import AdversarialPolicy, EngineConfig
 from parsearch.engine.hda import HDAStar
 from parsearch.serial import astar
@@ -144,6 +144,29 @@ class TestEngineDetection:
                 ).run()
                 assert sol.cost == INF
                 assert sol.path == []
+
+    def test_single_worker_sends_its_waves_to_itself(self):
+        # Criterion 1's 8-puzzle instances at p = 1 (seed 7): each run takes
+        # one round of two waves (two-wave) or one ring (time), and every
+        # wave is a control message that worker 0 sends itself through the
+        # transport, the same protocol as at p > 1.
+        for termination, waves in (("two-wave", 2), ("time", 1)):
+            for seed in range(100):
+                problem = TilePuzzle(random_solvable(3, seed))
+                config = EngineConfig(workers=1, seed=7, termination=termination)
+                engine = HDAStar(problem, config)
+                sent = []
+                send = engine.transport.send
+
+                def logged(src, dst, item, sent=sent, send=send):
+                    sent.append((src, dst, item[0]))
+                    send(src, dst, item)
+
+                engine.transport.send = logged
+                meta = engine.run().meta
+                counts = (meta["detection_rounds"], meta["detection_waves"])
+                assert counts == (1, waves), (termination, seed)
+                assert sent == [(0, 0, "C")] * waves, (termination, seed)
 
     def test_detection_counts_reported(self):
         p = TilePuzzle(random_scramble(3, 10, 5))
