@@ -13,18 +13,23 @@ A tick hands the policy the engine's ready list and the transport's
 pending channels as they are: neither is copied or rebuilt by a scan, so
 the driver's own cost per tick is O(1) and a tick costs what the policy's
 choice costs (O(1) for the seeded policies, O(ready) plus O(pending) for
-the eager one). The transport keeps its non-empty channels, in first-send
-order, up to date on every send and deliver (O(log channels) each); an
-engine whose readiness changes keeps its ready list up to date on its own
-steps and deliveries (HDA* re-checks only the workers a step or delivery
-can affect).
+the eager one). The seeded policy draws its index straight from the
+generator's `getrandbits`, with the numbers `random.choice` would take, so
+a tick pays for the driver loop, the `ready`, `pending_channels` and
+`choose` calls and one or two C-level draws, and no stdlib Python frame.
+The transport keeps its non-empty channels, in first-send order, up to
+date on every send and deliver (a bisect on a list of ints, O(log
+channels) each); an engine whose readiness changes keeps its ready list
+up to date on its own steps and deliveries (HDA* re-checks only the
+workers a step or delivery can affect, and a delivery marks its receiver
+ready in O(1)).
 
 `Engine.run` is the one run lifecycle: drive, check, take the result,
 validate it and report a `Solution`. An engine supplies:
   algorithm    its name, Solution.meta["algorithm"]
   step(w)      one atomic action of worker w; setting `finished` ends the run
   ready()      ascending ids of the workers the driver may step now
-               (default: every worker)
+               (default: one list of every worker, built once)
   deliver(c)   deliver the head of transport channel c; an engine with a
                transport defines it
   result()     (cost, path) once finished; path [] when unsolved
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left, insort
+from bisect import bisect, bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -99,12 +104,16 @@ class Engine:
         self.p = self.config.workers
         self.finished = False
         self.ticks = 0  # scheduler ticks of the finished run
+        self._everyone = list(range(self.p))  # the default ready list
 
     def step(self, w: int) -> None:
         raise NotImplementedError
 
+    def deliver(self, channel: tuple[int, int]) -> None:
+        raise NotImplementedError
+
     def ready(self) -> list[int]:
-        return list(range(self.p))
+        return self._everyone
 
     def check(self) -> None:
         pass
@@ -149,9 +158,10 @@ class ChannelTransport:
     Invariant: the pending list holds exactly the non-empty channels, in
     first-send order (the insertion order of `channels`), so a seeded
     policy draws the same schedule however many channels were ever opened.
-    `send` and `deliver` keep it with a bisect on the channel's creation
-    rank, O(log channels) each; `pending_channels` returns the list itself,
-    which its caller reads and never keeps or changes.
+    `send` and `deliver` keep it, and beside it the list of its channels'
+    creation ranks, with a bisect on that list of ints, O(log channels)
+    each; `pending_channels` returns the list itself, which its caller
+    reads and never keeps or changes.
     """
 
     def __init__(self, p: int):
@@ -159,6 +169,7 @@ class ChannelTransport:
         self.channels: dict[tuple[int, int], deque] = {}
         self._rank: dict[tuple[int, int], int] = {}  # first-send order
         self._pending: list[tuple[int, int]] = []  # non-empty, by rank
+        self._pending_ranks: list[int] = []  # their ranks, ascending
 
     def send(self, src: int, dst: int, item) -> None:
         channel = (src, dst)
@@ -167,17 +178,21 @@ class ChannelTransport:
             queue = self.channels[channel] = deque()
             self._rank[channel] = len(self._rank)
         if not queue:
-            insort(self._pending, channel, key=self._rank.__getitem__)
+            rank = self._rank[channel]
+            ranks = self._pending_ranks
+            i = bisect(ranks, rank)
+            ranks.insert(i, rank)
+            self._pending.insert(i, channel)
         queue.append(item)
 
     def deliver(self, channel: tuple[int, int]) -> None:
         queue = self.channels[channel]
         self.boxes[channel[1]].append(queue.popleft())
         if not queue:
-            rank = self._rank[channel]
-            del self._pending[
-                bisect_left(self._pending, rank, key=self._rank.__getitem__)
-            ]
+            ranks = self._pending_ranks
+            i = bisect_left(ranks, self._rank[channel])
+            del ranks[i]
+            del self._pending[i]
 
     def pending_channels(self) -> list[tuple[int, int]]:
         return self._pending
@@ -205,16 +220,28 @@ class SchedulePolicy:
 
     def __init__(self, seed: int, delivery_bias: float = 0.9):
         self.rng = random.Random(seed)
+        self._random = self.rng.random
+        self._getrandbits = self.rng.getrandbits
         self.delivery_bias = delivery_bias
 
     def choose(self, steps: list, delivers: list):
-        if steps and delivers:
-            if self.rng.random() < self.delivery_bias:
-                return "deliver", self.rng.choice(delivers)
-            return "step", self.rng.choice(steps)
-        if steps:
-            return "step", self.rng.choice(steps)
-        return "deliver", self.rng.choice(delivers)
+        """With both lists non-empty, one `random()` draw against the bias
+        picks the list; then one index into it. The index takes the numbers
+        `random.Random.choice` takes: getrandbits(n.bit_length()), drawn
+        again until it is below n."""
+        if delivers and (not steps or self._random() < self.delivery_bias):
+            kind, options = "deliver", delivers
+        elif steps:
+            kind, options = "step", steps
+        else:
+            raise IndexError("no ready worker and no pending channel")
+        n = len(options)
+        k = n.bit_length()
+        getrandbits = self._getrandbits
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        return kind, options[i]
 
 
 class AdversarialPolicy(SchedulePolicy):
@@ -244,14 +271,15 @@ def run_interleaved(engine, seed: int, policy=None):
     """Drive an engine's workers step by step from a seeded schedule.
 
     The engine is an Engine whose transport, if any, is a ChannelTransport.
-    The engine's `ready` and `step`, the transport's `pending_channels` and
-    the policy's `choose` are looked up once per run, on the instances, so
-    wrappers set on them before the run still see every call.
-    Raises RuntimeError on a stall.
+    The engine's `ready`, `step` and `deliver`, the transport's
+    `pending_channels` and the policy's `choose` are looked up once per
+    run, on the instances, so wrappers set on them before the run still see
+    every call. Raises RuntimeError on a stall.
     """
     choose = (policy or SchedulePolicy(seed)).choose
     ready = engine.ready
     step = engine.step
+    deliver = engine.deliver
     transport = engine.transport
     if transport is None:
         no_channels: list = []
@@ -270,6 +298,6 @@ def run_interleaved(engine, seed: int, policy=None):
         if kind == "step":
             step(arg)
         else:
-            engine.deliver(arg)
+            deliver(arg)
         ticks += 1
     return ticks

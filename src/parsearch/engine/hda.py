@@ -119,19 +119,20 @@ class _Worker(BestFirstSearch):
         child_key = self.strategy.child_key
         owner_of = self.strategy.owner
         insert = self.table.insert
-        out_f = self.out_f
+        wid, p, out, out_f = self.id, self.p, self.out, self.out_f
+        batch_size = self.batch_size
         layer = g + h + EPS
         for succ, cost, h1, move in records:
             g1 = g + cost
             k = child_key(key, succ, move)
-            owner = owner_of(k, self.p)
-            if owner == self.id:
+            owner = owner_of(k, p)
+            if owner == wid:
                 insert(succ, g1, h1, state, stats, k)
             else:
-                buf = self.out[owner]
+                buf = out[owner]
                 buf.append((succ, g1, h1, state, k))
                 f1 = g1 + h1
-                if len(buf) >= self.batch_size or f1 <= layer:
+                if len(buf) >= batch_size or f1 <= layer:
                     self.flush(owner)
                 elif f1 < out_f[owner]:
                     out_f[owner] = f1
@@ -141,11 +142,13 @@ class _Worker(BestFirstSearch):
     def flush(self, dst: int) -> None:
         """Send the non-empty batch for dst; the message takes the list
         itself and the worker starts a new one."""
-        buf = self.out[dst]
-        self.out[dst] = []
+        out = self.out
+        buf = out[dst]
+        out[dst] = []
         self.out_f[dst] = INF
-        self.stats.sent_batches += 1
-        self.stats.sent += len(buf)
+        stats = self.stats
+        stats.sent_batches += 1
+        stats.sent += len(buf)
         self.transport.send(self.id, dst, ("W", self.clock, buf))
 
     def send_below(self, f: float) -> None:
@@ -205,7 +208,7 @@ class HDAStar(Engine):
         key = self.strategy.key(root)
         owner = self.workers[self.strategy.owner(key, self.p)]
         owner.table.insert(root, 0.0, problem.h(root), None, owner.stats, key)
-        self._ready = [w for w in range(self.p) if self._can_step(w)]
+        self._relist()
 
     # -- runner interface ----------------------------------------------------
 
@@ -215,13 +218,21 @@ class HDAStar(Engine):
             w == 0 and not self.detect_in_flight and self._work_since_detect
         )
 
+    def _relist(self) -> None:
+        """Build the ready list from `_can_step`, and `_listed`, which says
+        in O(1) whether a worker is on it."""
+        self._listed = [self._can_step(w) for w in range(self.p)]
+        self._ready = [w for w, listed in enumerate(self._listed) if listed]
+
     def _recheck(self, w: int) -> None:
-        ready = self._ready
+        listed = self._listed
         if self._can_step(w):
-            if w not in ready:
-                insort(ready, w)
-        elif w in ready:
-            ready.remove(w)
+            if not listed[w]:
+                listed[w] = True
+                insort(self._ready, w)
+        elif listed[w]:
+            listed[w] = False
+            self._ready.remove(w)
 
     def ready(self) -> list[int]:
         """The workers `_can_step` admits, ascending.
@@ -238,39 +249,66 @@ class HDAStar(Engine):
     def deliver(self, channel: tuple[int, int]) -> None:
         self.transport.deliver(channel)
         dst = channel[1]
-        if dst not in self._ready:
+        listed = self._listed
+        if not listed[dst]:
+            listed[dst] = True
             insort(self._ready, dst)
 
     def step(self, w: int) -> None:
         """Run worker w's loop iteration, then bring the ready list up to
-        date with what it changed."""
-        bound = self.incumbent.cost
+        date with what it changed. A worker left with an empty mailbox and
+        open work below the incumbent is still ready, and the driver only
+        steps listed workers, so it needs no re-check."""
+        incumbent = self.incumbent
+        bound = incumbent.cost
         flagged = self._work_since_detect
-        self._iterate(w)
-        if self.incumbent.cost < bound:
-            self._ready = [v for v in range(self.p) if self._can_step(v)]
-        else:
+        worker = self.workers[w]
+        self._iterate(worker)
+        if incumbent.cost < bound:
+            self._relist()
+            return
+        if worker.box or worker.table.min_f() >= incumbent.cost - EPS:
             self._recheck(w)
-            if w and not flagged and self._work_since_detect:
-                self._recheck(0)
+        if w and not flagged and self._work_since_detect:
+            self._recheck(0)
 
-    def _iterate(self, w: int) -> None:
-        """One loop iteration of worker w: drain mailbox fully, then send
-        every batch holding a child below the f about to be popped and
+    def _iterate(self, worker: _Worker) -> None:
+        """One loop iteration of a worker: drain its mailbox fully, then
+        send every batch holding a child below the f about to be popped and
         expand one node (whose same-layer children `place` sends at once)
         or, with nothing below the incumbent, flush the partial batches and
         maybe detect. A step with nothing due pays one comparison for the
-        send invariant."""
-        worker = self.workers[w]
+        send invariant.
+
+        The drain checks that the worker owns every state it receives and
+        keeps the termination counters: one received message per work
+        batch, and the largest stamp received."""
+        w = worker.id
         box = worker.box
-        while box:
-            item = box.popleft()
-            if item[0] == "W":
-                self._receive_work(worker, item)
-            else:
-                self._handle_control(worker, item[1])
-            if self.finished:
-                return
+        if box:
+            stats = worker.stats
+            owner = self.strategy.owner
+            insert = worker.table.insert
+            p = self.p
+            while box:
+                item = box.popleft()
+                if item[0] != "W":
+                    self._handle_control(worker, item[1])
+                    if self.finished:
+                        return
+                    continue
+                _, stamp, batch = item
+                self._work_since_detect = True
+                stats.received_batches += 1
+                stats.received += len(batch)
+                if stamp > worker.max_received_stamp:
+                    worker.max_received_stamp = stamp
+                for state, g1, h1, parent, key in batch:
+                    if owner(key, p) != w:
+                        raise SearchInvariantError(
+                            "state delivered to a non-owner worker"
+                        )
+                    insert(state, g1, h1, parent, stats, key)
         mf = worker.table.min_f()
         if mf < self.incumbent.cost - EPS:
             self._work_since_detect = True
@@ -285,23 +323,6 @@ class HDAStar(Engine):
                 worker.flush(dst)
         if w == 0:
             self._maybe_initiate(worker)
-
-    # -- search mechanics ----------------------------------------------------
-
-    def _receive_work(self, worker: _Worker, item) -> None:
-        _, stamp, batch = item
-        self._work_since_detect = True
-        stats = worker.stats
-        stats.received_batches += 1
-        stats.received += len(batch)
-        if stamp > worker.max_received_stamp:
-            worker.max_received_stamp = stamp
-        owner = self.strategy.owner
-        insert = worker.table.insert
-        for state, g1, h1, parent, key in batch:
-            if owner(key, self.p) != worker.id:
-                raise SearchInvariantError("state delivered to a non-owner worker")
-            insert(state, g1, h1, parent, stats, key)
 
     # -- termination ----------------------------------------------------------
 

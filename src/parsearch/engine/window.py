@@ -46,7 +46,7 @@ class ParallelWindow(Engine):
         ones. Some worker is busy then: the step that ends the last running
         iteration with no bound left to claim finishes the run."""
         if self._peek_claim() is not None:
-            return list(range(self.p))
+            return self._everyone
         return [w for w, dfs in enumerate(self.slots) if dfs is not None]
 
     def _try_finish(self) -> None:

@@ -842,6 +842,93 @@ class TestChannelTransport:
         assert sol.meta["detection_waves"] == 3
 
 
+class ReferencePolicy:
+    """The seeded policy's draws written with `random.Random.random` and
+    `.choice`, as the policy made them before its index draw was inlined."""
+
+    def __init__(self, seed, adversarial=False):
+        self.rng = random.Random(seed)
+        self.bias = self.rng.uniform(0.05, 0.95) if adversarial else 0.9
+
+    def choose(self, steps, delivers):
+        if steps and delivers:
+            if self.rng.random() < self.bias:
+                return "deliver", self.rng.choice(delivers)
+            return "step", self.rng.choice(steps)
+        if steps:
+            return "step", self.rng.choice(steps)
+        return "deliver", self.rng.choice(delivers)
+
+
+class TestPolicyDraws:
+    def test_choose_matches_random_choice_reference(self):
+        # Every size from 1 to 64 on each side (powers of two and their
+        # neighbours included), and either list empty, in a scripted order.
+        script = random.Random(17)
+        sizes = list(range(65))
+        calls = []
+        for _ in range(3000):
+            n_steps, n_delivers = script.choice(sizes), script.choice(sizes)
+            if not n_steps and not n_delivers:
+                n_delivers = 1
+            steps = list(range(n_steps))
+            delivers = [(i, i + 1) for i in range(n_delivers)]
+            calls.append((steps, delivers))
+        calls += [(list(range(n)), []) for n in range(1, 65)]
+        calls += [([], [(0, i) for i in range(n)]) for n in range(1, 65)]
+        for seed in (0, 1, 2, 7, 12345):
+            for policy, reference in (
+                (SchedulePolicy(seed), ReferencePolicy(seed)),
+                (AdversarialPolicy(seed), ReferencePolicy(seed, adversarial=True)),
+            ):
+                assert policy.delivery_bias == reference.bias
+                for steps, delivers in calls:
+                    assert policy.choose(steps, delivers) == reference.choose(
+                        steps, delivers
+                    ), (seed, len(steps), len(delivers))
+
+    def test_choose_refuses_two_empty_lists(self):
+        with pytest.raises(IndexError):
+            SchedulePolicy(0).choose([], [])
+
+
+class TestTracingHooks:
+    def test_wrappers_set_after_construction_see_every_call(self):
+        # Wrap the calls perfbench's `trace_engine` wraps, on the instances
+        # and after construction, as it does; every call must reach them.
+        lattice = LatticeProblem((4, 4, 4))
+        tile = TilePuzzle(random_scramble(3, 12, 4))
+        for problem, workers in ((lattice, 32), (tile, 8), (tile, 1)):
+            for termination in ("two-wave", "time"):
+                config = EngineConfig(workers=workers, seed=5, termination=termination)
+                engine = HDAStar(problem, config)
+                transport = engine.transport
+                counts = dict.fromkeys(("step", "send", "deliver", "pending"), 0)
+
+                def counted(name, fn):
+                    def wrapper(*args):
+                        counts[name] += 1
+                        return fn(*args)
+
+                    return wrapper
+
+                engine.step = counted("step", engine.step)
+                transport.send = counted("send", transport.send)
+                transport.deliver = counted("deliver", transport.deliver)
+                transport.pending_channels = counted(
+                    "pending", transport.pending_channels
+                )
+                sol = engine.run()
+                assert sol.cost == astar(problem).cost
+                ticks = sol.meta["ticks"]
+                # Each detection wave is one control message around the ring.
+                control = sol.meta["detection_waves"] * workers
+                assert counts["send"] == sol.stats.sent_batches + control
+                assert counts["step"] + counts["deliver"] == ticks
+                assert counts["pending"] == ticks
+                assert counts["deliver"] == counts["send"]
+
+
 def count_improvements(engine) -> list:
     """Wrap the engine's incumbent; the returned list collects each offered
     cost that lowered it."""
@@ -923,6 +1010,23 @@ class TestReadyList:
             engine = Dovetail(problem, DEFAULT_WEIGHTS, DEFAULT_NODE_LIMIT)
             sol = self._checked_run(engine, SchedulePolicy(0), scan_dovetail)
             assert sol.solved
+
+    def test_default_ready_list_is_built_once(self, tile_suite_small):
+        # SPA* steps any worker: one list of every worker, the same object
+        # on every tick, never changed by the driver or the policy.
+        engine = SPAStar(tile_suite_small[0], EngineConfig(workers=4, seed=1))
+        seen = []
+        ready = engine.ready
+
+        def logged():
+            seen.append(ready())
+            return seen[-1]
+
+        engine.ready = logged
+        sol = engine.run()
+        assert len(seen) == engine.ticks == sol.stats.expanded
+        assert all(r is seen[0] for r in seen)
+        assert seen[0] == [0, 1, 2, 3]
 
     def test_driver_raises_on_stall(self):
         class Stalled(Engine):

@@ -89,6 +89,16 @@ class TestTimeRing:
         workers = [StubWorker(sent_msgs=2), StubWorker(received_msgs=1)]
         assert time_ring_check(workers) is False
 
+    def test_stamp_at_T_fails_with_balanced_counters(self):
+        # The counters balance, but worker 1 received a message stamped at
+        # the ring's T = 1: it may have been sent after the initiator read
+        # its sent counter, so the ring must fail on the stamp alone.
+        stamped = StubWorker(received_msgs=1, max_received_stamp=1)
+        assert time_ring_check([StubWorker(sent_msgs=1), stamped]) is False
+        # The same at the initiator, which checks its own stamp at T.
+        stamped = StubWorker(received_msgs=1, max_received_stamp=1)
+        assert time_ring_check([stamped, StubWorker(sent_msgs=1)]) is False
+
     def test_clock_propagates(self):
         workers = [StubWorker(clock=5), StubWorker(clock=0)]
         time_ring_check(workers)
@@ -167,6 +177,36 @@ class TestEngineDetection:
                 counts = (meta["detection_rounds"], meta["detection_waves"])
                 assert counts == (1, waves), (termination, seed)
                 assert sent == [(0, 0, "C")] * waves, (termination, seed)
+
+    def test_max_received_stamp_is_largest_stamp_received(self):
+        # Time mode: record the stamp of every work message delivered to
+        # each worker; once the run stops every one has been received, and
+        # each worker's max_received_stamp is the largest of them.
+        rng = random.Random(3)
+        runs = 0
+        for seed in range(12):
+            problem = TilePuzzle(random_scramble(3, 14, rng))
+            config = EngineConfig(
+                workers=3, batch_size=2, seed=seed, termination="time"
+            )
+            engine = HDAStar(problem, config, policy=AdversarialPolicy(seed))
+            transport = engine.transport
+            stamps = [[] for _ in range(engine.p)]
+            deliver = transport.deliver
+
+            def logged(channel, stamps=stamps, transport=transport, deliver=deliver):
+                item = transport.channels[channel][0]
+                if item[0] == "W":
+                    stamps[channel[1]].append(item[1])
+                deliver(channel)
+
+            transport.deliver = logged
+            sol = engine.run()
+            assert sol.cost == astar(problem).cost
+            for worker, got in zip(engine.workers, stamps):
+                assert worker.max_received_stamp == max(got, default=-1)
+            runs += max(map(max, filter(None, stamps)), default=0) > 0
+        assert runs >= 6  # most runs carry stamps from after a ring
 
     def test_detection_counts_reported(self):
         p = TilePuzzle(random_scramble(3, 10, 5))
