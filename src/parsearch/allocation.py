@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from parsearch.common import DEFAULT_SEED, ConfigError
+from parsearch.common import DEFAULT_SEED, INF, ConfigError
 
 _CEIL_EPS = 1e-9
 
@@ -39,10 +39,10 @@ class SolverProfile:
     def __post_init__(self):
         if self.min_width < 1:
             raise ConfigError("min_width must be >= 1")
-        if not self.makespan > 0:
-            raise ConfigError("makespan must be > 0")
-        if not self.fail_time >= 0:
-            raise ConfigError("fail_time must be >= 0")
+        if not 0 < self.makespan < INF:
+            raise ConfigError(f"makespan must be finite and > 0, got {self.makespan}")
+        if not 0 <= self.fail_time < INF:
+            raise ConfigError(f"fail_time must be finite and >= 0, got {self.fail_time}")
 
     def duration(self, width: int) -> float:
         if width < self.min_width:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from parsearch.allocation import CostModel, ratio_bounds, sweep
-from parsearch.common import ConfigError, NodeLimitExceeded
+from parsearch.common import ConfigError, NodeLimitExceeded, unique_keys
 from parsearch.domains import (
     GridProblem,
     LatticeProblem,
@@ -95,7 +95,7 @@ def default_seed() -> int:
 
 
 def _parse_kv(text: str) -> dict[str, str]:
-    out = {}
+    pairs = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -103,8 +103,8 @@ def _parse_kv(text: str) -> dict[str, str]:
         if "=" not in part:
             raise ConfigError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        pairs.append((key.strip(), value.strip()))
+    return unique_keys(pairs, "generator key")
 
 
 def _refuse_unread(unread, what: str) -> None:
@@ -305,7 +305,10 @@ def _efficiency(run, c_star: float) -> float | None:
 
 
 def cmd_bench(args) -> int:
-    suite = json.loads(Path(args.suite).read_text())
+    suite = json.loads(
+        Path(args.suite).read_text(),
+        object_pairs_hook=lambda pairs: unique_keys(pairs, "suite key"),
+    )
     if not isinstance(suite, dict):
         raise ConfigError("suite must be a JSON object")
     # Each key is popped where it is read; a key left over is refused.

@@ -1,4 +1,4 @@
-"""Shared constants, exception types, the settings check and LazyTable."""
+"""Shared constants, exception types, the settings checks and LazyTable."""
 
 from __future__ import annotations
 
@@ -22,6 +22,17 @@ def check_count(name: str, value, least: int = 1) -> None:
     """Raise ConfigError unless value is an int (not a bool) >= least."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}")
+
+
+def unique_keys(pairs, what: str) -> dict:
+    """The dict of (key, value) pairs; a key given twice is a ConfigError
+    naming it, where a plain dict would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{what} {key!r} given twice")
+        out[key] = value
+    return out
 
 
 class LazyTable(dict):

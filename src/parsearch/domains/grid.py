@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from parsearch.common import ParseError
+from parsearch.common import ConfigError, ParseError
 from parsearch.domains.base import Feature, State
 
 SQRT2 = math.sqrt(2.0)
@@ -27,6 +27,12 @@ class GridMap:
     height: int
     blocked: frozenset[tuple[int, int]]
     connectivity: int = 8
+
+    def __post_init__(self):
+        if self.connectivity not in (4, 8):
+            raise ConfigError(
+                f"grid connectivity must be 4 or 8, got {self.connectivity!r}"
+            )
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -48,8 +54,6 @@ def parse_grid(text: str) -> GridMap:
         width, height, conn = (int(tok) for tok in header)
     except ValueError:
         raise ParseError("header fields must be integers", 1) from None
-    if conn not in (4, 8):
-        raise ParseError("connectivity must be 4 or 8", 1)
     if width < 1 or height < 1:
         raise ParseError("width and height must be positive", 1)
     if len(lines) < height + 1:
@@ -64,7 +68,10 @@ def parse_grid(text: str) -> GridMap:
                 blocked.add((x, y))
             elif ch != ".":
                 raise ParseError(f"illegal character {ch!r}", y + 2)
-    return GridMap(width, height, frozenset(blocked), conn)
+    try:
+        return GridMap(width, height, frozenset(blocked), conn)
+    except ConfigError as exc:  # the header's connectivity
+        raise ParseError(str(exc), 1) from None
 
 
 def grid_expand(
@@ -140,6 +147,9 @@ def random_grid(
 ) -> GridMap:
     """Random map with roughly `fill` fraction of blocked cells."""
     import random as _random
+
+    if not 0 <= fill <= 1:
+        raise ConfigError(f"grid fill must be in [0, 1], got {fill!r}")
 
     rng = seed if isinstance(seed, _random.Random) else _random.Random(seed)
     blocked = {

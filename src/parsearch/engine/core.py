@@ -123,7 +123,7 @@ class Engine:
 
     def run(self) -> Solution:
         start = time.perf_counter()
-        self.ticks = run_interleaved(self, self.config.seed, self.policy)
+        self.ticks = run_interleaved(self)
         wall = time.perf_counter() - start
         self.check()
         cost, path = self.result()
@@ -267,8 +267,9 @@ class EagerWorkerPolicy:
         return "deliver", min(delivers)
 
 
-def run_interleaved(engine, seed: int, policy=None):
-    """Drive an engine's workers step by step from a seeded schedule.
+def run_interleaved(engine):
+    """Drive an engine's workers step by step from a seeded schedule: the
+    engine's `policy`, or a SchedulePolicy on its `config.seed`.
 
     The engine is an Engine whose transport, if any, is a ChannelTransport.
     The engine's `ready`, `step` and `deliver`, the transport's
@@ -276,7 +277,7 @@ def run_interleaved(engine, seed: int, policy=None):
     run, on the instances, so wrappers set on them before the run still see
     every call. Raises RuntimeError on a stall.
     """
-    choose = (policy or SchedulePolicy(seed)).choose
+    choose = (engine.policy or SchedulePolicy(engine.config.seed)).choose
     ready = engine.ready
     step = engine.step
     deliver = engine.deliver

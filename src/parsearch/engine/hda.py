@@ -333,26 +333,31 @@ class HDAStar(Engine):
         self._work_since_detect = False
         self.rounds += 1
         if self.config.termination == "two-wave":
-            msg = start_two_wave(0, worker)
+            msg = start_two_wave(worker)
         else:
-            msg = start_time_ring(0, worker)
+            msg = start_time_ring(worker)
         self.waves += 1
         self.detect_in_flight = True
-        self.transport.send(0, 1 % self.p, ("C", msg))
+        self._pass_on(0, msg)
+
+    def _pass_on(self, w: int, msg: ControlMessage) -> None:
+        """Send a control message from worker w to the next on the ring."""
+        self.transport.send(w, (w + 1) % self.p, ("C", msg))
 
     def _handle_control(self, worker: _Worker, msg: ControlMessage) -> None:
-        if worker.id == msg.initiator:
-            verdict = conclude(msg, worker)
-            if verdict == "wave2":
-                self.waves += 1
-                msg2 = start_second_wave(msg, worker)
-                self.transport.send(worker.id, (worker.id + 1) % self.p, ("C", msg2))
-            else:
-                self.detect_in_flight = False
-                self.finished = verdict == "pass"
+        """Worker 0 concludes a message that has come round the ring; every
+        other worker adds its counts and passes the message on."""
+        if worker.id:
+            on_control(msg, worker)
+            self._pass_on(worker.id, msg)
+            return
+        verdict = conclude(msg, worker)
+        if verdict == "wave2":
+            self.waves += 1
+            self._pass_on(0, start_second_wave(msg, worker))
         else:
-            dst, fwd = on_control(msg, worker.id, worker, self.p)
-            self.transport.send(worker.id, dst, ("C", fwd))
+            self.detect_in_flight = False
+            self.finished = verdict == "pass"
 
     # -- results ---------------------------------------------------------------
 

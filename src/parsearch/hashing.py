@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable
 
-from parsearch.common import DEFAULT_SEED, ConfigError, LazyTable
+from parsearch.common import DEFAULT_SEED, ConfigError, LazyTable, unique_keys
 from parsearch.domains.base import Feature, SearchProblem, State, fold_key
 from parsearch.domains.lattice import LatticeProblem
 
@@ -289,7 +289,7 @@ class RandomStrategy(Strategy):
 
 def parse_strategy_config(text: str) -> dict[str, str]:
     """Parse 'key = value' lines; '#' starts a comment."""
-    out = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -297,8 +297,8 @@ def parse_strategy_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        pairs.append((key.strip(), value.strip()))
+    return unique_keys(pairs, "config key")
 
 
 def make_strategy(

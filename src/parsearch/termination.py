@@ -14,9 +14,11 @@ batches are flushed, and its open list holds nothing below the incumbent
 cost. Because quiescence includes the incumbent comparison, a successful
 check doubles as the optimality proof.
 
-Control messages travel worker id order (a ring) through the same mailbox
-substrate as work messages. The handlers below are pure protocol logic;
-the engine wires them to its transport.
+Every round starts at worker 0, visits workers 1, ..., p - 1 in id order
+(a ring) and returns to worker 0, which concludes it; at p = 1 worker 0
+sends the message to itself. Control messages travel through the same
+mailbox substrate as work messages. The handlers below are pure protocol
+logic; the engine wires them to its transport.
 """
 
 from __future__ import annotations
@@ -45,40 +47,34 @@ class TerminationView(Protocol):
 @dataclass
 class ControlMessage:
     kind: str  # "wave1" | "wave2" | "ring"
-    initiator: int
     ok: bool = True  # every worker visited was quiescent (ring: and T-clean)
     T: int = 0  # ring: the largest clock seen
     sum_sent: int = 0  # added up by the ring and by wave 2
     sum_received: int = 0  # added up by the ring and wave 1; wave 2 carries it
 
 
-def start_two_wave(initiator: int, view: TerminationView) -> ControlMessage:
+def start_two_wave(view: TerminationView) -> ControlMessage:
     return ControlMessage(
-        kind="wave1",
-        initiator=initiator,
-        sum_received=view.received_msgs,
-        ok=view.quiescent,
+        kind="wave1", sum_received=view.received_msgs, ok=view.quiescent
     )
 
 
 def start_second_wave(msg: ControlMessage, view: TerminationView) -> ControlMessage:
-    """At the initiator, after a clean first wave, launch the sent-count
-    wave, which carries the first wave's received sum."""
+    """At worker 0, after a clean first wave, launch the sent-count wave,
+    which carries the first wave's received sum."""
     return ControlMessage(
         kind="wave2",
-        initiator=msg.initiator,
         sum_sent=view.sent_msgs,
         sum_received=msg.sum_received,
         ok=msg.ok and view.quiescent,
     )
 
 
-def start_time_ring(initiator: int, view: TerminationView) -> ControlMessage:
+def start_time_ring(view: TerminationView) -> ControlMessage:
     view.clock += 1
     t = view.clock
     return ControlMessage(
         kind="ring",
-        initiator=initiator,
         T=t,
         sum_sent=view.sent_msgs,
         sum_received=view.received_msgs,
@@ -86,14 +82,9 @@ def start_time_ring(initiator: int, view: TerminationView) -> ControlMessage:
     )
 
 
-def on_control(
-    msg: ControlMessage, worker: int, view: TerminationView, p: int
-):
-    """Process a control message at a non-initiating worker.
-
-    Returns (next_worker, message) to forward; arrival back at the
-    initiator is handled by `conclude`.
-    """
+def on_control(msg: ControlMessage, view: TerminationView) -> None:
+    """Add one of workers 1, ..., p - 1 to a control message in place; its
+    return to worker 0 is handled by `conclude`."""
     if msg.kind == "wave1":
         msg.sum_received += view.received_msgs
         msg.ok = msg.ok and view.quiescent
@@ -109,11 +100,10 @@ def on_control(
         msg.sum_received += view.received_msgs
     else:
         raise ValueError(f"unknown control kind {msg.kind!r}")
-    return (worker + 1) % p, msg
 
 
 def conclude(msg: ControlMessage, view: TerminationView) -> str:
-    """Evaluate a control message that has returned to its initiator.
+    """Evaluate a control message that has returned to worker 0.
 
     Returns "pass" (terminate), "fail" (retry later), or "wave2" (first
     wave was clean; the caller should launch the second wave).
@@ -129,33 +119,28 @@ def conclude(msg: ControlMessage, view: TerminationView) -> str:
 # --- synchronous forms: one whole check in place (unit tests and `HDAStar.check`) ---
 
 
-def _around(msg: ControlMessage, workers: Sequence[TerminationView]) -> ControlMessage:
-    """Carry a control message once around the ring, back to its initiator."""
-    p = len(workers)
-    worker = (msg.initiator + 1) % p
-    while worker != msg.initiator:
-        _, msg = on_control(msg, worker, workers[worker], p)
-        worker = (worker + 1) % p
-    return msg
-
-
 def two_wave_check(workers: Sequence[TerminationView]) -> bool:
-    """Both waves of the two-wave method, initiated by worker 0.
+    """Both waves of the two-wave method.
 
     True iff every worker reports local quiescence in both waves and the
     accumulated sent count of the second wave equals the accumulated
     received count of the first.
     """
-    initiator = workers[0]
-    msg = _around(start_two_wave(0, initiator), workers)
-    if conclude(msg, initiator) != "wave2":
+    origin = workers[0]
+    msg = start_two_wave(origin)
+    for view in workers[1:]:
+        on_control(msg, view)
+    if conclude(msg, origin) != "wave2":
         return False
-    msg = _around(start_second_wave(msg, initiator), workers)
-    return conclude(msg, initiator) == "pass"
+    msg = start_second_wave(msg, origin)
+    for view in workers[1:]:
+        on_control(msg, view)
+    return conclude(msg, origin) == "pass"
 
 
 def time_ring_check(workers: Sequence[TerminationView]) -> bool:
-    """One control ring of the time algorithm, initiated by worker 0."""
-    initiator = workers[0]
-    msg = _around(start_time_ring(0, initiator), workers)
-    return conclude(msg, initiator) == "pass"
+    """One control ring of the time algorithm."""
+    msg = start_time_ring(workers[0])
+    for view in workers[1:]:
+        on_control(msg, view)
+    return conclude(msg, workers[0]) == "pass"

@@ -153,11 +153,11 @@ class TestIterativeAllocation:
             sweep(1e308, 2)
 
     def test_profile_rejects_bad_makespan_and_fail_time(self):
-        for makespan in (0.0, -1.0, math.nan):
-            with pytest.raises(ConfigError):
+        for makespan in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="makespan"):
                 SolverProfile(4, makespan=makespan)
-        for fail_time in (-1.0, math.nan):
-            with pytest.raises(ConfigError):
+        for fail_time in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="fail_time"):
                 SolverProfile(4, fail_time=fail_time)
         assert SolverProfile(4, fail_time=0.0).duration(1) == 0.0
 

@@ -224,6 +224,20 @@ class TestSolve:
             "--hash", "hyperplane", "--workers", "4",
         ) == 3
 
+    @pytest.mark.parametrize(
+        "gen, want",
+        [
+            ("conn=5,seed=42", "grid connectivity must be 4 or 8, got 5"),
+            ("fill=nan", "grid fill must be in [0, 1], got nan"),
+            ("fill=1.5", "grid fill must be in [0, 1], got 1.5"),
+            ("fill=-0.1", "grid fill must be in [0, 1], got -0.1"),
+        ],
+    )
+    def test_bad_grid_generator_input_exit_three(self, capsys, gen, want):
+        assert run_cli("solve", "--domain", "grid", "--gen", gen) == 3
+        captured = capsys.readouterr()
+        assert want in captured.err and captured.out == ""
+
     def test_bad_subcommand_exit_three(self):
         assert run_cli("frobnicate") == 3
 
@@ -291,6 +305,45 @@ def test_unread_domain_input_exit_three(tmp_path, capsys, argv, want):
     )
     argv = [arg.format(map=grid, suite=suite) for arg in argv]
     assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert want in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, text, want",
+    [
+        (
+            ["solve", "--domain", "tile", "--gen", "n=3,seed=2,n=2"],
+            None,
+            "generator key 'n' given twice",
+        ),
+        (
+            [
+                "solve", "--domain", "lattice", "--gen", "dims=3x3",
+                "--algo", "hdastar", "--hash", "hyperplane", "--hash-config", "{file}",
+            ],
+            "d = 1\nd = 2\n",
+            "config key 'd' given twice",
+        ),
+        (
+            ["bench", "--suite", "{file}"],
+            '{"instances": [{"domain": "tile"}], "workers": [2], "workers": [3]}',
+            "suite key 'workers' given twice",
+        ),
+        (
+            ["bench", "--suite", "{file}"],
+            '{"instances": [{"domain": "tile", "gen": {"n": 3, "n": 2}}]}',
+            "suite key 'n' given twice",
+        ),
+    ],
+    ids=["gen", "hash-config", "suite", "suite-gen"],
+)
+def test_repeated_key_exit_three(tmp_path, capsys, argv, text, want):
+    # A key given twice is refused, where a dict would keep the last value.
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(*[arg.format(file=path) for arg in argv]) == 3
     captured = capsys.readouterr()
     assert want in captured.err and captured.out == ""
 
@@ -472,11 +525,17 @@ class TestIasim:
             assert captured.out == ""
             assert "max minimal width" in captured.err
 
-    def test_bad_makespan_or_fail_time_rejected(self):
-        for value in ("0", "-1", "nan"):
-            assert run_cli("iasim", "--wmax", "4", "--makespan", value) == 3
-        for value in ("-1", "nan"):
-            assert run_cli("iasim", "--wmax", "4", "--e-fail", value) == 3
+    def test_bad_makespan_or_fail_time_rejected(self, capsys):
+        for model in ("discrete", "continuous"):
+            iasim = ("iasim", "--wmax", "4", "--model", model)
+            for value in ("0", "-1", "nan", "inf"):
+                assert run_cli(*iasim, "--makespan", value) == 3
+            for value in ("-1", "nan", "inf"):
+                assert run_cli(*iasim, "--e-fail", value) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "makespan must be finite and > 0, got inf" in captured.err
+        assert "fail_time must be finite and >= 0, got inf" in captured.err
 
     def test_continuous_model(self, tmp_path):
         out = tmp_path / "ia.csv"

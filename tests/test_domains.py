@@ -6,9 +6,10 @@ from itertools import product
 
 import pytest
 
-from parsearch.common import ParseError
+from parsearch.common import ConfigError, ParseError
 from parsearch.domains import (
     ExplicitGraph,
+    GridMap,
     GridProblem,
     LatticeProblem,
     TilePuzzle,
@@ -189,6 +190,20 @@ class TestGrid:
     def test_parse_bad_connectivity(self):
         with pytest.raises(ParseError):
             parse_grid("2 2 6\n..\n..")
+
+    def test_every_map_refuses_bad_connectivity(self):
+        for conn in (0, 5, 6):
+            with pytest.raises(ConfigError, match="connectivity must be 4 or 8"):
+                GridMap(2, 2, frozenset(), conn)
+            with pytest.raises(ConfigError, match="connectivity must be 4 or 8"):
+                random_grid(4, 4, 0.25, 1, conn)
+
+    def test_random_grid_refuses_fill_outside_unit_interval(self):
+        for fill in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="fill must be in"):
+                random_grid(4, 4, fill, 1)
+        assert len(random_grid(4, 4, 1.0, 1).blocked) == 16
+        assert not random_grid(4, 4, 0.0, 1).blocked
 
     def test_blocked_start_rejected(self):
         g = parse_grid("2 2 8\n#.\n..")

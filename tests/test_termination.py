@@ -52,15 +52,15 @@ class TestTwoWave:
     def test_wave_message_flow(self):
         # drive the asynchronous protocol by hand across three workers
         workers = [StubWorker(sent_msgs=1, received_msgs=1) for _ in range(3)]
-        msg = start_two_wave(0, workers[0])
+        msg = start_two_wave(workers[0])
         for w in (1, 2):
-            _, msg = on_control(msg, w, workers[w], 3)
+            on_control(msg, workers[w])
         assert conclude(msg, workers[0]) == "wave2"
         from parsearch.termination import start_second_wave
 
         msg2 = start_second_wave(msg, workers[0])
         for w in (1, 2):
-            _, msg2 = on_control(msg2, w, workers[w], 3)
+            on_control(msg2, workers[w])
         assert conclude(msg2, workers[0]) == "pass"
 
 
@@ -177,6 +177,37 @@ class TestEngineDetection:
                 counts = (meta["detection_rounds"], meta["detection_waves"])
                 assert counts == (1, waves), (termination, seed)
                 assert sent == [(0, 0, "C")] * waves, (termination, seed)
+
+    def test_control_messages_go_round_the_ring_from_worker_0(self):
+        # Record every control send: each goes from w to (w + 1) % p, and
+        # each message (a round's first wave or ring, or a second wave)
+        # leaves worker 0 and is sent on by 1, ..., p - 1 in order.
+        for termination in ("two-wave", "time"):
+            for p in (1, 2, 3, 8):
+                for seed in range(4):
+                    problem = TilePuzzle(random_scramble(3, 12, seed))
+                    config = EngineConfig(
+                        workers=p, batch_size=2, seed=seed, termination=termination
+                    )
+                    engine = HDAStar(problem, config, policy=AdversarialPolicy(seed))
+                    hops = {}  # id(message) -> (message, its senders in order)
+                    send = engine.transport.send
+
+                    def logged(src, dst, item, hops=hops, send=send, p=p):
+                        if item[0] == "C":
+                            assert dst == (src + 1) % p, (src, dst, p)
+                            msg = item[1]
+                            hops.setdefault(id(msg), (msg, []))[1].append(src)
+                        send(src, dst, item)
+
+                    engine.transport.send = logged
+                    meta = engine.run().meta
+                    where = (termination, p, seed)
+                    assert len(hops) == meta["detection_waves"], where
+                    for msg, senders in hops.values():
+                        assert senders == list(range(p)), (where, msg.kind)
+                    firsts = [m for m, _ in hops.values() if m.kind != "wave2"]
+                    assert len(firsts) == meta["detection_rounds"], where
 
     def test_max_received_stamp_is_largest_stamp_received(self):
         # Time mode: record the stamp of every work message delivered to
