@@ -11,6 +11,7 @@ optional reuse of spare paid-up time across iterations).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from parsearch.common import DEFAULT_SEED, INF, ConfigError
@@ -99,7 +100,9 @@ def ia_total_cost(
     with spare_reuse, HAUs keep their paid-up hour across iterations: reuse
     is free until a HAU's paid-through time, extensions bill whole hours,
     and expired HAUs are released rather than extended (an extension would
-    never be cheaper than a fresh allocation).
+    never be cheaper than a fresh allocation). An iteration bills at most
+    ceil(duration) * width, so one that could take the total past the
+    largest float is a ConfigError, and every cost stays finite.
     """
     model = model or CostModel()
     _check_base(b)
@@ -114,6 +117,8 @@ def ia_total_cost(
                 f"allocation exceeded max width {max_width} without success"
             )
         duration = profile.duration(width)
+        if _ceil(duration) * width > sys.float_info.max - total:
+            raise ConfigError(f"cost of duration {duration} at width {width} overflows")
         if model.kind == "continuous" or not model.spare_reuse:
             total += single_run_cost(width, duration, model)
         else:

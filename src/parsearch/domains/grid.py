@@ -8,7 +8,7 @@ Straight moves cost 1; diagonal moves (8-connected only) cost sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from parsearch.common import ConfigError, ParseError
 from parsearch.domains.base import Feature, State
@@ -29,6 +29,10 @@ class GridMap:
     connectivity: int = 8
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ConfigError(
+                f"grid width and height must be positive, got {self.width}x{self.height}"
+            )
         if self.connectivity not in (4, 8):
             raise ConfigError(
                 f"grid connectivity must be 4 or 8, got {self.connectivity!r}"
@@ -54,8 +58,10 @@ def parse_grid(text: str) -> GridMap:
         width, height, conn = (int(tok) for tok in header)
     except ValueError:
         raise ParseError("header fields must be integers", 1) from None
-    if width < 1 or height < 1:
-        raise ParseError("width and height must be positive", 1)
+    try:
+        grid = GridMap(width, height, frozenset(), conn)
+    except ConfigError as exc:  # the header's size or connectivity
+        raise ParseError(str(exc), 1) from None
     if len(lines) < height + 1:
         raise ParseError(f"expected {height} rows", len(lines) + 1)
     blocked = set()
@@ -68,10 +74,7 @@ def parse_grid(text: str) -> GridMap:
                 blocked.add((x, y))
             elif ch != ".":
                 raise ParseError(f"illegal character {ch!r}", y + 2)
-    try:
-        return GridMap(width, height, frozenset(blocked), conn)
-    except ConfigError as exc:  # the header's connectivity
-        raise ParseError(str(exc), 1) from None
+    return replace(grid, blocked=frozenset(blocked))
 
 
 def grid_expand(

@@ -46,7 +46,7 @@ class Dovetail(Engine):
     def step(self, w: int) -> None:
         self.turns.popleft()
         searcher = self.searchers[w]
-        if searcher.step(searcher.stats, None):
+        if searcher.step(searcher.stats):
             self.turns.append(w)
         elif searcher.goal_cost < INF:
             self.winner = w

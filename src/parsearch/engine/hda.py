@@ -68,7 +68,6 @@ class _Worker(BestFirstSearch):
         self.successors = successors_of(engine.problem)
         self.table = NodeTable(node_limit=config.node_limit, where=f"worker {wid}")
         self.stats = SearchStats()
-        self.trace: list | None = [] if config.record_trace else None
         self.transport = engine.transport
         self.box = engine.transport.boxes[wid]
         self.strategy = engine.strategy
@@ -198,8 +197,6 @@ class HDAStar(Engine):
         self.incumbent = Incumbent()
         self.workers = [_Worker(w, self) for w in range(self.p)]
         self.stats = [w.stats for w in self.workers]
-        if self.config.record_trace:
-            self.traces = [w.trace for w in self.workers]
         self.detect_in_flight = False
         self._work_since_detect = True  # retry detection only after progress
         self.rounds = 0  # detection attempts
@@ -314,7 +311,7 @@ class HDAStar(Engine):
             self._work_since_detect = True
             if worker.due < mf - EPS:
                 worker.send_below(mf)
-            if not worker.step(worker.stats, worker.trace):
+            if not worker.step(worker.stats):
                 # A goal: none of its children (f >= g) is ever expanded.
                 self.incumbent.offer(worker.goal_cost, worker.goal_state)
             return

@@ -5,9 +5,9 @@ turn under a lock. On the interleaved driver a step runs to completion
 before the next action, as if the whole of it held that lock, so the
 workers pop nodes in exactly serial A*'s order. `SPAStar` is therefore one
 `serial.BestFirstSearch` whose steps the workers take: worker w's step is
-A*'s step charged to worker w's counters and trace. The first goal popped
-is optimal, because no other worker can hold a cheaper node at that moment,
-and the search stops there.
+A*'s step charged to worker w's counters. The first goal popped is
+optimal, because no other worker can hold a cheaper node at that moment, and
+the search stops there.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ class SPAStar(Engine):
         self.search = BestFirstSearch(problem, node_limit=self.config.node_limit)
         # Worker 0's counters are the search's own, which hold the root insert.
         self.stats = [self.search.stats, *(SearchStats() for _ in range(self.p - 1))]
-        if self.config.record_trace:
-            self.traces = [[] for _ in range(self.p)]
 
     def step(self, w: int) -> None:
         """A*'s step on the shared lists, charged to worker w."""
-        trace = self.traces[w] if self.traces is not None else None
-        if not self.search.step(self.stats[w], trace):
+        if not self.search.step(self.stats[w]):
             self.finished = True
 
     def check(self) -> None:

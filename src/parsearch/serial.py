@@ -219,30 +219,26 @@ class BestFirstSearch:
         problem: SearchProblem,
         weight: float = 1.0,
         node_limit: int = DEFAULT_NODE_LIMIT,
-        record_trace: bool = False,
     ):
         if not weight >= 1.0:
             raise ConfigError("weight must be >= 1 (or inf)")
         self.problem = problem
         self.stats = SearchStats()
-        self.trace: list | None = [] if record_trace else None
         self.successors = successors_of(problem)
         self.table = NodeTable(weight, node_limit)
         self.table.insert(
             problem.initial, 0.0, problem.h(problem.initial), None, self.stats
         )
 
-    def step(self, stats: SearchStats, trace: list | None) -> bool:
-        """Expand one node, charging it to `stats` and appending it to
-        `trace` (None records nothing); `place` takes its children. Returns
-        False on a goal or an empty open list. A* then stops stepping; HDA*
-        steps a worker again after a goal once cheaper work reaches it."""
+    def step(self, stats: SearchStats) -> bool:
+        """Expand one node, charging it to `stats`; `place` takes its
+        children. Returns False on a goal or an empty open list. A* then
+        stops stepping; HDA* steps a worker again after a goal once cheaper
+        work reaches it."""
         node = self.table.pop(stats)
         if node is None:
             return False
         state, g, h, key = node
-        if trace is not None:
-            trace.append((state, g, g + h))
         if self.problem.is_goal(state):
             self.goal_state = state
             self.goal_cost = g
@@ -263,27 +259,18 @@ class BestFirstSearch:
 
     def run(self) -> Solution:
         start = time.perf_counter()
-        stats, trace = self.stats, self.trace
-        while self.step(stats, trace):
+        stats = self.stats
+        while self.step(stats):
             pass
-        self.stats.wall_time = time.perf_counter() - start
+        stats.wall_time = time.perf_counter() - start
         path = reconstruct_path(self.goal_state, self.table.entry)
         if path:
             validate_path(self.problem, path)
-        sol = Solution(self.goal_cost, path, self.stats)
-        if self.trace is not None:
-            sol.meta["trace"] = self.trace
-        return sol
+        return Solution(self.goal_cost, path, stats)
 
 
-def astar(
-    problem: SearchProblem,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    record_trace: bool = False,
-) -> Solution:
-    sol = BestFirstSearch(
-        problem, 1.0, node_limit, record_trace=record_trace
-    ).run()
+def astar(problem: SearchProblem, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
+    sol = BestFirstSearch(problem, 1.0, node_limit).run()
     sol.meta["algorithm"] = "astar"
     return sol
 

@@ -18,6 +18,32 @@ from parsearch.domains import (
     random_grid,
     random_solvable,
 )
+from parsearch.serial import NodeTable
+
+
+def traced(run, *args):
+    """Call `run(*args)` and record the expansion trace of every node table.
+
+    Returns (result, traces): traces maps each table's `where` name
+    ("search", "worker 0", ...) to the (state, g, g + h) of every node it
+    popped, in pop order. `NodeTable.pop` is the one place a node is popped,
+    so the record sees every expansion without the engines' help.
+    """
+    traces: dict[str, list] = {}
+    pop = NodeTable.pop
+
+    def recording(table, stats):
+        node = pop(table, stats)
+        if node is not None:
+            state, g, h, _ = node
+            traces.setdefault(table.where, []).append((state, g, g + h))
+        return node
+
+    NodeTable.pop = recording
+    try:
+        return run(*args), traces
+    finally:
+        NodeTable.pop = pop
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,7 @@ from tests.conftest import (
     grid_dijkstra,
     make_graph_suite,
     make_grid_problem,
+    traced,
 )
 
 STRATEGIES = ("zobrist", "azh", "mult", "abstraction", "random")
@@ -396,14 +397,13 @@ def test_criterion_8_degeneration():
     start = time.perf_counter()
     for seed in range(10):
         problem = TilePuzzle(random_solvable(3, 40 + seed))
-        serial = astar(problem, record_trace=True)
-        par = hdastar(
-            problem,
-            EngineConfig(workers=1, strategy="zobrist", record_trace=True),
+        serial, serial_traces = traced(astar, problem)
+        par, par_traces = traced(
+            hdastar, problem, EngineConfig(workers=1, strategy="zobrist")
         )
         assert par.cost == serial.cost
-        a = json.dumps(serial.meta["trace"]).encode()
-        b = json.dumps(par.meta["trace"][0]).encode()
+        a = json.dumps(serial_traces["search"]).encode()
+        b = json.dumps(par_traces["worker 0"]).encode()
         assert a == b, f"trace mismatch on seed {40 + seed}"
     _report(
         8,

@@ -152,6 +152,18 @@ class TestIterativeAllocation:
         with pytest.raises(ConfigError, match="sweep cap"):
             sweep(1e308, 2)
 
+    def test_rejects_a_finite_duration_whose_cost_overflows(self):
+        # Each cost term is finite on its own; their sum is not.
+        for model, kwargs in (
+            (CostModel("discrete"), {"fail_time": 1e308}),
+            (CostModel("discrete", spare_reuse=False), {"fail_time": 1e308}),
+            (CostModel("continuous"), {"makespan": 1e308}),
+        ):
+            with pytest.raises(ConfigError, match="duration 1e"):
+                sweep(2.0, 4, model, **kwargs)
+        total, _ = ia_total_cost(SolverProfile(1, makespan=1e308))
+        assert total == 1e308
+
     def test_profile_rejects_bad_makespan_and_fail_time(self):
         for makespan in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="makespan"):

@@ -228,6 +228,7 @@ class TestSolve:
         "gen, want",
         [
             ("conn=5,seed=42", "grid connectivity must be 4 or 8, got 5"),
+            ("w=0,h=3,seed=1", "grid width and height must be positive, got 0x3"),
             ("fill=nan", "grid fill must be in [0, 1], got nan"),
             ("fill=1.5", "grid fill must be in [0, 1], got 1.5"),
             ("fill=-0.1", "grid fill must be in [0, 1], got -0.1"),
@@ -536,6 +537,18 @@ class TestIasim:
         assert captured.out == "" and "Traceback" not in captured.err
         assert "makespan must be finite and > 0, got inf" in captured.err
         assert "fail_time must be finite and >= 0, got inf" in captured.err
+
+    def test_overflowing_cost_rejected(self, capsys):
+        # finite durations whose costs pass the largest float
+        for argv in (
+            ("--wmax", "8", "--e-fail", "1e308"),
+            ("--wmax", "4", "--no-reuse", "--e-fail", "1e308"),
+            ("--wmax", "4", "--model", "continuous", "--makespan", "1e308"),
+        ):
+            assert run_cli("iasim", *argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert "cost of duration 1e+308 at width 2 overflows" in captured.err
 
     def test_continuous_model(self, tmp_path):
         out = tmp_path / "ia.csv"

@@ -198,6 +198,14 @@ class TestGrid:
             with pytest.raises(ConfigError, match="connectivity must be 4 or 8"):
                 random_grid(4, 4, 0.25, 1, conn)
 
+    def test_every_map_refuses_an_empty_side(self):
+        for width, height in ((0, 3), (3, 0), (-1, 2)):
+            with pytest.raises(ConfigError, match="width and height must be positive"):
+                GridMap(width, height, frozenset())
+        with pytest.raises(ParseError, match="must be positive") as exc:
+            parse_grid("0 2 8\n..\n..")
+        assert exc.value.line == 1
+
     def test_random_grid_refuses_fill_outside_unit_interval(self):
         for fill in (-0.1, 1.5, math.nan, math.inf):
             with pytest.raises(ConfigError, match="fill must be in"):

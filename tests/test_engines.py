@@ -49,7 +49,7 @@ from parsearch.hashing import Strategy
 from parsearch.metrics import overheads
 from parsearch.serial import DEFAULT_NODE_LIMIT, BestFirstSearch, astar, idastar
 from parsearch.termination import time_ring_check, two_wave_check
-from tests.conftest import make_grid_problem
+from tests.conftest import make_grid_problem, traced
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -109,12 +109,12 @@ def check_send_invariant(engine) -> list:
     held_pops = [0]
     for worker in engine.workers:
 
-        def checked(stats, trace, worker=worker, step=worker.step):
+        def checked(stats, worker=worker, step=worker.step):
             mf = worker.table.min_f()
             held = [g + h for buf in worker.out for _, g, h, _, _ in buf]
             assert all(f >= mf - EPS for f in held), (worker.id, mf, min(held))
             held_pops[0] += bool(held)
-            return step(stats, trace)
+            return step(stats)
 
         worker.step = checked
     return held_pops
@@ -150,15 +150,13 @@ def test_contract_fallback_matches_successors_hook():
         bare, hookless = puzzle, ContractOnly(puzzle)
         assert not hasattr(hookless, "successors")
         assert not hasattr(hookless, "move_features")
-        a, b = astar(bare, record_trace=True), astar(hookless, record_trace=True)
-        assert (a.cost, a.stats.expanded, a.meta["trace"]) == (
-            b.cost, b.stats.expanded, b.meta["trace"]
-        )
+        (a, ta), (b, tb) = traced(astar, bare), traced(astar, hookless)
+        assert (a.cost, a.stats.expanded, ta) == (b.cost, b.stats.expanded, tb)
         for engine in (spastar, hdastar):
-            cfg = EngineConfig(workers=3, seed=4, record_trace=True)
-            a, b = engine(bare, cfg), engine(hookless, cfg)
-            assert (a.cost, a.stats.expanded, a.meta["trace"]) == (
-                b.cost, b.stats.expanded, b.meta["trace"]
+            cfg = EngineConfig(workers=3, seed=4)
+            (a, ta), (b, tb) = traced(engine, bare, cfg), traced(engine, hookless, cfg)
+            assert (a.cost, a.stats.expanded, ta) == (
+                b.cost, b.stats.expanded, tb
             ), engine.__name__
         cfg = EngineConfig(workers=3, seed=4)
         a, b = parallel_window(bare, cfg), parallel_window(hookless, cfg)
@@ -177,12 +175,12 @@ class TestSPAStar:
         # goal it pops; a stop while another worker still held a popped
         # node would lose expansions here.
         for p in tile_suite_small[:5]:
-            serial = astar(p, record_trace=True)
-            serial_set = {s for s, _, _ in serial.meta["trace"]}
+            serial, serial_traces = traced(astar, p)
+            serial_set = {s for s, _, _ in serial_traces["search"]}
             for workers in (1, 4):
-                par = spastar(p, EngineConfig(workers=workers, record_trace=True))
+                par, par_traces = traced(spastar, p, EngineConfig(workers=workers))
                 assert par.cost == serial.cost
-                par_set = {s for trace in par.meta["trace"] for s, _, _ in trace}
+                par_set = {s for s, _, _ in par_traces["search"]}
                 assert serial_set == par_set, workers
                 for name in ("expanded", "generated", "duplicates", "reopened"):
                     got, want = getattr(par.stats, name), getattr(serial.stats, name)
@@ -220,12 +218,12 @@ class TestHDAStar:
     def test_single_worker_trace_byte_identical(self, tile_suite_small):
         extra = [TilePuzzle(random_solvable(3, 40 + s)) for s in range(10)]
         for p in tile_suite_small[:5] + extra:
-            serial = astar(p, record_trace=True)
-            a = json.dumps(serial.meta["trace"]).encode()
-            for engine in (hdastar, spastar):
-                par = engine(p, EngineConfig(workers=1, record_trace=True))
+            serial, serial_traces = traced(astar, p)
+            a = json.dumps(serial_traces["search"]).encode()
+            for engine, where in ((hdastar, "worker 0"), (spastar, "search")):
+                par, par_traces = traced(engine, p, EngineConfig(workers=1))
                 assert par.cost == serial.cost
-                b = json.dumps(par.meta["trace"][0]).encode()
+                b = json.dumps(par_traces[where]).encode()
                 assert a == b, engine.__name__
 
     def test_post_run_check_survives_optimized_python(self):
@@ -274,6 +272,24 @@ else:
         assert "debug: False" in out.stdout
         assert "raised: premature termination" in out.stdout
         assert "spa raised: premature termination: open beats incumbent" in out.stdout
+
+    @pytest.mark.parametrize("where", ["channel", "mailbox"])
+    def test_post_run_check_sees_work_in_flight(self, where):
+        # Stop a run while its only open work is a batch in a channel or a
+        # mailbox: the check must name the premature stop, which only its
+        # walk over the transport can see, since every open list is empty.
+        g = ExplicitGraph([("s", "a", 1), ("a", "t", 1)], "s", {"t"})
+        strategy = MappedStrategy({"s": 0, "a": 1, "t": 1})
+        eng = HDAStar(g, EngineConfig(workers=2, batch_size=1), strategy=strategy)
+        while not eng.transport.pending_channels():
+            eng.step(0)
+        if where == "mailbox":
+            eng.deliver((0, 1))
+            assert eng.workers[1].box
+        assert all(w.table.min_f() == INF for w in eng.workers)
+        eng.finished = True
+        with pytest.raises(SearchInvariantError, match="premature termination"):
+            eng.check()
 
     def test_non_owner_delivery_raises_under_optimized_python(self):
         # A triplet planted in a non-owner's mailbox must be refused on

@@ -1,10 +1,11 @@
 """Static checks on src/parsearch: no module imports a name it never uses,
 no private function or method is defined without being referenced, every
 public function and class has a caller outside the tests (or a stated
-reason to be kept), no EngineConfig field goes unread, no override renames
-its base's parameters, only `BestFirstSearch.step` pops a node table, only
-`LazyTable` defines `__missing__`, and HDA* imports and calls by name every
-termination function the benchmark's tracer wraps."""
+reason to be kept), every EngineConfig field is read by the program and
+given by a caller outside the tests, no override renames its base's
+parameters, only `BestFirstSearch.step` pops a node table, only `LazyTable`
+defines `__missing__`, and HDA* imports and calls by name every termination
+function the benchmark's tracer wraps."""
 
 import ast
 from dataclasses import fields
@@ -214,17 +215,22 @@ def test_check_sees_a_whole_uncalled_chain():
     assert uncalled_public([tree], [tree]) == ["head", "recursive", "tail"]
 
 
+def class_nodes(tree: ast.Module, cls: str) -> set[int]:
+    """The ids of every node inside a class named `cls` in `tree`."""
+    return {
+        id(node)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and c.name == cls
+        for node in ast.walk(c)
+    }
+
+
 def unread_fields(trees: list[ast.Module], cls: str, names: list[str]) -> list[str]:
     """The `names` that no tree reads as an attribute outside the body of
     the class named `cls` (which may set or check them itself)."""
     read = set()
     for tree in trees:
-        own = {
-            id(node)
-            for c in ast.walk(tree)
-            if isinstance(c, ast.ClassDef) and c.name == cls
-            for node in ast.walk(c)
-        }
+        own = class_nodes(tree, cls)
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -253,6 +259,58 @@ def test_check_sees_an_unread_field():
         "    return config.used\n"
     )
     assert unread_fields([tree], "Config", ["used", "unread"]) == ["unread"]
+
+
+def ungiven_fields(trees: list[ast.Module], cls: str, names: list[str]) -> list[str]:
+    """The `names` that no tree gives outside the body of the class named
+    `cls`: as a keyword argument of a call to `cls` or `dict`, or as a
+    string constant (a key its caller maps onto the field)."""
+    given = set()
+    for tree in trees:
+        own = class_nodes(tree, cls)
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if func in (cls, "dict"):
+                    given.update(k.arg for k in node.keywords)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                given.add(node.value)
+    return [name for name in names if name not in given]
+
+
+def test_every_engine_config_field_is_given_by_a_caller():
+    # An option that only the tests set is an option the program does not
+    # need.
+    callers = [
+        ast.parse(p.read_text(), str(p))
+        for folder in ("src", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    names = [f.name for f in fields(EngineConfig)]
+    assert ungiven_fields(callers, "EngineConfig", names) == []
+
+
+def test_check_sees_an_ungiven_field():
+    tree = ast.parse(
+        "class Config:\n"
+        "    keyword: int = 1\n"
+        "    spread: int = 2\n"
+        "    mapped: int = 3\n"
+        "    inside: int = 4\n"
+        "    assigned: int = 5\n"
+        "    def __post_init__(self):\n"
+        "        check('inside', self.inside, Config(inside=5))\n"
+        "def run(args):\n"
+        "    settings = dict(spread=args.spread)\n"
+        "    for key, name in (('m', 'mapped'),):\n"
+        "        settings[name] = args.m\n"
+        "    config = ps.Config(keyword=1, **settings)\n"
+        "    config.assigned = 6\n"
+    )
+    names = ["keyword", "spread", "mapped", "inside", "assigned"]
+    assert ungiven_fields([tree], "Config", names) == ["inside", "assigned"]
 
 
 def renamed_parameters(trees: list[ast.Module]) -> list[str]:

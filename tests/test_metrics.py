@@ -8,6 +8,7 @@ from parsearch.engine import EngineConfig, hdastar
 from parsearch.engine.window import parallel_window
 from parsearch.metrics import efficiency_fraction, overheads
 from parsearch.serial import SearchStats, Solution, astar
+from tests.conftest import traced
 
 
 class TestOverheads:
@@ -83,12 +84,12 @@ class TestEfficiencyFraction:
             return {state for state, _, f in trace if f < c_star - EPS}
 
         for p in tile_suite_small[:8]:
-            serial = astar(p, record_trace=True)
-            par = hdastar(p, EngineConfig(workers=4, seed=1, record_trace=True))
+            serial, serial_traces = traced(astar, p)
+            par, par_traces = traced(hdastar, p, EngineConfig(workers=4, seed=1))
             assert par.cost == serial.cost
-            merged = [entry for trace in par.meta["trace"] for entry in trace]
+            merged = [entry for trace in par_traces.values() for entry in trace]
             assert below(merged, serial.cost) == below(
-                serial.meta["trace"], serial.cost
+                serial_traces["search"], serial.cost
             )
 
     def test_zero_expansions_error(self):

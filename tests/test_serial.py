@@ -23,6 +23,7 @@ from parsearch.serial import (
     uniform_cost_oracle,
     wastar,
 )
+from tests.conftest import traced
 
 
 class TestAstar:
@@ -55,9 +56,9 @@ class TestAstar:
 
     def test_deterministic_expansion_order(self, tile_suite_small):
         p = tile_suite_small[0]
-        t1 = astar(p, record_trace=True).meta["trace"]
-        t2 = astar(p, record_trace=True).meta["trace"]
-        assert t1 == t2
+        _, t1 = traced(astar, p)
+        _, t2 = traced(astar, p)
+        assert t1["search"] == t2["search"]
 
     def test_node_limit_raises(self):
         p = TilePuzzle(random_scramble(4, 40, 1))
