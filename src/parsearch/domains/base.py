@@ -5,18 +5,26 @@ with nonnegative edge costs, an admissible heuristic, and a feature view of
 each state used by the hashing strategies. States must be hashable and
 immutable; the feature list of a state identifies it uniquely.
 
-A domain may also define the optional hook `successors(state, h)`, where h
-is the state's heuristic: one pass over the state's moves that returns a
-list of `(child, cost, child_h, move)` records, in `expand` order, with
-`child_h == h(child)`. `move` is an opaque hashable value naming the move,
-or None. Engines carry h with each node and expand through
+A domain may also define the optional hook `successors(state, h,
+parent=None)`, where h is the state's heuristic: one pass over the state's
+moves that returns a list of `(child, cost, child_h, move)` records, in
+`expand` order, with `child_h == h(child)`, leaving out every record whose
+child equals `parent`. `move` is an opaque hashable value naming the move,
+or None. `parent` is None or a state that has `state` among its children;
+best-first engines pass the stored parent of the node they expand, a child
+their table would always count as a duplicate, and the depth-first IDA*
+iteration passes none (its on-path check skips the parent already).
+Engines carry h with each node and expand through
 `successors_of(problem)`, which falls back to `expand` plus a full
-`h(child)` and a None move for domains without the hook. Tile puzzles
-define it with an O(1) Manhattan update (one moved tile changes its own
-distance alone), read with the move from tables built once per board size
-and shared by every puzzle of that size; lattices define it over a table
-from room (which axes are below their length) to in-bounds moves, filled
-on first use, so a pass builds only the children that fit.
+`h(child)` and a None move, filtered by `child != parent`, for domains
+without the hook. Tile puzzles define it with an O(1) Manhattan update
+(one moved tile changes its own distance alone), read with the move from
+tables built once per board size and shared by every puzzle of that size,
+and skip the blank move into the parent's blank cell without building the
+parent; lattices define it over a table from room (which axes are below
+their length) to in-bounds moves, filled on first use, so a pass builds
+only the children that fit, and ignore `parent`, since every lattice move
+increments coordinates and no child equals a parent.
 
 A domain whose moves are not None also defines the optional hook
 `move_features(move)`: the features removed from and added to the parent's
@@ -67,14 +75,19 @@ class SearchProblem(Protocol):
 
 
 def successors_of(problem: SearchProblem):
-    """The problem's `successors(state, h)` hook, or the fallback over
-    `expand` and a full `h(child)`; looked up once per search."""
+    """The problem's `successors(state, h, parent=None)` hook, or the
+    fallback over `expand` and a full `h(child)` that omits every child
+    equal to `parent`; looked up once per search."""
     hook = getattr(problem, "successors", None)
     if hook is not None:
         return hook
     expand = problem.expand
     h = problem.h
-    return lambda state, parent_h: [(s, c, h(s), None) for s, c in expand(state)]
+
+    def fallback(state, parent_h, parent=None):
+        return [(s, c, h(s), None) for s, c in expand(state) if s != parent]
+
+    return fallback
 
 
 def fold_key(data: bytes) -> int:

@@ -107,10 +107,13 @@ class GridProblem:
     """SearchProblem over a GridMap between two traversable cells."""
 
     def __init__(self, grid: GridMap, start: tuple[int, int], goal: tuple[int, int]):
-        if not grid.traversable(start):
-            raise ValueError("start blocked")
-        if not grid.traversable(goal):
-            raise ValueError("goal blocked")
+        for name, cell in (("start", start), ("goal", goal)):
+            if not grid.in_bounds(cell):
+                raise ValueError(
+                    f"{name} {cell} is outside the {grid.width}x{grid.height} map"
+                )
+            if cell in grid.blocked:
+                raise ValueError(f"{name} blocked")
         self.grid = grid
         self.initial = start
         self.goal = goal

@@ -55,11 +55,15 @@ class LatticeProblem:
     def is_goal(self, state: State) -> bool:
         return state == self.goal
 
-    def successors(self, state: tuple[int, ...], h: float) -> list[tuple]:
+    def successors(
+        self, state: tuple[int, ...], h: float, parent: tuple[int, ...] | None = None
+    ) -> list[tuple]:
         """(child, cost, 0.0, None) per in-bounds move; h is 0 everywhere.
 
         The room of a state, which axes are still below their length,
-        selects its in-bounds moves from the room table."""
+        selects its in-bounds moves from the room table. `parent` is
+        ignored: every move increments coordinates, so no child is a
+        parent."""
         room = tuple(map(lt, state, self.lengths))
         return [
             (tuple(map(add, state, pat)), cost, 0.0, None)

@@ -33,19 +33,26 @@ class TilePuzzle:
     def is_goal(self, state: State) -> bool:
         return state == self.goal
 
-    def successors(self, state: tuple[int, ...], h: float) -> list[tuple]:
+    def successors(
+        self, state: tuple[int, ...], h: float, parent: tuple[int, ...] | None = None
+    ) -> list[tuple]:
         """(child, 1.0, h(child), move) per blank move, in O(1) each.
 
         The blank moves from cell b to cell j and tile t = state[j] from j
         to b, which changes t's Manhattan distance alone; the move is the
         int (b * n² + j) * n² + t. Both come from the board's tables: one
         `(j, delta, base)` entry per blank move, with delta[t] the change
-        in h and base + t the move.
+        in h and base + t the move. A parent (a neighbour of `state`) is
+        the child whose blank sits where the parent's does, so the move to
+        that cell is skipped without building the parent's tuple.
         """
         b = state.index(0)
+        skip = -1 if parent is None else parent.index(0)
         lst = list(state)
         out = []
         for j, delta, base in self._blank_moves[b]:
+            if j == skip:
+                continue
             t = lst[j]
             lst[b] = t
             lst[j] = 0

@@ -145,7 +145,9 @@ class NodeTable:
     def pop(self, stats: SearchStats):
         """Close the best open entry and count its expansion.
 
-        Returns (state, g, h, key), or None when the open list is empty.
+        Returns (state, g, h, key, parent), or None when the open list is
+        empty; the parent is the state the stored path reached it from
+        (None at the root).
         """
         heap = self.heap
         nodes = self.nodes
@@ -158,7 +160,7 @@ class NodeTable:
                 self.open_count -= 1
                 stats.expanded += 1
                 stats.expanded_f.append(g + h)
-                return state, g, h, key
+                return state, g, h, key, parent
         return None
 
     def min_f(self) -> float:
@@ -234,16 +236,23 @@ class BestFirstSearch:
         """Expand one node, charging it to `stats`; `place` takes its
         children. Returns False on a goal or an empty open list. A* then
         stops stepping; HDA* steps a worker again after a goal once cheaper
-        work reaches it."""
+        work reaches it.
+
+        The expansion never generates the node's stored parent P: the node
+        N was inserted with g(N) = g(P) + c(P, N), so the child P would
+        arrive with g(N) + c(N, P) >= g(P), at least P's stored g, which
+        only falls, and the table (under HDA*, P's owner, which expanded
+        P) would count it as a duplicate. Omitting it changes no pop; the
+        omitted child counts as neither generated nor a duplicate."""
         node = self.table.pop(stats)
         if node is None:
             return False
-        state, g, h, key = node
+        state, g, h, key, parent = node
         if self.problem.is_goal(state):
             self.goal_state = state
             self.goal_cost = g
             return False
-        records = self.successors(state, h)
+        records = self.successors(state, h, parent)
         stats.generated += len(records)
         self.place(state, g, h, key, records, stats)
         return True

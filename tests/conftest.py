@@ -35,7 +35,7 @@ def traced(run, *args):
     def recording(table, stats):
         node = pop(table, stats)
         if node is not None:
-            state, g, h, _ = node
+            state, g, h = node[:3]
             traces.setdefault(table.where, []).append((state, g, g + h))
         return node
 

@@ -107,6 +107,13 @@ class TestSolve:
             "solve", "--domain", "grid", "--file", str(m), "--start", "0,0",
         ) == 3
 
+    def test_grid_start_outside_the_map_exit_three(self, capsys):
+        assert run_cli(
+            "solve", "--domain", "grid", "--gen", "w=4,h=4,seed=1",
+            "--start", "9,9", "--algo", "astar",
+        ) == 3
+        assert "start (9, 9) is outside the 4x4 map" in capsys.readouterr().err
+
     def test_missing_file_exit_three(self):
         assert run_cli("solve", "--domain", "graph", "--file", "/nope") == 3
 

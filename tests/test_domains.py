@@ -218,6 +218,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="start blocked"):
             GridProblem(g, (0, 0), (1, 1))
 
+    def test_cell_outside_the_map_is_named_outside(self):
+        g = parse_grid("4 4 8\n....\n....\n....\n....")
+        with pytest.raises(ValueError, match=r"^start \(9, 9\) is outside the 4x4 map$"):
+            GridProblem(g, (9, 9), (3, 3))
+        with pytest.raises(ValueError, match=r"^goal \(3, -1\) is outside the 4x4 map$"):
+            GridProblem(g, (0, 0), (3, -1))
+
     def test_interior_cell_eight_successors(self):
         g = parse_grid("3 3 8\n...\n...\n...")
         assert len(grid_expand(g, (1, 1))) == 8

@@ -4,7 +4,8 @@ public function and class has a caller outside the tests (or a stated
 reason to be kept), every EngineConfig field is read by the program and
 given by a caller outside the tests, no override renames its base's
 parameters, only `BestFirstSearch.step` pops a node table, only `LazyTable`
-defines `__missing__`, and HDA* imports and calls by name every termination
+defines `__missing__`, every domain's `successors` hook takes a `parent`
+that defaults to None, and HDA* imports and calls by name every termination
 function the benchmark's tracer wraps."""
 
 import ast
@@ -469,6 +470,74 @@ def test_check_sees_a_second_table_pop():
         "Engine._expand (line 7)",
         "Engine.drain (line 9)",
         "helper (line 12)",
+    ]
+
+
+def parentless_successors(trees: list[ast.Module]) -> list[str]:
+    """Every function or method named `successors` without a `parent`
+    parameter whose default is None, as `Class.successors (line)`. The
+    best-first step passes the expanded node's parent to the hook."""
+    found = []
+
+    def visit(node, scope: list[str]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "successors" and not defaults_parent_to_none(node.args):
+                found.append(f"{'.'.join(scope)} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for tree in trees:
+        visit(tree, [])
+    return found
+
+
+def defaults_parent_to_none(args: ast.arguments) -> bool:
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return any(
+        arg.arg == "parent"
+        and isinstance(default, ast.Constant)
+        and default.value is None
+        for arg, default in pairs
+    )
+
+
+def test_every_domain_successors_takes_a_parent():
+    paths = sorted((SRC / "domains").rglob("*.py"))
+    trees = [ast.parse(p.read_text(), str(p)) for p in paths]
+    assert sum(
+        isinstance(node, ast.FunctionDef) and node.name == "successors"
+        for tree in trees
+        for node in ast.walk(tree)
+    ) >= 2
+    assert parentless_successors(trees) == []
+
+
+def test_check_sees_a_successors_without_parent():
+    tree = ast.parse(
+        "class Tiles:\n"
+        "    def successors(self, state, h, parent=None): pass\n"
+        "class Lattice:\n"
+        "    def successors(self, state, h, *, parent=None): pass\n"
+        "class Old:\n"
+        "    def successors(self, state, h): pass\n"
+        "class Required:\n"
+        "    def successors(self, state, h, parent): pass\n"
+        "class Defaulted:\n"
+        "    def successors(self, state, h, parent=(), extra=None): pass\n"
+        "class Renamed:\n"
+        "    def successors(self, state, h, prev=None): pass\n"
+        "def successors(state, h=0.0, parent=None): pass\n"
+        "def helper(state, h, parent=None): pass\n"
+    )
+    assert parentless_successors([tree]) == [
+        "Old.successors (line 6)",
+        "Required.successors (line 8)",
+        "Defaulted.successors (line 10)",
+        "Renamed.successors (line 12)",
     ]
 
 
