@@ -5,6 +5,16 @@ with nonnegative edge costs, an admissible heuristic, and a feature view of
 each state used by the hashing strategies. States must be hashable and
 immutable; the feature list of a state identifies it uniquely.
 
+Tile states are `bytes` inside the search, one byte per cell: `initial`,
+`goal` and every child. A bytes object caches its hash, so a node table
+hashes each state once. Outside the search they are tuples of ints: the
+generators return tuples, and every solver reports its path through
+`reported_path`, which turns each `bytes` state into the tuple of its
+values. The rule goes by the state's type, so it also holds for a wrapper
+that passes on only the six contract members. `validate_path` takes a path
+in either form, and the tile `features` and `canonical_bytes` read either
+form alike, so a tuple and its bytes share every strategy's key.
+
 A domain may also define the optional hook `successors(state, h,
 parent=None)`, where h is the state's heuristic: one pass over the state's
 moves that returns a list of `(child, cost, child_h, move)` records, in
@@ -20,11 +30,13 @@ Engines carry h with each node and expand through
 without the hook. Tile puzzles define it with an O(1) Manhattan update
 (one moved tile changes its own distance alone), read with the move from
 tables built once per board size and shared by every puzzle of that size,
-and skip the blank move into the parent's blank cell without building the
-parent; lattices define it over a table from room (which axes are below
-their length) to in-bounds moves, filled on first use, so a pass builds
-only the children that fit, and ignore `parent`, since every lattice move
-increments coordinates and no child equals a parent.
+build each child with one `bytes.translate` that exchanges the blank and
+the moved tile, and skip the blank move into the parent's blank cell
+without building the parent; lattices define it over a table from room
+(which axes are below their length) to in-bounds moves, filled on first
+use, so a pass builds only the children that fit, and ignore `parent`,
+since every lattice move increments coordinates and no child equals a
+parent.
 
 A domain whose moves are not None also defines the optional hook
 `move_features(move)`: the features removed from and added to the parent's
@@ -107,12 +119,19 @@ def validate_path(
 ) -> float:
     """Re-validate a path edge by edge against expand(); return its cost.
 
-    Raises ValueError if consecutive states are not connected or the last
-    state is not a goal.
+    The path may be in the search's form or in its reported form: when the
+    problem's states are `bytes`, each state is read as `bytes(state)`, so
+    the tuple path a Solution reports validates too. Raises ValueError if
+    consecutive states are not connected or the last state is not a goal.
     """
     path = list(path)
     if not path:
         raise ValueError("empty path")
+    if type(problem.initial) is bytes:
+        try:
+            path = [bytes(state) for state in path]
+        except (TypeError, ValueError):
+            raise ValueError("path holds a state that is not a byte sequence") from None
     if path[0] != problem.initial:
         raise ValueError("path does not start at the initial state")
     cost = 0.0
@@ -126,3 +145,12 @@ def validate_path(
     if not problem.is_goal(path[-1]):
         raise ValueError("path does not end in a goal state")
     return cost
+
+
+def reported_path(problem: SearchProblem, path: list) -> list:
+    """Validate a solution path found by a search and return it in reported
+    form: each `bytes` state (a tile board) as the tuple of its values,
+    every other state as it is. The rule goes by the state's type, so it
+    holds for any wrapper that passes the domain's states through."""
+    validate_path(problem, path)
+    return [tuple(state) if type(state) is bytes else state for state in path]

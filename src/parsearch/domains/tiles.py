@@ -1,7 +1,12 @@
 """Sliding-tile puzzle domain (8-puzzle, 15-puzzle, ...).
 
-States are flat tuples of length n*n holding a permutation of 0..n*n-1,
-where 0 is the blank. The goal places tiles in order with the blank last.
+A board is a flat sequence of length n*n holding a permutation of
+0..n*n-1, where 0 is the blank. The goal places tiles in order with the
+blank last. Inside the search a state is `bytes`, one byte per cell:
+CPython caches a bytes object's hash, so the node tables hash each state
+once, and a child is one `translate` of its parent. Boards therefore hold
+at most 256 cells (16 x 16). Paths are reported, and the generators return
+states, as tuples of ints.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 import random
 
 from parsearch.domains.base import Feature, State
+
+MAX_WIDTH = 16  # one byte per cell holds tiles 0..255
 
 
 class TilePuzzle:
@@ -22,19 +29,24 @@ class TilePuzzle:
         n = math.isqrt(len(initial))
         if n < 2 or n * n != len(initial):
             raise ValueError("initial state is not an n*n permutation, n >= 2")
+        if n > MAX_WIDTH:
+            raise ValueError(
+                f"a {n}x{n} board is too large: states hold one byte per cell, "
+                f"so tile boards are limited to {MAX_WIDTH}x{MAX_WIDTH} (256 cells)"
+            )
         if sorted(initial) != list(range(n * n)):
             raise ValueError("initial state is not a permutation of 0..n*n-1")
         self.n = n
         self.ncells = n * n
-        self.initial = tuple(initial)
-        self.goal = goal_state(n)
-        self._contrib, self._blank_moves = _board_tables(n)
+        self.initial = bytes(initial)
+        self.goal = bytes(goal_state(n))
+        self._contrib, self._blank_moves, self._swaps = _board_tables(n)
 
     def is_goal(self, state: State) -> bool:
         return state == self.goal
 
     def successors(
-        self, state: tuple[int, ...], h: float, parent: tuple[int, ...] | None = None
+        self, state: bytes, h: float, parent: bytes | None = None
     ) -> list[tuple]:
         """(child, 1.0, h(child), move) per blank move, in O(1) each.
 
@@ -42,28 +54,27 @@ class TilePuzzle:
         to b, which changes t's Manhattan distance alone; the move is the
         int (b * n² + j) * n² + t. Both come from the board's tables: one
         `(j, delta, base)` entry per blank move, with delta[t] the change
-        in h and base + t the move. A parent (a neighbour of `state`) is
-        the child whose blank sits where the parent's does, so the move to
-        that cell is skipped without building the parent's tuple.
+        in h and base + t the move. The child is the one call
+        `state.translate(swaps[t])`, which exchanges the bytes 0 and t. A
+        parent (a neighbour of `state`) is the child whose blank sits where
+        the parent's does, so the move to that cell is skipped without
+        building the parent.
         """
         b = state.index(0)
         skip = -1 if parent is None else parent.index(0)
-        lst = list(state)
+        swaps = self._swaps
         out = []
         for j, delta, base in self._blank_moves[b]:
             if j == skip:
                 continue
-            t = lst[j]
-            lst[b] = t
-            lst[j] = 0
-            out.append((tuple(lst), 1.0, h + delta[t], base + t))
-            lst[j] = t
+            t = state[j]
+            out.append((state.translate(swaps[t]), 1.0, h + delta[t], base + t))
         return out
 
-    def expand(self, state: tuple[int, ...]) -> list[tuple[State, float]]:
+    def expand(self, state: bytes) -> list[tuple[State, float]]:
         return [(child, cost) for child, cost, _, _ in self.successors(state, 0.0)]
 
-    def h(self, state: tuple[int, ...]) -> float:
+    def h(self, state: bytes) -> float:
         contrib = self._contrib
         ncells = self.ncells
         total = 0
@@ -72,11 +83,14 @@ class TilePuzzle:
                 total += contrib[tile * ncells + pos]
         return float(total)
 
-    def features(self, state: tuple[int, ...]) -> list[Feature]:
+    # The feature and byte views read a state as a sequence of ints, so a
+    # state's tuple form and its bytes form give one Zobrist or folded key.
+
+    def features(self, state: bytes) -> list[Feature]:
         # (position, tile) pairs, blank included; uniquely identify the state.
         return list(enumerate(state))
 
-    def canonical_bytes(self, state: tuple[int, ...]) -> bytes:
+    def canonical_bytes(self, state: bytes) -> bytes:
         return bytes(state)
 
     def move_features(self, move: int) -> tuple[Feature, ...]:
@@ -108,13 +122,16 @@ class TilePuzzle:
 
 
 @functools.cache
-def _board_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+def _board_tables(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[bytes, ...]]:
     """Tables of the n x n board, built once per size and shared by every
     puzzle of that size: the Manhattan contribution per (tile, position),
-    at tile * n² + position, and per blank cell b one `(j, delta, base)`
-    entry per blank move to cell j, in up/down/left/right order, where
-    delta[t] is the change in h when tile t slides from j to b and
-    base = (b * n² + j) * n²."""
+    at tile * n² + position; per blank cell b one `(j, delta, base)` entry
+    per blank move to cell j, in up/down/left/right order, where delta[t]
+    is the change in h when tile t slides from j to b and
+    base = (b * n² + j) * n²; and per tile t the 256-byte `translate`
+    table that exchanges the blank (0) and t."""
     ncells = n * n
     contrib = [0] * (ncells * ncells)
     for tile in range(1, ncells):
@@ -145,7 +162,8 @@ def _board_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
             )
             for j in targets
         ))
-    return tuple(contrib), tuple(blank_moves)
+    swaps = tuple(bytes.maketrans(bytes((0, t)), bytes((t, 0))) for t in range(ncells))
+    return tuple(contrib), tuple(blank_moves), swaps
 
 
 def goal_state(n: int) -> tuple[int, ...]:
@@ -204,7 +222,7 @@ def random_scramble(n: int, depth: int, seed: int | random.Random) -> tuple[int,
         succs = [s for s, _ in puzzle.expand(state) if s != prev]
         prev = state
         state = rng.choice(succs)
-    return state
+    return tuple(state)
 
 
 def state_count(n: int) -> int:

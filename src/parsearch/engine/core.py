@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from parsearch.common import DEFAULT_SEED, INF, ConfigError, check_count
-from parsearch.domains.base import validate_path
+from parsearch.domains.base import reported_path
 from parsearch.serial import DEFAULT_NODE_LIMIT, Solution, merge_stats
 
 
@@ -125,7 +125,7 @@ class Engine:
         self.check()
         cost, path = self.result()
         if path:
-            validate_path(self.problem, path)
+            path = reported_path(self.problem, path)
         stats = merge_stats(self.stats)
         stats.wall_time = wall
         meta = {

@@ -20,7 +20,7 @@ from parsearch.common import (
     SearchInvariantError,
     check_count,
 )
-from parsearch.domains.base import SearchProblem, State, successors_of, validate_path
+from parsearch.domains.base import SearchProblem, State, reported_path, successors_of
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -274,7 +274,7 @@ class BestFirstSearch:
         stats.wall_time = time.perf_counter() - start
         path = reconstruct_path(self.goal_state, self.table.entry)
         if path:
-            validate_path(self.problem, path)
+            path = reported_path(self.problem, path)
         return Solution(self.goal_cost, path, stats)
 
 
@@ -444,11 +444,12 @@ def idastar(
         if it.best_cost < INF or bound == INF:
             break
     stats.wall_time = time.perf_counter() - start
-    if it.best_path:
-        validate_path(problem, it.best_path)
+    path = it.best_path
+    if path:
+        path = reported_path(problem, path)
     return Solution(
         it.best_cost,
-        it.best_path,
+        path,
         stats,
         meta={"algorithm": "idastar", "bounds": len(stats.iteration_expansions)},
     )

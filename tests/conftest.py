@@ -21,13 +21,20 @@ from parsearch.domains import (
 from parsearch.serial import NodeTable
 
 
+def reported(state):
+    """A state in the form a Solution reports: a tile's `bytes` state as
+    the tuple of its values, any other state as it is."""
+    return tuple(state) if type(state) is bytes else state
+
+
 def traced(run, *args):
     """Call `run(*args)` and record the expansion trace of every node table.
 
     Returns (result, traces): traces maps each table's `where` name
     ("search", "worker 0", ...) to the (state, g, g + h) of every node it
-    popped, in pop order. `NodeTable.pop` is the one place a node is popped,
-    so the record sees every expansion without the engines' help.
+    popped, in pop order, each state in its `reported` form.
+    `NodeTable.pop` is the one place a node is popped, so the record sees
+    every expansion without the engines' help.
     """
     traces: dict[str, list] = {}
     pop = NodeTable.pop
@@ -36,7 +43,7 @@ def traced(run, *args):
         node = pop(table, stats)
         if node is not None:
             state, g, h = node[:3]
-            traces.setdefault(table.where, []).append((state, g, g + h))
+            traces.setdefault(table.where, []).append((reported(state), g, g + h))
         return node
 
     NodeTable.pop = recording
@@ -49,7 +56,9 @@ def traced(run, *args):
 @pytest.fixture(scope="session")
 def tile3_bfs() -> dict:
     """Optimal move counts for every reachable 3x3 state, by breadth-first
-    enumeration from the goal (the space is undirected, costs are unit)."""
+    enumeration from the goal (the space is undirected, costs are unit).
+    Keyed by the search's form of a state, `bytes`: look up a generated
+    tuple as `bytes(state)`."""
     puzzle = TilePuzzle(goal_state(3))
     dist = {puzzle.goal: 0}
     frontier = [puzzle.goal]

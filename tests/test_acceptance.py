@@ -114,7 +114,7 @@ def test_criterion_1_optimality_suite(tile3_bfs):
     for spec in specs:
         kind, arg = spec
         if kind == "tile":
-            expected[spec] = float(tile3_bfs[random_solvable(3, arg)])
+            expected[spec] = float(tile3_bfs[bytes(random_solvable(3, arg))])
         elif kind == "grid":
             p = make_grid_problem(arg)
             expected[spec] = grid_dijkstra(p.grid, p.initial).get(p.goal, INF)
@@ -148,7 +148,7 @@ def test_criterion_2_hash_identities():
     puzzle = TilePuzzle(goal_state(3))
     table = ZobristTable(42)
     rng = random.Random(2)
-    state = random_solvable(3, rng)
+    state = bytes(random_solvable(3, rng))
     # The key path HDA* runs: one xor per move, carried along a random walk
     # and checked against a full recompute over a separate table.
     strategy = ZobristStrategy(puzzle, 42)

@@ -25,7 +25,7 @@ class TestSolve:
         assert code == 0
         record = json.loads(out.read_text())
         assert record["schema"] == 1
-        want = tile3_bfs[random_solvable(3, 7)]
+        want = tile3_bfs[bytes(random_solvable(3, 7))]
         assert record["cost"] == want
         assert record["solved"] is True
         assert record["expanded"] >= 1
@@ -87,6 +87,14 @@ class TestSolve:
 
     def test_negative_scramble_depth_exit_three(self):
         assert run_cli("solve", "--domain", "tile", "--gen", "n=3,depth=-4") == 3
+
+    def test_tile_board_wider_than_16_exit_three(self, capsys):
+        # States hold one byte per cell, so a 17x17 board is refused before
+        # any search starts.
+        assert run_cli(
+            "solve", "--domain", "tile", "--gen", "n=17,seed=1", "--algo", "astar",
+        ) == 3
+        assert "limited to 16x16" in capsys.readouterr().err
 
     def test_nan_weights_exit_three(self):
         assert run_cli(

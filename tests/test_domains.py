@@ -23,28 +23,66 @@ from parsearch.domains import (
     random_scramble,
     random_solvable,
     state_count,
+    validate_path,
 )
 from tests.conftest import grid_dijkstra
 
 SQRT2 = math.sqrt(2.0)
 
 
+def tuple_successors(state: tuple, n: int) -> list[tuple]:
+    """Reference tile successor records over tuples, independent of the
+    puzzle's tables: the blank swaps with its up, down, left and right
+    neighbour, h is the Manhattan distance summed afresh, and the move is
+    (b * n² + j) * n² + t for the blank at b and tile t at j."""
+    ncells = n * n
+    b = state.index(0)
+    r, c = divmod(b, n)
+    out = []
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        if 0 <= r + dr < n and 0 <= c + dc < n:
+            j = (r + dr) * n + c + dc
+            t = state[j]
+            lst = list(state)
+            lst[b], lst[j] = t, 0
+            h = sum(
+                abs(pos // n - (tile - 1) // n) + abs(pos % n - (tile - 1) % n)
+                for pos, tile in enumerate(lst)
+                if tile
+            )
+            out.append((tuple(lst), 1.0, float(h), (b * ncells + j) * ncells + t))
+    return out
+
+
+def check_successors_against_tuples(p: TilePuzzle, state: bytes) -> None:
+    """The puzzle's records for `state`, without and with each neighbour as
+    the parent, equal the tuple reference's (children read as tuples)."""
+    want = tuple_successors(tuple(state), p.n)
+    parents = [None] + [bytes(child) for child, _, _, _ in want]
+    for parent in parents:
+        got = p.successors(state, p.h(state), parent)
+        assert all(type(child) is bytes for child, _, _, _ in got)
+        assert [(tuple(child), *rest) for child, *rest in got] == [
+            r for r in want if parent is None or r[0] != tuple(parent)
+        ]
+
+
 class TestTiles:
     def test_corner_blank_has_two_successors(self):
         p = TilePuzzle(goal_state(3))
-        state = (0, 1, 2, 3, 4, 5, 6, 7, 8)  # blank in the corner
+        state = bytes((0, 1, 2, 3, 4, 5, 6, 7, 8))  # blank in the corner
         assert len(p.expand(state)) == 2
 
     def test_center_blank_has_four_successors(self):
         p = TilePuzzle(goal_state(3))
-        state = (1, 2, 3, 4, 0, 5, 6, 7, 8)
+        state = bytes((1, 2, 3, 4, 0, 5, 6, 7, 8))
         assert len(p.expand(state)) == 4
 
     def test_expansion_is_symmetric(self):
         p = TilePuzzle(goal_state(3))
         rng = random.Random(5)
         for _ in range(200):
-            s = random_solvable(3, rng)
+            s = bytes(random_solvable(3, rng))
             for t, cost in p.expand(s):
                 assert cost == 1.0
                 assert s in [u for u, _ in p.expand(t)]
@@ -68,7 +106,7 @@ class TestTiles:
         p = TilePuzzle(goal_state(3))
         rng = random.Random(11)
         for _ in range(1000):
-            s = random_solvable(3, rng)
+            s = bytes(random_solvable(3, rng))
             assert p.h(s) <= tile3_bfs[s]
 
     def test_manhattan_consistent_exhaustive(self, tile3_bfs):
@@ -82,7 +120,7 @@ class TestTiles:
         for n in (3, 4, 5):
             p = TilePuzzle(goal_state(n))
             rng = random.Random(10 + n)
-            state = random_solvable(n, rng)
+            state = bytes(random_solvable(n, rng))
             h = p.h(state)
             for _ in range(10_000):
                 records = p.successors(state, h)
@@ -106,14 +144,14 @@ class TestTiles:
             for k in range(ntiles):
                 tiles = [(i + k) % ntiles + 1 for i in range(ntiles)]
                 tiles.insert(b, 0)
-                state = tuple(tiles)
+                state = bytes(tiles)
                 want = []
                 for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     if 0 <= r + dr < n and 0 <= c + dc < n:
                         j = (r + dr) * n + c + dc
                         child = list(state)
                         child[b], child[j] = child[j], child[b]
-                        want.append(tuple(child))
+                        want.append(bytes(child))
                 records = p.successors(state, p.h(state))
                 assert [child for child, _, _, _ in records] == want
                 parent_features = set(p.features(state))
@@ -125,10 +163,34 @@ class TestTiles:
                     assert set(features[:2]) == parent_features - child_features
                     assert set(features[2:]) == child_features - parent_features
 
+    def test_successors_equal_tuple_reference_on_every_3x3_state(self, tile3_bfs):
+        p = TilePuzzle(goal_state(3))
+        for state in tile3_bfs:
+            check_successors_against_tuples(p, state)
+
+    def test_successors_equal_tuple_reference_with_blank_in_every_4x4_cell(self):
+        p = TilePuzzle(goal_state(4))
+        for seed in range(20):
+            start = list(random_solvable(4, seed))
+            for cell in range(16):
+                lst = list(start)
+                b = lst.index(0)
+                lst[b], lst[cell] = lst[cell], 0
+                check_successors_against_tuples(p, bytes(lst))
+
+    def test_validate_path_reads_either_form(self):
+        p = TilePuzzle((1, 2, 3, 4, 5, 6, 7, 0, 8))
+        path = [(1, 2, 3, 4, 5, 6, 7, 0, 8), goal_state(3)]
+        assert validate_path(p, path) == 1.0
+        assert validate_path(p, [bytes(s) for s in path]) == 1.0
+        for bad in ([(1, 2, 3, 4, 5, 6, 7, 0, 300)], [("a",) * 9]):
+            with pytest.raises(ValueError, match="not a byte sequence"):
+                validate_path(p, bad)
+
     def test_random_solvable_all_reachable(self, tile3_bfs):
         rng = random.Random(123)
         for _ in range(10_000):
-            assert random_solvable(3, rng) in tile3_bfs
+            assert bytes(random_solvable(3, rng)) in tile3_bfs
 
     def test_random_solvable_2x2_in_reachable_set(self):
         puzzle = TilePuzzle(goal_state(2))
@@ -142,7 +204,7 @@ class TestTiles:
                     frontier.append(t)
         assert len(reachable) == 12
         for seed in range(200):
-            assert random_solvable(2, seed) in reachable
+            assert bytes(random_solvable(2, seed)) in reachable
 
     def test_random_solvable_deterministic(self):
         assert random_solvable(4, 99) == random_solvable(4, 99)
@@ -152,7 +214,7 @@ class TestTiles:
         for _ in range(2000):
             perm = list(range(9))
             rng.shuffle(perm)
-            s = tuple(perm)
+            s = bytes(perm)
             assert is_solvable(s, 3) == (s in tile3_bfs)
 
     def test_state_count(self):
@@ -170,6 +232,10 @@ class TestTiles:
         for initial in ((1.0, 2.0, 0.0, 3.0), (1, 2, 0.0, 3), (True, 2, 0, 3)):
             with pytest.raises(ValueError, match="not an int"):
                 TilePuzzle(initial)
+        # A state holds one byte per cell: 16x16 is the largest board.
+        assert TilePuzzle(goal_state(16)).initial == bytes(goal_state(16))
+        with pytest.raises(ValueError, match="limited to 16x16"):
+            TilePuzzle(goal_state(17))
 
 
 class TestGrid:

@@ -47,7 +47,14 @@ from parsearch.engine.spa import SPAStar
 from parsearch.engine.window import ParallelWindow
 from parsearch.hashing import Strategy
 from parsearch.metrics import overheads
-from parsearch.serial import DEFAULT_NODE_LIMIT, BestFirstSearch, astar, idastar
+from parsearch.serial import (
+    DEFAULT_NODE_LIMIT,
+    BestFirstSearch,
+    astar,
+    idastar,
+    uniform_cost_oracle,
+    wastar,
+)
 from parsearch.termination import time_ring_check, two_wave_check
 from tests.conftest import make_grid_problem, traced
 
@@ -166,6 +173,34 @@ def test_contract_fallback_matches_successors_hook():
         assert [w.iteration_expansions for w in a.per_worker] == [
             w.iteration_expansions for w in b.per_worker
         ]
+
+
+TILE_SOLVERS = {
+    "astar": astar,
+    "wastar": lambda p: wastar(p, 2.0),
+    "uniform_cost": uniform_cost_oracle,
+    "idastar": idastar,
+    "spastar": lambda p: spastar(p, EngineConfig(workers=4, seed=3)),
+    "hdastar-p1": lambda p: hdastar(p, EngineConfig(workers=1, seed=3)),
+    "hdastar-p4": lambda p: hdastar(p, EngineConfig(workers=4, seed=3)),
+    "window": lambda p: parallel_window(p, EngineConfig(workers=4, seed=3)),
+    "dovetail": dovetail,
+}
+
+
+@pytest.mark.parametrize("name", TILE_SOLVERS)
+def test_tile_paths_are_reported_as_tuples(name):
+    # Tile states are bytes inside the search; every solver reports its path
+    # as the tuples it was given, also through the contract members alone,
+    # where no tile method is left to convert them.
+    solve = TILE_SOLVERS[name]
+    for n, start in ((3, random_scramble(3, 30, 5)), (4, random_scramble(4, 14, 5))):
+        for problem in (TilePuzzle(start), ContractOnly(TilePuzzle(start))):
+            sol = solve(problem)
+            assert sol.solved and sol.cost > 0
+            assert all(type(state) is tuple for state in sol.path)
+            assert sol.path[0] == start and sol.path[-1] == goal_state(n)
+            assert validate_path(problem, sol.path) == sol.cost
 
 
 class TestSPAStar:
@@ -485,8 +520,8 @@ for token in ("zobrist", "random"):
         # From the centre blank, moving tile 5 up keeps the root's f and
         # moving tile 4 right raises it by 2; both children go to worker 1.
         problem = TilePuzzle((1, 2, 3, 4, 0, 6, 7, 5, 8))
-        same = (1, 2, 3, 4, 5, 6, 7, 0, 8)
-        deeper = (1, 2, 3, 0, 4, 6, 7, 5, 8)
+        same = bytes((1, 2, 3, 4, 5, 6, 7, 0, 8))
+        deeper = bytes((1, 2, 3, 0, 4, 6, 7, 5, 8))
         root_f = problem.h(problem.initial)
         assert 1 + problem.h(same) == root_f
         assert 1 + problem.h(deeper) == root_f + 2
@@ -667,7 +702,7 @@ class TestParallelWindow:
         for workers in (1, 3):
             sol = parallel_window(p, EngineConfig(workers=workers))
             assert sol.cost == 0.0
-            assert sol.path == [p.initial]
+            assert sol.path == [tuple(p.initial)]
             assert sol.meta["bounds"] == [0.0]
             assert sol.stats.expanded == 0
 

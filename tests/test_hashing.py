@@ -54,7 +54,7 @@ class TestZobrist:
         p = TilePuzzle(goal_state(4))
         t = ZobristTable(42)
         rng = random.Random(10)
-        state = random_solvable(4, rng)
+        state = bytes(random_solvable(4, rng))
         key = zobrist_key(t, p.features(state))
         strategies = [
             make_strategy(token, p, seed=42)
@@ -76,6 +76,19 @@ class TestZobrist:
             assert key == zobrist_key(t, p.features(succ))
             keys = [strategy.key(succ) for strategy in strategies]
             state = succ
+
+
+    @pytest.mark.parametrize("token", ["zobrist", "azh", "abstraction", "mult"])
+    def test_tuple_and_bytes_forms_share_a_key(self, token):
+        # Engines hash a tile's bytes state; a caller hashing the public
+        # tuple form must route it to the same worker.
+        p = TilePuzzle(goal_state(4))
+        strategy = make_strategy(token, p, seed=42)
+        rng = random.Random(3)
+        for _ in range(200):
+            state = random_solvable(4, rng)
+            assert strategy.key(state) == strategy.key(bytes(state))
+        assert strategy.key(goal_state(4)) == strategy.key(p.goal)
 
 
 class TestAbstractZobrist:

@@ -30,7 +30,7 @@ def grid_states():
 
 def tile_states(n, count, seed):
     rng = random.Random(seed)
-    return [random_solvable(n, rng) for _ in range(count)]
+    return [bytes(random_solvable(n, rng)) for _ in range(count)]
 
 
 def projection(token, problem):

@@ -31,7 +31,7 @@ class TestAstar:
         p = TilePuzzle(goal_state(3))
         sol = astar(p)
         assert sol.cost == 0.0
-        assert sol.path == [p.goal]
+        assert sol.path == [tuple(p.goal)]
         assert sol.stats.expanded == 1
 
     def test_missorder_graph(self):
