@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 from parsearch.allocation import CostModel, ratio_bounds, sweep
@@ -35,12 +36,20 @@ from parsearch.engine import EngineConfig, dovetail, hdastar, parallel_window, s
 from parsearch.engine.core import TERMINATIONS
 from parsearch.engine.dovetail import DEFAULT_WEIGHTS
 from parsearch.hashing import STRATEGY_TOKENS, parse_strategy_config
-from parsearch.metrics import csv_row, efficiency_fraction, overheads, rows_to_csv
+from parsearch.metrics import CSV_COLUMNS, csv_row, efficiency_fraction, overheads, rows_to_csv
 from parsearch.serial import DEFAULT_NODE_LIMIT, astar, idastar, uniform_cost_oracle, wastar
 
 SCHEMA_VERSION = 1
 
-RECORD_FIELDS = """\
+IASIM_COLUMNS = ("W_plus", "b", "model", "total_cost", "optimal_cost", "iterations", "ratio")
+
+
+def _listed(names) -> str:
+    """Column names as one indented, wrapped sentence for the epilog."""
+    return textwrap.indent(textwrap.fill(", ".join(names) + ".", 70), "  ")
+
+
+RECORD_FIELDS = f"""\
 Run record JSON fields (schema 1):
   schema, algorithm, domain, instance, strategy, workers, batch_size,
   termination, execution, seed, cost (Infinity when unsolvable), solved,
@@ -51,15 +60,14 @@ Run record JSON fields (schema 1):
   (dovetail: workers = number of weights) and "serial" otherwise.
 
 Bench CSV columns:
-  instance, algo, strategy, p, cost, expanded, SO, CO, LB,
-  efficiency_fraction, speedup, wall_time.
+{_listed(CSV_COLUMNS)}
   SO/CO/LB/speedup compare against the serial A* baseline row of the same
   instance. efficiency_fraction is empty for unsolved runs and for window
   runs, which record no per-expansion f. Counters are deterministic for a
   fixed seed; wall-time columns are not.
 
 iasim CSV columns:
-  W_plus, b, model, total_cost, optimal_cost, iterations, ratio.
+{_listed(IASIM_COLUMNS)}
 """
 
 # Multi-worker engines: engine(problem, EngineConfig) -> Solution.
@@ -375,7 +383,7 @@ def cmd_iasim(args) -> int:
     lines = [
         f"# schema {SCHEMA_VERSION}",
         f"# b={args.b} worst_bound={worst} average_bound={avg}",
-        "W_plus,b,model,total_cost,optimal_cost,iterations,ratio",
+        ",".join(IASIM_COLUMNS),
     ]
     for row in rows:
         lines.append(

@@ -151,6 +151,9 @@ def reported_path(problem: SearchProblem, path: list) -> list:
     """Validate a solution path found by a search and return it in reported
     form: each `bytes` state (a tile board) as the tuple of its values,
     every other state as it is. The rule goes by the state's type, so it
-    holds for any wrapper that passes the domain's states through."""
+    holds for any wrapper that passes the domain's states through. An empty
+    path (no solution) is returned as it is."""
+    if not path:
+        return []
     validate_path(problem, path)
     return [tuple(state) if type(state) is bytes else state for state in path]

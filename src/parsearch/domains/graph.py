@@ -25,15 +25,10 @@ class ExplicitGraph:
         h_values: dict[str, float] | None = None,
     ):
         self.adj: dict[str, list[tuple[str, float]]] = {}
-        self.nodes: set[str] = set()
         for u, v, cost in edges:
             if not cost >= 0:  # also rejects NaN
                 raise ValueError(f"edge cost on {u} -> {v} must be >= 0")
             self.adj.setdefault(u, []).append((v, float(cost)))
-            self.nodes.add(u)
-            self.nodes.add(v)
-        self.nodes.add(start)
-        self.nodes.update(goals)
         if not goals:
             raise ValueError("at least one goal required")
         self.initial = start

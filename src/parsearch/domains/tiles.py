@@ -42,13 +42,16 @@ class TilePuzzle:
         self.goal = bytes(goal_state(n))
         self._contrib, self._blank_moves, self._swaps = _board_tables(n)
 
-    def is_goal(self, state: State) -> bool:
+    def is_goal(self, state: bytes) -> bool:
+        """Whether `state`, in the search's `bytes` form, is the goal; a
+        tuple never equals it."""
         return state == self.goal
 
     def successors(
         self, state: bytes, h: float, parent: bytes | None = None
     ) -> list[tuple]:
-        """(child, 1.0, h(child), move) per blank move, in O(1) each.
+        """(child, 1.0, h(child), move) per blank move, in O(1) each, for
+        a `state` (and `parent`) in the search's `bytes` form.
 
         The blank moves from cell b to cell j and tile t = state[j] from j
         to b, which changes t's Manhattan distance alone; the move is the
@@ -71,8 +74,11 @@ class TilePuzzle:
             out.append((state.translate(swaps[t]), 1.0, h + delta[t], base + t))
         return out
 
-    def expand(self, state: bytes) -> list[tuple[State, float]]:
-        return [(child, cost) for child, cost, _, _ in self.successors(state, 0.0)]
+    def expand(self, state) -> list[tuple[State, float]]:
+        """(child, 1.0) per blank move, the children as `bytes`; `state` may
+        be in either form (`bytes(state)` returns a `bytes` state itself)."""
+        records = self.successors(bytes(state), 0.0)
+        return [(child, cost) for child, cost, _, _ in records]
 
     def h(self, state: bytes) -> float:
         contrib = self._contrib

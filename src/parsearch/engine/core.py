@@ -124,8 +124,7 @@ class Engine:
         wall = time.perf_counter() - start
         self.check()
         cost, path = self.result()
-        if path:
-            path = reported_path(self.problem, path)
+        path = reported_path(self.problem, path)
         stats = merge_stats(self.stats)
         stats.wall_time = wall
         meta = {

@@ -15,12 +15,7 @@ from collections import deque
 from parsearch.common import INF, ConfigError
 from parsearch.domains.base import SearchProblem
 from parsearch.engine.core import Engine, EngineConfig
-from parsearch.serial import (
-    DEFAULT_NODE_LIMIT,
-    BestFirstSearch,
-    Solution,
-    reconstruct_path,
-)
+from parsearch.serial import DEFAULT_NODE_LIMIT, BestFirstSearch, Solution
 
 DEFAULT_WEIGHTS = (1.0, 1.5, 2.0, 3.0, INF)
 
@@ -57,8 +52,7 @@ class Dovetail(Engine):
     def result(self):
         if self.winner is None:
             return INF, []
-        s = self.searchers[self.winner]
-        return s.goal_cost, reconstruct_path(s.goal_state, s.table.entry)
+        return self.searchers[self.winner].result()
 
     def meta(self) -> dict:
         meta = {"weights": list(self.weights)}

@@ -16,11 +16,11 @@ So the send invariant holds: at every pop, each child the worker holds
 unsent has f >= the popped f - EPS, and no child waits while its worker
 expands worse nodes; a child that ties the popped f waits for a full
 batch, a deeper pop or its worker going idle. Termination is proved by
-message counting (see `parsearch.termination`). One step of a worker is
-one iteration of the paper's worker loop: take every message that has
+message counting (see `parsearch.termination`). `HDAStar.step` runs one
+iteration of the paper's worker loop: take every message that has
 arrived, send the batches the invariant makes due, then expand one node,
-or, with nothing below the incumbent, flush the remaining batches and
-maybe start a detection round.
+or, with nothing below the incumbent, flush the remaining batches and, at
+worker 0, maybe start a detection round.
 
 A `_Worker` is a `serial.BestFirstSearch` whose `place` routes children: it
 inserts those it owns and batches the rest. It holds no reference to the
@@ -252,35 +252,25 @@ class HDAStar(Engine):
             insort(self._ready, dst)
 
     def step(self, w: int) -> None:
-        """Run worker w's loop iteration, then bring the ready list up to
-        date with what it changed. A worker left with an empty mailbox and
-        open work below the incumbent is still ready, and the driver only
-        steps listed workers, so it needs no re-check."""
-        incumbent = self.incumbent
-        bound = incumbent.cost
-        flagged = self._work_since_detect
+        """One iteration of worker w's loop (module doc), in its order:
+
+        1. Drain the mailbox. Each work batch counts as one received
+           message, raises the largest stamp received, and must hold only
+           states w owns; a control message is concluded or passed on, and
+           a passing round ends the run at once.
+        2. With open work below the incumbent, send every batch holding a
+           child below the f about to be popped (one comparison when none
+           is due) and expand one node. A goal is offered to the incumbent.
+        3. Otherwise flush every partial batch; worker 0 starts a detection
+           round if none is in flight and work was done since the last.
+        4. Bring the ready list up to date: a lower incumbent re-lists every
+           worker; w is re-checked unless open work below the incumbent
+           keeps it ready (its box is empty: sends go to channels), and
+           worker 0 when this step set `_work_since_detect`.
+        """
         worker = self.workers[w]
-        self._iterate(worker)
-        if incumbent.cost < bound:
-            self._relist()
-            return
-        if worker.box or worker.table.min_f() >= incumbent.cost - EPS:
-            self._recheck(w)
-        if w and not flagged and self._work_since_detect:
-            self._recheck(0)
-
-    def _iterate(self, worker: _Worker) -> None:
-        """One loop iteration of a worker: drain its mailbox fully, then
-        send every batch holding a child below the f about to be popped and
-        expand one node (whose same-layer children `place` sends at once)
-        or, with nothing below the incumbent, flush the partial batches and
-        maybe detect. A step with nothing due pays one comparison for the
-        send invariant.
-
-        The drain checks that the worker owns every state it receives and
-        keeps the termination counters: one received message per work
-        batch, and the largest stamp received."""
-        w = worker.id
+        incumbent = self.incumbent
+        flagged = self._work_since_detect
         box = worker.box
         if box:
             stats = worker.stats
@@ -307,35 +297,38 @@ class HDAStar(Engine):
                         )
                     insert(state, g1, h1, parent, stats, key)
         mf = worker.table.min_f()
-        if mf < self.incumbent.cost - EPS:
+        if mf < incumbent.cost - EPS:
             self._work_since_detect = True
             if worker.due < mf - EPS:
                 worker.send_below(mf)
             if not worker.step(worker.stats):
                 # A goal: none of its children (f >= g) is ever expanded.
-                self.incumbent.offer(worker.goal_cost, worker.goal_state)
-            return
-        for dst, buf in enumerate(worker.out):
-            if buf:
-                worker.flush(dst)
-        if w == 0:
-            self._maybe_initiate(worker)
+                bound = incumbent.cost
+                incumbent.offer(worker.goal_cost, worker.goal_state)
+                if incumbent.cost < bound:
+                    self._relist()
+                    return
+            if worker.table.min_f() >= incumbent.cost - EPS:
+                self._recheck(w)
+        else:
+            for dst, buf in enumerate(worker.out):
+                if buf:
+                    worker.flush(dst)
+            if w == 0 and not self.detect_in_flight and self._work_since_detect:
+                self._work_since_detect = False
+                self.rounds += 1
+                if self.config.termination == "two-wave":
+                    msg = start_two_wave(worker)
+                else:
+                    msg = start_time_ring(worker)
+                self.waves += 1
+                self.detect_in_flight = True
+                self._pass_on(0, msg)
+            self._recheck(w)
+        if w and not flagged and self._work_since_detect:
+            self._recheck(0)
 
     # -- termination ----------------------------------------------------------
-
-    def _maybe_initiate(self, worker: _Worker) -> None:
-        """Start a detection round at a quiescent worker 0."""
-        if self.detect_in_flight or not self._work_since_detect:
-            return
-        self._work_since_detect = False
-        self.rounds += 1
-        if self.config.termination == "two-wave":
-            msg = start_two_wave(worker)
-        else:
-            msg = start_time_ring(worker)
-        self.waves += 1
-        self.detect_in_flight = True
-        self._pass_on(0, msg)
 
     def _pass_on(self, w: int, msg: ControlMessage) -> None:
         """Send a control message from worker w to the next on the ring."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from parsearch.common import EPS, SearchInvariantError
 from parsearch.domains.base import SearchProblem
 from parsearch.engine.core import Engine, EngineConfig
-from parsearch.serial import BestFirstSearch, SearchStats, Solution, reconstruct_path
+from parsearch.serial import BestFirstSearch, SearchStats, Solution
 
 
 class SPAStar(Engine):
@@ -37,8 +37,7 @@ class SPAStar(Engine):
             raise SearchInvariantError("premature termination: open beats incumbent")
 
     def result(self):
-        search = self.search
-        return search.goal_cost, reconstruct_path(search.goal_state, search.table.entry)
+        return self.search.result()
 
 
 def spastar(problem: SearchProblem, config: EngineConfig | None = None) -> Solution:

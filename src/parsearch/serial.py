@@ -272,10 +272,13 @@ class BestFirstSearch:
         while self.step(stats):
             pass
         stats.wall_time = time.perf_counter() - start
-        path = reconstruct_path(self.goal_state, self.table.entry)
-        if path:
-            path = reported_path(self.problem, path)
-        return Solution(self.goal_cost, path, stats)
+        cost, path = self.result()
+        return Solution(cost, reported_path(self.problem, path), stats)
+
+    def result(self):
+        """The last goal's cost and path, in the search's own state form:
+        (INF, []) before a goal is found."""
+        return self.goal_cost, reconstruct_path(self.goal_state, self.table.entry)
 
 
 def astar(problem: SearchProblem, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
@@ -444,12 +447,9 @@ def idastar(
         if it.best_cost < INF or bound == INF:
             break
     stats.wall_time = time.perf_counter() - start
-    path = it.best_path
-    if path:
-        path = reported_path(problem, path)
     return Solution(
         it.best_cost,
-        path,
+        reported_path(problem, it.best_path),
         stats,
         meta={"algorithm": "idastar", "bounds": len(stats.iteration_expansions)},
     )

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
 from parsearch.cli import ALGOS, main
 from parsearch.domains import random_solvable
+from parsearch.metrics import CSV_COLUMNS
 from parsearch.serial import astar
 
 
@@ -571,3 +573,45 @@ class TestIasim:
             "iasim", "--b", "2", "--wmax", "16", "--model", "continuous",
             "--e-fail", "0.5", "--out", str(out),
         ) == 0
+
+
+def help_sections(capsys) -> dict:
+    """Each name list the `--help` epilog gives, keyed by its heading: the
+    indented lines up to the first that does not end a name with a comma
+    or a period, parenthetical notes dropped."""
+    assert run_cli("--help") == 0
+    lines = capsys.readouterr().out.splitlines()
+    sections = {}
+    for i, heading in enumerate(lines):
+        if not heading.endswith(":") or heading.startswith(" "):
+            continue
+        text = ""
+        for line in lines[i + 1 :]:
+            if not line.startswith("  ") or text.endswith("."):
+                break
+            text += " " + re.sub(r" \([^)]*\)", "", line.strip())
+        sections[heading] = [name.strip() for name in text.rstrip(".").split(",")]
+    return sections
+
+
+class TestHelp:
+    def test_record_fields_match_solve_records(self, tmp_path, capsys):
+        listed = help_sections(capsys)["Run record JSON fields (schema 1):"]
+        keys = {}
+        for algo in ("astar", "dovetail"):
+            out = tmp_path / f"{algo}.json"
+            assert run_cli(
+                "solve", "--domain", "tile", "--gen", "n=3,seed=7",
+                "--algo", algo, "--out", str(out),
+            ) == 0
+            keys[algo] = list(json.loads(out.read_text()))
+        assert keys["dovetail"] == listed
+        assert keys["astar"] == [name for name in listed if name != "winner_weight"]
+
+    def test_csv_columns_match_headers(self, tmp_path, capsys):
+        sections = help_sections(capsys)
+        out = tmp_path / "ia.csv"
+        assert run_cli("iasim", "--wmax", "2", "--out", str(out)) == 0
+        header = out.read_text().splitlines()[2]
+        assert header.split(",") == sections["iasim CSV columns:"]
+        assert sections["Bench CSV columns:"] == CSV_COLUMNS

@@ -178,6 +178,15 @@ class TestTiles:
                 lst[b], lst[cell] = lst[cell], 0
                 check_successors_against_tuples(p, bytes(lst))
 
+    def test_expand_takes_either_form(self):
+        # A generator's tuple expands to the children of its bytes form.
+        for state in (goal_state(3), random_solvable(3, 5), random_scramble(4, 30, 2)):
+            assert type(state) is tuple
+            p = TilePuzzle(state)
+            want = p.expand(bytes(state))
+            assert p.expand(state) == want
+            assert all(type(child) is bytes for child, _ in want)
+
     def test_validate_path_reads_either_form(self):
         p = TilePuzzle((1, 2, 3, 4, 5, 6, 7, 0, 8))
         path = [(1, 2, 3, 4, 5, 6, 7, 0, 8), goal_state(3)]

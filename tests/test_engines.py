@@ -878,6 +878,21 @@ class TestChannelTransport:
                 )
                 sol = self._checked_run(tile, config, AdversarialPolicy(seed))
                 assert sol.cost == want
+        # A 4x4 board at p = 8, and at p = 1, where worker 0 sends its
+        # detection waves to itself through a channel. Seed 7's adversarial
+        # delivery bias (0.34) is low enough to hold messages back for
+        # long stretches; below about 0.3 the p = 8 channel backlog grows
+        # without end.
+        tile = TilePuzzle(random_scramble(4, 30, 1))
+        want = astar(tile).cost
+        for workers in (1, 8):
+            for termination in ("two-wave", "time"):
+                for policy in (SchedulePolicy, AdversarialPolicy):
+                    config = EngineConfig(
+                        workers=workers, seed=7, termination=termination
+                    )
+                    sol = self._checked_run(tile, config, policy(7))
+                    assert sol.cost == want
 
     def test_p32_lattice_schedule_pinned(self):
         # A change to the delivery order changes these counters.
@@ -891,6 +906,19 @@ class TestChannelTransport:
         assert sol.stats.sent_batches == 1347
         assert sol.meta["detection_rounds"] == 2
         assert sol.meta["detection_waves"] == 3
+
+    def test_p8_tile_schedule_pinned(self):
+        # A change to the order of a worker's step changes these counters.
+        problem = TilePuzzle(random_scramble(4, 40, 0))
+        sol = hdastar(problem, EngineConfig(workers=8, seed=1))
+        assert sol.cost == 26.0
+        assert sol.meta["ticks"] == 653
+        assert [w.expanded for w in sol.per_worker] == [
+            34, 43, 39, 40, 34, 38, 40, 29,
+        ]
+        assert sol.stats.sent_batches == 281
+        assert sol.meta["detection_rounds"] == 3
+        assert sol.meta["detection_waves"] == 4
 
 
 class ReferencePolicy:
