@@ -6,8 +6,9 @@ Subcommands:
   iasim   iterative-allocation cost simulation (CSV)
 
 Exit codes: 0 solved, 1 unsolvable, 2 resource limit exceeded, 3 usage or
-input error. Engines run on the deterministic interleaved substrate, so
-every counter in the output is reproducible for a fixed seed.
+input error, 4 internal error (a search broke its own invariants). Engines
+run on the deterministic interleaved substrate, so every counter in the
+output is reproducible for a fixed seed.
 PARSEARCH_SEED overrides the default seed.
 """
 
@@ -36,7 +37,7 @@ from parsearch.engine import EngineConfig, dovetail, hdastar, parallel_window, s
 from parsearch.engine.core import TERMINATIONS
 from parsearch.engine.dovetail import DEFAULT_WEIGHTS
 from parsearch.hashing import STRATEGY_TOKENS, parse_strategy_config
-from parsearch.metrics import CSV_COLUMNS, csv_row, efficiency_fraction, overheads, rows_to_csv
+from parsearch.metrics import CSV_COLUMNS, bench_row, rows_to_csv
 from parsearch.serial import DEFAULT_NODE_LIMIT, astar, idastar, uniform_cost_oracle, wastar
 
 SCHEMA_VERSION = 1
@@ -62,9 +63,12 @@ Run record JSON fields (schema 1):
 Bench CSV columns:
 {_listed(CSV_COLUMNS)}
   SO/CO/LB/speedup compare against the serial A* baseline row of the same
-  instance. efficiency_fraction is empty for unsolved runs and for window
-  runs, which record no per-expansion f. Counters are deterministic for a
-  fixed seed; wall-time columns are not.
+  instance. A measure undefined for a run leaves its cells empty and the
+  sweep goes on: SO/CO/LB/speedup on the baseline row and when no worker
+  expanded anything; efficiency_fraction when nothing was expanded, the
+  instance is unsolvable, or the run records no per-expansion f (window
+  runs). Counters are deterministic for a fixed seed; wall-time columns
+  are not.
 
 iasim CSV columns:
 {_listed(IASIM_COLUMNS)}
@@ -301,15 +305,13 @@ def _suite_problem(entry, seed: int):
     return problem, auto_name if name is None else name
 
 
-def _efficiency(run, c_star: float) -> float | None:
-    """A bench row's efficiency fraction; None (an empty cell) when the run
-    is unsolved or recorded no per-expansion f."""
-    if not run.solved:
-        return None
-    try:
-        return efficiency_fraction(run, c_star)
-    except ValueError:
-        return None
+def _emit(text: str, count: int, out: str | None) -> None:
+    """Print `text`, or write it to `out` and print how many rows it holds."""
+    if out:
+        Path(out).write_text(text)
+        print(f"{count} rows written to {out}")
+    else:
+        print(text, end="")
 
 
 def cmd_bench(args) -> int:
@@ -350,29 +352,11 @@ def cmd_bench(args) -> int:
     rows = []
     for problem, name in problems:
         baseline = astar(problem)
-        c_star = baseline.cost
-        rows.append(
-            csv_row(
-                name,
-                "astar",
-                "",
-                1,
-                baseline,
-                None,
-                _efficiency(baseline, c_star),
-            )
-        )
+        rows.append(bench_row(name, "astar", "", 1, baseline, baseline))
         for algo, strategy, p, config in cells:
             sol = PARALLEL_ENGINES[algo](problem, config)
-            report = overheads(baseline, sol)
-            eff = _efficiency(sol, c_star)
-            rows.append(csv_row(name, algo, strategy, p, sol, report, eff))
-    text = rows_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"{len(rows)} rows written to {args.out}")
-    else:
-        print(text, end="")
+            rows.append(bench_row(name, algo, strategy, p, sol, baseline))
+    _emit(rows_to_csv(CSV_COLUMNS, rows), len(rows), args.out)
     return 0
 
 
@@ -380,23 +364,19 @@ def cmd_iasim(args) -> int:
     model = CostModel(kind=args.model, spare_reuse=not args.no_reuse)
     worst, avg = ratio_bounds(args.b)
     rows = sweep(args.b, args.wmax, model, fail_time=args.e_fail, makespan=args.makespan)
-    lines = [
-        f"# schema {SCHEMA_VERSION}",
-        f"# b={args.b} worst_bound={worst} average_bound={avg}",
-        ",".join(IASIM_COLUMNS),
+    comments = (
+        f"schema {SCHEMA_VERSION}",
+        f"b={args.b} worst_bound={worst} average_bound={avg}",
+    )
+    cells = [
+        {"W_plus": row.min_width, "b": row.b, "model": row.model,
+         "total_cost": row.total_cost, "optimal_cost": row.optimal_cost,
+         "iterations": row.iterations, "ratio": row.ratio}
+        for row in rows
     ]
-    for row in rows:
-        lines.append(
-            f"{row.min_width},{row.b},{row.model},{row.total_cost},"
-            f"{row.optimal_cost},{row.iterations},{row.ratio}"
-        )
-    text = "\n".join(lines) + "\n"
+    _emit(rows_to_csv(IASIM_COLUMNS, cells, comments), len(rows), args.out)
     if args.out:
-        Path(args.out).write_text(text)
-        print(f"{len(rows)} rows written to {args.out}")
         print(f"bounds: worst={worst} average={avg}")
-    else:
-        print(text, end="")
     return 0
 
 
@@ -474,6 +454,10 @@ def main(argv=None) -> int:
     except NodeLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a broken invariant or a stalled interleaver: a defect, not exit 1
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         # covers ConfigError, ParseError, JSON decoding, bad instances and
         # unreadable input files

@@ -5,30 +5,25 @@ communication overhead CO = triplets sent to a different worker / total
 generated; load balance LB = max per-worker expansions / mean per-worker
 expansions; speedup = serial wall time / parallel wall time. SO may be
 negative (a parallel run can expand fewer cost-tied nodes than serial).
+
+`bench_row` gathers these measures into one `parsearch bench` row, keyed by
+CSV_COLUMNS; `rows_to_csv` writes rows of named cells, the bench table and
+the `iasim` table alike.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import suppress
 from dataclasses import dataclass
 from io import StringIO
 
-from parsearch.common import EPS
+from parsearch.common import EPS, INF
 from parsearch.serial import Solution
 
 CSV_COLUMNS = [
-    "instance",
-    "algo",
-    "strategy",
-    "p",
-    "cost",
-    "expanded",
-    "SO",
-    "CO",
-    "LB",
-    "efficiency_fraction",
-    "speedup",
-    "wall_time",
+    "instance", "algo", "strategy", "p", "cost", "expanded",
+    "SO", "CO", "LB", "efficiency_fraction", "speedup", "wall_time",
 ]
 
 
@@ -67,9 +62,12 @@ def overheads(serial: Solution, run: Solution) -> OverheadReport:
 def efficiency_fraction(run: Solution, c_star: float) -> float:
     """Fraction of expanded nodes with f below the optimal cost.
 
-    Raises ValueError when nothing was expanded or the run did not record
-    the f of every expansion (the parallel window engine records none).
+    Raises ValueError when c_star is infinite (no solution exists), when
+    nothing was expanded, or when the run did not record the f of every
+    expansion (the parallel window engine records none).
     """
+    if c_star == INF:
+        raise ValueError("efficiency fraction undefined: no optimal cost")
     stats = run.stats
     if stats.expanded == 0:
         raise ValueError("efficiency fraction undefined: nothing expanded")
@@ -81,34 +79,37 @@ def efficiency_fraction(run: Solution, c_star: float) -> float:
     return below / stats.expanded
 
 
-def csv_row(
-    instance: str,
-    algo: str,
-    strategy: str,
-    p: int,
-    run: Solution,
-    report: OverheadReport | None,
-    eff: float | None,
-) -> list:
-    return [
-        instance,
-        algo,
-        strategy,
-        p,
-        repr(run.cost),
-        run.stats.expanded,
-        repr(report.search_overhead) if report else "",
-        repr(report.communication_overhead) if report else "",
-        repr(report.load_balance) if report else "",
-        repr(eff) if eff is not None else "",
-        repr(report.speedup) if report else "",
-        repr(run.stats.wall_time),
-    ]
+def bench_row(
+    instance: str, algo: str, strategy: str, p: int, run: Solution, baseline: Solution
+) -> dict:
+    """One bench row keyed by CSV_COLUMNS. SO, CO, LB and speedup compare
+    `run` against `baseline`, the serial run of the same instance, and are
+    empty on the baseline's own row; efficiency_fraction is measured against
+    baseline.cost. A measure that refuses the run with ValueError leaves its
+    cells empty (None)."""
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(
+        instance=instance, algo=algo, strategy=strategy, p=p, cost=run.cost,
+        expanded=run.stats.expanded, wall_time=run.stats.wall_time,
+    )
+    if run is not baseline:
+        with suppress(ValueError):
+            report = overheads(baseline, run)
+            row.update(
+                SO=report.search_overhead, CO=report.communication_overhead,
+                LB=report.load_balance, speedup=report.speedup,
+            )
+    with suppress(ValueError):
+        row["efficiency_fraction"] = efficiency_fraction(run, baseline.cost)
+    return row
 
 
-def rows_to_csv(rows: list[list]) -> str:
+def rows_to_csv(columns, rows, comments=()) -> str:
+    """CSV text: a `# ` line per comment, the header of `columns`, then one
+    line per row, a dict keyed by `columns`. None is an empty cell."""
     out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    out.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.DictWriter(out, columns, lineterminator="\n")
+    writer.writeheader()
     writer.writerows(rows)
     return out.getvalue()

@@ -8,7 +8,9 @@ import re
 import pytest
 
 from parsearch.cli import ALGOS, main
+from parsearch.common import SearchInvariantError
 from parsearch.domains import random_solvable
+from parsearch.engine.hda import HDAStar
 from parsearch.metrics import CSV_COLUMNS
 from parsearch.serial import astar
 
@@ -259,6 +261,16 @@ class TestSolve:
     def test_bad_subcommand_exit_three(self):
         assert run_cli("frobnicate") == 3
 
+    def test_internal_error_exit_four(self, monkeypatch, capsys):
+        # A broken invariant is a defect, not an unsolvable instance.
+        def broken(self):
+            raise SearchInvariantError("premature termination")
+
+        monkeypatch.setattr(HDAStar, "check", broken)
+        argv = ("solve", "--domain", "tile", "--gen", "n=3,seed=7", "--algo", "hdastar")
+        assert run_cli(*argv) == 4
+        assert "internal error: premature termination" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
         monkeypatch.setenv("PARSEARCH_SEED", "123")
@@ -407,8 +419,14 @@ class TestBench:
                     assert a[key] == b[key], key
 
     def test_window_efficiency_cell_empty(self, tmp_path):
+        # The second instance starts at the goal, so the window engine
+        # expands nothing: its undefined measures are empty cells, and the
+        # sweep goes on.
         suite = {
-            "instances": [{"domain": "tile", "gen": {"n": 3, "seed": 7}}],
+            "instances": [
+                {"domain": "tile", "gen": {"n": 3, "seed": 7}},
+                {"domain": "tile", "gen": {"n": 3, "seed": 1, "depth": 0}},
+            ],
             "algos": ["window"],
             "workers": [2],
         }
@@ -416,10 +434,13 @@ class TestBench:
         path.write_text(json.dumps(suite))
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--suite", str(path), "--out", str(out)) == 0
-        baseline, window = csv.DictReader(out.read_text().splitlines())
+        baseline, window, _, at_goal = csv.DictReader(out.read_text().splitlines())
         assert window["algo"] == "window"
         assert window["efficiency_fraction"] == ""
         assert 0.0 <= float(baseline["efficiency_fraction"]) <= 1.0
+        assert (at_goal["algo"], at_goal["cost"], at_goal["expanded"]) == ("window", "0.0", "0")
+        for column in ("SO", "CO", "LB", "speedup", "efficiency_fraction"):
+            assert at_goal[column] == "", column
 
     def test_empty_suite_exit_three(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from parsearch.common import EPS
+from parsearch.common import EPS, INF
 from parsearch.domains import ExplicitGraph, TilePuzzle, random_solvable
 from parsearch.engine import EngineConfig, hdastar
 from parsearch.engine.window import parallel_window
@@ -105,3 +105,11 @@ class TestEfficiencyFraction:
         assert len(sol.stats.expanded_f) == 0
         with pytest.raises(ValueError, match="not recorded"):
             efficiency_fraction(sol, sol.cost)
+
+    def test_no_optimal_cost_error(self):
+        # An unsolvable instance has no C*: no fraction, not 1.0.
+        g = ExplicitGraph([("s", "a", 1)], "s", {"t"})
+        sol = astar(g)
+        assert not sol.solved and sol.stats.expanded > 0
+        with pytest.raises(ValueError, match="no optimal cost"):
+            efficiency_fraction(sol, INF)
