@@ -23,7 +23,7 @@ child equals `parent`. `move` is an opaque hashable value naming the move,
 or None. `parent` is None or a state that has `state` among its children;
 best-first engines pass the stored parent of the node they expand, a child
 their table would always count as a duplicate, and the depth-first IDA*
-iteration passes none (its on-path check skips the parent already).
+iteration passes the state below on its path, which its on-path check skips.
 Engines carry h with each node and expand through
 `successors_of(problem)`, which falls back to `expand` plus a full
 `h(child)` and a None move, filtered by `child != parent`, for domains

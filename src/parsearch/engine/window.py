@@ -6,6 +6,13 @@ every bound claimed so far. Each iteration is a bounded depth-first search
 that returns the cheapest solution within its bound, and when a solution is
 found at bound b the engine waits for every iteration holding a smaller
 bound before declaring the best solution optimal.
+
+Each new iteration gets the floor, a proven lower bound on the optimal cost
+C*, and stops at the first goal costing at most the floor. The floor starts
+at h(initial). An iteration that finishes with no goal pruned a node on every
+optimal path, at f <= C* under an admissible h, so the floor rises to the
+least f it pruned. On tiles (f moves in steps of 2) that is the next bound:
+iterations run one at a time and the last stops where serial IDA* stops.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ class ParallelWindow(Engine):
         super().__init__(problem, config)
         self.claimed: list[float] = []
         self.exceeds: set[float] = set()
+        self.floor = problem.h(problem.initial)  # proven lower bound on C*
         # (cost, bound, path) of every iteration that found a goal; each
         # bound is claimed once, so min() never compares paths.
         self.solutions: list[tuple[float, float, list]] = []
@@ -64,10 +72,7 @@ class ParallelWindow(Engine):
             bound = self._peek_claim()
             self.claimed.append(bound)
             self.slots[w] = BoundedDFS(
-                self.problem,
-                bound,
-                find_best=True,
-                expansion_limit=self.config.node_limit,
+                self.problem, bound, self.floor, self.config.node_limit
             )
             return
         dfs.run_chunk(self.CHUNK)
@@ -81,6 +86,8 @@ class ParallelWindow(Engine):
             self.solution_logs[dfs.bound] = dfs.solution_log
             if dfs.best_cost < INF:
                 self.solutions.append((dfs.best_cost, dfs.bound, dfs.best_path))
+            elif dfs.exceed_values:
+                self.floor = max(self.floor, min(dfs.exceed_values))
             self._try_finish()
 
     def result(self):

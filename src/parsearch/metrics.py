@@ -2,9 +2,9 @@
 
 Formulas: search overhead SO = expanded_parallel / expanded_serial - 1;
 communication overhead CO = triplets sent to a different worker / total
-generated; load balance LB = max per-worker expansions / mean per-worker
-expansions; speedup = serial wall time / parallel wall time. SO may be
-negative (a parallel run can expand fewer cost-tied nodes than serial).
+generated (None if none were); load balance LB = max per-worker expansions
+/ mean per-worker expansions; speedup = serial wall time / parallel wall
+time. SO may be negative (a parallel run can expand fewer cost-tied nodes).
 
 `bench_row` gathers these measures into one `parsearch bench` row, keyed by
 CSV_COLUMNS; `rows_to_csv` writes rows of named cells, the bench table and
@@ -30,7 +30,7 @@ CSV_COLUMNS = [
 @dataclass
 class OverheadReport:
     search_overhead: float
-    communication_overhead: float
+    communication_overhead: float | None
     load_balance: float
     speedup: float
 
@@ -46,7 +46,7 @@ def overheads(serial: Solution, run: Solution) -> OverheadReport:
     if mean == 0:
         raise ValueError("load balance undefined: no worker expanded anything")
     so = stats.expanded / serial_stats.expanded - 1.0
-    co = stats.sent / stats.generated if stats.generated else 0.0
+    co = stats.sent / stats.generated if stats.generated else None
     lb = max(per_worker) / mean
     speedup = (
         serial_stats.wall_time / stats.wall_time if stats.wall_time > 0 else 0.0

@@ -313,13 +313,18 @@ def uniform_cost_oracle(
 class BoundedDFS:
     """One steppable IDA* iteration: depth-first search under an f bound.
 
-    In first-found mode the iteration stops at the first goal within the
-    bound (classic IDA*). In best-within-bound mode it records the goal,
-    keeps searching with the incumbent as an extra pruning bound, and
-    returns the cheapest solution whose path stays within the f bound --
-    the parallel window engine needs that stronger guarantee because its
+    `floor` is a proven lower bound on the optimal cost: the iteration ends
+    at the first goal that costs at most the floor. Below it, the iteration
+    keeps the cheapest goal found, prunes f at or above its cost and searches
+    on, so it returns the cheapest solution whose path stays within the f
+    bound. IDA* passes floor = bound (classic first-found IDA*); the parallel
+    window engine passes the floor its finished iterations proved, since its
     bound sequence may skip values. Every f-value pruned by the bound is
     recorded in `exceed_values`; the next IDA* bound is their minimum.
+
+    Goals are tested when generated and never expanded, so a root goal ends
+    the iteration with 0 expansions. An expansion passes the state below it
+    on the path as `parent`, a child the on-path check would skip anyway.
 
     The bound must be at least h(initial), so the root is never pruned: IDA*
     starts at h(initial) and only raises its bound, and the parallel window
@@ -330,13 +335,13 @@ class BoundedDFS:
         self,
         problem: SearchProblem,
         bound: float,
-        find_best: bool = False,
+        floor: float,
         expansion_limit: int = DEFAULT_NODE_LIMIT,
     ):
         check_count("node limit", expansion_limit, 0)
         self.problem = problem
         self.bound = bound
-        self.find_best = find_best
+        self.floor = floor
         self.expansion_limit = expansion_limit
         self.exceed_values: set[float] = set()
         self.solution_log: list[float] = []  # goal costs in discovery order
@@ -346,8 +351,8 @@ class BoundedDFS:
         self.best_path: list = []
         self.done = False
         self._successors = successors_of(problem)
-        # Stack frames: [state, g, h, successor records, next index]; the
-        # frames' states are the current path from the root.
+        # Stack frames: [state, g, h, iterator over its successor records or
+        # None before its expansion]; their states are the path from the root.
         self._stack: list = []
         self._on_path: set = set()
         root = problem.initial
@@ -357,63 +362,66 @@ class BoundedDFS:
             self.best_path = [root]
             self.done = True
         else:
-            self._stack.append([root, 0.0, problem.h(root), None, 0])
+            self._stack.append([root, 0.0, problem.h(root), None])
             self._on_path.add(root)
 
     def run_chunk(self, n: int) -> bool:
-        """Advance up to n node events; False once the iteration is over."""
+        """Advance up to n node events; False once the iteration is over. An
+        event takes one record from the top frame, expanding it first if need
+        be, or pops a frame whose records are used up."""
         if self.done:
             return False
         successors = self._successors
         is_goal = self.problem.is_goal
         stack = self._stack
         on_path = self._on_path
-        exceed_values = self.exceed_values
-        bound = self.bound
-        find_best = self.find_best
+        exceed = self.exceed_values.add
+        bound = self.bound + EPS
+        floor = self.floor + EPS
         best = self.best_cost
         expanded = self.expanded
         generated = self.generated
         limit = self.expansion_limit
-        for _ in range(n):
-            if not stack:
-                self.done = True
-                break
+        while n > 0 and stack:
             frame = stack[-1]
-            succs = frame[3]
-            if succs is None:
-                succs = successors(frame[0], frame[2])
-                frame[3] = succs
+            records = frame[3]
+            if records is None:
+                parent = stack[-2][0] if len(stack) > 1 else None
+                succs = successors(frame[0], frame[2], parent)
+                records = frame[3] = iter(succs)
                 expanded += 1
                 generated += len(succs)
                 if expanded > limit:
                     self.expanded = expanded
                     raise NodeLimitExceeded(limit, "IDA* iteration")
-            idx = frame[4]
-            if idx < len(succs):
-                frame[4] = idx + 1
-                succ, cost, h1, _ = succs[idx]
+            g = frame[1]
+            for succ, cost, h1, _ in records:
+                n -= 1
                 if succ not in on_path:
-                    g1 = frame[1] + cost
+                    g1 = g + cost
                     f = g1 + h1
-                    if f > bound + EPS:
-                        exceed_values.add(f)
-                    elif find_best and f >= best - EPS:
+                    if f > bound:
+                        exceed(f)
+                    elif f >= best - EPS:
                         pass
                     elif is_goal(succ):
                         self.solution_log.append(g1)
                         if g1 < best:
                             best = g1
                             self.best_path = [fr[0] for fr in stack] + [succ]
-                        if not find_best:
-                            self.done = True
+                        if g1 <= floor:
+                            stack.clear()  # an empty stack ends the iteration
                             break
                     else:
-                        stack.append([succ, g1, h1, None, 0])
+                        stack.append([succ, g1, h1, None])
                         on_path.add(succ)
+                        break
+                if not n:
+                    break
             else:
                 stack.pop()
                 on_path.discard(frame[0])
+                n -= 1
         self.best_cost = best
         self.expanded = expanded
         self.generated = generated
@@ -439,7 +447,7 @@ def idastar(
     stats = SearchStats()
     bound = problem.h(problem.initial)
     while True:  # runs once even when h(initial) is inf
-        it = BoundedDFS(problem, bound, expansion_limit=node_limit).run()
+        it = BoundedDFS(problem, bound, bound, node_limit).run()
         stats.iteration_expansions.append(it.expanded)
         stats.expanded += it.expanded
         stats.generated += it.generated

@@ -442,6 +442,25 @@ class TestBench:
         for column in ("SO", "CO", "LB", "speedup", "efficiency_fraction"):
             assert at_goal[column] == "", column
 
+    def test_undefined_co_cell_empty(self, tmp_path):
+        # At the goal, HDA* and SPA* expand the root and generate nothing,
+        # so CO (sent / generated) is undefined; SO and LB are defined, LB
+        # with the one expansion on one of two workers.
+        suite = {
+            "instances": [{"domain": "tile", "gen": {"n": 3, "seed": 1, "depth": 0}}],
+            "algos": ["hdastar", "spastar"],
+            "workers": [2],
+        }
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--suite", str(path), "--out", str(out)) == 0
+        _, *rows = csv.DictReader(out.read_text().splitlines())
+        assert [row["algo"] for row in rows] == ["hdastar", "spastar"]
+        for row in rows:
+            assert row["CO"] == "", row["algo"]
+            assert (row["SO"], row["LB"]) == ("0.0", "2.0"), row["algo"]
+
     def test_empty_suite_exit_three(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"instances": []}))

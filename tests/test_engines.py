@@ -661,18 +661,32 @@ for token in ("zobrist", "random"):
 
 class TestParallelWindow:
     def test_single_worker_matches_serial_idastar(self, tile_suite_small):
-        for p in tile_suite_small[:5]:
+        # p=1 claims exactly the serial bound sequence, each with the floor
+        # at the bound, so every iteration is IDA*'s, node for node.
+        costs = {(1, 0, 0): 1.0, (0, 1, 0): 1.5, (0, 0, 1): 2.0, (1, 1, 0): 2.5,
+                 (1, 0, 1): 2.75, (0, 1, 1): 3.0, (1, 1, 1): 3.25}
+        for p in [*tile_suite_small, LatticeProblem((3, 2, 2), costs)]:
             serial = idastar(p)
             par = parallel_window(p, EngineConfig(workers=1))
             assert par.cost == serial.cost
-            # p=1 claims exactly the serial bound sequence
             assert len(par.meta["bounds"]) == len(serial.stats.iteration_expansions)
+            assert par.stats.expanded == serial.stats.expanded
+            assert par.stats.generated == serial.stats.generated
+            assert (
+                par.per_worker[0].iteration_expansions
+                == serial.stats.iteration_expansions
+            )
 
     def test_matches_oracle(self, tile_suite_small, tile3_bfs):
+        # Tile f-values move in steps of 2: a finished iteration exposes only
+        # the next bound, which is also the new floor, so at any p the
+        # iterations run one at a time and the last stops where IDA* stops.
         for p in tile_suite_small:
+            ida_expanded = idastar(p).stats.expanded
             for workers in (2, 4):
                 sol = parallel_window(p, EngineConfig(workers=workers, seed=2))
                 assert sol.cost == tile3_bfs[p.initial]
+                assert sol.stats.expanded == ida_expanded
                 validate_path(p, sol.path)
 
     def test_suboptimal_goal_not_returned_early(self):

@@ -125,8 +125,8 @@ tile-n3-s1,hdastar,random,2,23.0,765,0.13165680473372787,0.49411764705882355,1.0
 tile-n3-s1,hdastar,random,3,23.0,725,0.0724852071005917,0.6628383921246924,1.0386206896551724,0.4786206896551724,*,*
 tile-n3-s1,spastar,,2,23.0,676,0.0,0.0,1.0236686390532543,0.47928994082840237,*,*
 tile-n3-s1,spastar,,3,23.0,676,0.0,0.0,1.0917159763313609,0.47928994082840237,*,*
-tile-n3-s1,window,,2,23.0,1053,0.5576923076923077,0.0,1.929724596391263,,*,*
-tile-n3-s1,window,,3,23.0,1053,0.5576923076923077,0.0,1.393162393162393,,*,*
+tile-n3-s1,window,,2,23.0,666,-0.014792899408283988,0.0,1.5825825825825826,,*,*
+tile-n3-s1,window,,3,23.0,666,-0.014792899408283988,0.0,2.31981981981982,,*,*
 lattice-4x4x3,astar,,1,4.0,100,,,,0.64,,*
 lattice-4x4x3,hdastar,zobrist,2,4.0,97,-0.030000000000000027,0.40384615384615385,1.0103092783505154,0.6701030927835051,*,*
 lattice-4x4x3,hdastar,zobrist,3,4.0,86,-0.14,0.7043879907621247,1.1860465116279069,0.7441860465116279,*,*
@@ -134,8 +134,8 @@ lattice-4x4x3,hdastar,random,2,4.0,142,0.41999999999999993,0.46963562753036436,1
 lattice-4x4x3,hdastar,random,3,4.0,226,1.2599999999999998,0.6740331491712708,1.1283185840707965,0.6017699115044248,*,*
 lattice-4x4x3,spastar,,2,4.0,100,0.0,0.0,1.02,0.64,*,*
 lattice-4x4x3,spastar,,3,4.0,100,0.0,0.0,1.17,0.64,*,*
-lattice-4x4x3,window,,2,4.0,2731,26.31,0.0,1.9992676675210546,,*,*
-lattice-4x4x3,window,,3,4.0,2731,26.31,0.0,2.4880995972171367,,*,*
+lattice-4x4x3,window,,2,4.0,2674,25.74,0.0,1.9992520568436798,,*,*
+lattice-4x4x3,window,,3,4.0,2674,25.74,0.0,2.477187733732236,,*,*
 """
 
 VOLATILE = [CSV_COLUMNS.index("speedup"), CSV_COLUMNS.index("wall_time")]

@@ -18,6 +18,7 @@ from parsearch.domains import (
 )
 from parsearch.serial import (
     BestFirstSearch,
+    BoundedDFS,
     astar,
     idastar,
     uniform_cost_oracle,
@@ -131,6 +132,23 @@ class TestIdastar:
         sol = idastar(g)
         assert sol.cost == INF
         assert sol.meta["bounds"] == len(sol.stats.iteration_expansions) == 2
+
+
+class TestBoundedDFS:
+    # The costly goal t1 is generated first; the cheap one, t2, under y.
+    GRAPH = ExplicitGraph(
+        [("s", "t1", 10), ("s", "y", 1), ("y", "t2", 1)], "s", {"t1", "t2"}
+    )
+
+    def test_floor_below_first_goal_returns_cheapest_within_bound(self):
+        it = BoundedDFS(self.GRAPH, 10.0, 1.0).run()
+        assert it.solution_log == [10.0, 2.0]
+        assert (it.best_cost, it.best_path, it.expanded) == (2.0, ["s", "y", "t2"], 2)
+
+    def test_floor_at_first_goal_stops_there(self):
+        it = BoundedDFS(self.GRAPH, 10.0, 10.0).run()
+        assert it.solution_log == [10.0]
+        assert (it.best_cost, it.best_path, it.expanded) == (10.0, ["s", "t1"], 1)
 
 
 class TestWeightedAstar:
