@@ -138,9 +138,10 @@ class Engine:
 
 
 # Message envelopes: ("W", stamp, batch) with batch a list of
-# (state, g, h, parent, key) work items, h being the state's heuristic as
-# carried from its parent and key the strategy's key, which names the
-# owner; or ("C", ControlMessage).
+# (state, g, h, link, key) work items, h being the state's heuristic as
+# carried from its parent, link the (parent state, sender id) pair that
+# names the copy of the parent that generated the state, and key the
+# strategy's key, which names the owner; or ("C", ControlMessage).
 
 
 class ChannelTransport:

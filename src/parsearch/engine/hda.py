@@ -6,8 +6,15 @@ and may reopen it from its closed list when a cheaper path arrives later.
 A state's heuristic and hash key are derived from its parent's once, when
 the state is generated: the domain's `successors` pass reports each child's
 h and move, and the strategy turns the parent's key and the move into the
-child's key. Both travel with the state, in the (state, g, h, parent, key)
-work item and in the owner's open list.
+child's key. Both travel with the state, in the (state, g, h, link, key)
+work item and in the owner's open list. The link is the stored parent:
+the pair (parent state, id of the worker that expanded it). Under a
+strategy such as `random` a state can be stored at several workers, and
+the link names the one copy that generated the child. The worker hands the
+domain the link's state, and the path is rebuilt by following links, one
+table lookup per step; a copy's stored g only falls, by more than EPS, so
+the links cannot form a cycle.
+
 Sends are non-blocking and batched per destination. A batch is sent when
 it is full, when it takes a child on its parent's f-layer, which the
 search must expand before it leaves the layer it is on, or before its
@@ -65,7 +72,9 @@ class _Worker(BestFirstSearch):
         config = engine.config
         self.id = wid
         self.problem = engine.problem
-        self.successors = successors_of(engine.problem)
+        successors = successors_of(engine.problem)
+        # The table stores (state, worker) links; the domain gets the state.
+        self.successors = lambda state, h, link: successors(state, h, link and link[0])
         self.table = NodeTable(node_limit=config.node_limit, where=f"worker {wid}")
         self.stats = SearchStats()
         self.transport = engine.transport
@@ -119,6 +128,7 @@ class _Worker(BestFirstSearch):
         owner_of = self.strategy.owner
         insert = self.table.insert
         wid, p, out, out_f = self.id, self.p, self.out, self.out_f
+        link = (state, wid)
         batch_size = self.batch_size
         layer = g + h + EPS
         for succ, cost, h1, move in records:
@@ -126,10 +136,10 @@ class _Worker(BestFirstSearch):
             k = child_key(key, succ, move)
             owner = owner_of(k, p)
             if owner == wid:
-                insert(succ, g1, h1, state, stats, k)
+                insert(succ, g1, h1, link, stats, k)
             else:
                 buf = out[owner]
-                buf.append((succ, g1, h1, state, k))
+                buf.append((succ, g1, h1, link, k))
                 f1 = g1 + h1
                 if len(buf) >= batch_size or f1 <= layer:
                     self.flush(owner)
@@ -260,7 +270,8 @@ class HDAStar(Engine):
            a passing round ends the run at once.
         2. With open work below the incumbent, send every batch holding a
            child below the f about to be popped (one comparison when none
-           is due) and expand one node. A goal is offered to the incumbent.
+           is due) and expand one node. A goal is offered to the incumbent
+           as the link (goal, w), where the path walk starts.
         3. Otherwise flush every partial batch; worker 0 starts a detection
            round if none is in flight and work was done since the last.
         4. Bring the ready list up to date: a lower incumbent re-lists every
@@ -290,12 +301,12 @@ class HDAStar(Engine):
                 stats.received += len(batch)
                 if stamp > worker.max_received_stamp:
                     worker.max_received_stamp = stamp
-                for state, g1, h1, parent, key in batch:
+                for state, g1, h1, link, key in batch:
                     if owner(key, p) != w:
                         raise SearchInvariantError(
                             "state delivered to a non-owner worker"
                         )
-                    insert(state, g1, h1, parent, stats, key)
+                    insert(state, g1, h1, link, stats, key)
         mf = worker.table.min_f()
         if mf < incumbent.cost - EPS:
             self._work_since_detect = True
@@ -304,7 +315,7 @@ class HDAStar(Engine):
             if not worker.step(worker.stats):
                 # A goal: none of its children (f >= g) is ever expanded.
                 bound = incumbent.cost
-                incumbent.offer(worker.goal_cost, worker.goal_state)
+                incumbent.offer(worker.goal_cost, (worker.goal_state, w))
                 if incumbent.cost < bound:
                     self._relist()
                     return
@@ -373,12 +384,6 @@ class HDAStar(Engine):
                 bad.append((f"open[{worker.id}]", mf))
         return bad
 
-    def _best_entry(self, state):
-        """The entry with the least g for a state across all workers."""
-        entries = (w.table.entry(state) for w in self.workers)
-        found = [e for e in entries if e is not None]
-        return min(found, key=lambda e: e[0], default=None)
-
     def check(self) -> None:
         """Post-termination invariants: nothing pending, the configured
         detector passing once more in place over the stopped workers (a
@@ -400,8 +405,10 @@ class HDAStar(Engine):
             )
 
     def result(self):
-        path = reconstruct_path(self.incumbent.state, self._best_entry)
-        return self.incumbent.cost, path
+        tables = [w.table for w in self.workers]
+        entry_of = lambda link: tables[link[1]].entry(link[0])
+        links = reconstruct_path(self.incumbent.state, entry_of)
+        return self.incumbent.cost, [state for state, _ in links]
 
     def meta(self) -> dict:
         return {

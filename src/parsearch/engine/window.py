@@ -58,11 +58,18 @@ class ParallelWindow(Engine):
         return [w for w, dfs in enumerate(self.slots) if dfs is not None]
 
     def _try_finish(self) -> None:
-        """Finish when the wait-for-lower-bounds rule allows it."""
+        """Finish when the wait-for-lower-bounds rule allows it. The
+        iterations still running then are cut off: their expansions and
+        generations are charged to their workers' stats, but
+        `iteration_expansions` lists finished iterations only."""
         if self.solutions:
             bound = min(self.solutions)[1]
             if not any(dfs.bound < bound - EPS for dfs in self.slots if dfs):
                 self.finished = True
+                for stats, dfs in zip(self.stats, self.slots):
+                    if dfs:
+                        stats.expanded += dfs.expanded
+                        stats.generated += dfs.generated
         elif not any(self.slots) and self._peek_claim() is None:
             self.finished = True  # space exhausted below every claimed bound
 

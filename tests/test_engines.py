@@ -726,6 +726,29 @@ class TestParallelWindow:
         assert idastar(g).cost == INF
         assert parallel_window(g, EngineConfig(workers=2)).cost == INF
 
+    def test_cut_off_iterations_count_their_work(self):
+        # The run ends while iterations at higher bounds still run; their
+        # expansions count in the stats (every successors call of the run is
+        # one), but only finished iterations list in iteration_expansions.
+        rng = random.Random(1)
+        patterns = [p for p in itertools.product((0, 1), repeat=3) if any(p)]
+        costs = {p: round(rng.uniform(1, 3), 2) for p in patterns}
+        lattice = LatticeProblem((3, 3, 3), costs)
+        records = []
+
+        def counted(state, h, parent=None):
+            succs = lattice.successors(state, h, parent)
+            records.append(len(succs))
+            return succs
+
+        problem = ContractOnly(lattice)  # its expand, for validation, is uncounted
+        problem.successors = counted
+        sol = parallel_window(problem, EngineConfig(workers=4, seed=1))
+        assert sol.stats.expanded == len(records) == 16_820
+        assert sol.stats.generated == sum(records)
+        finished = sum(sum(w.iteration_expansions) for w in sol.per_worker)
+        assert finished == 16_255
+
     def test_claimed_bounds_strictly_ascend(self, tile_suite_small):
         # The dispenser reads the last claim as the largest one.
         pairs = 0
